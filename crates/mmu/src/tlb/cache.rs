@@ -137,7 +137,7 @@ const NIL: u32 = u32::MAX;
 /// here and the default SipHash showed up as the hottest function in
 /// whole-grid profiles.
 #[derive(Clone, Copy, Default)]
-struct TagHasher(u64);
+pub(crate) struct TagHasher(u64);
 
 impl TagHasher {
     #[inline]
@@ -183,7 +183,7 @@ impl Hasher for TagHasher {
 
 /// [`BuildHasher`] for [`TagHasher`].
 #[derive(Debug, Clone, Copy, Default)]
-struct TagHashBuilder;
+pub(crate) struct TagHashBuilder;
 
 impl BuildHasher for TagHashBuilder {
     type Hasher = TagHasher;

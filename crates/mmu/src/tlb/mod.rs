@@ -15,7 +15,7 @@ mod obs;
 mod stats;
 mod vanilla;
 
-pub use attrib::{MissBreakdown, MissClassifier};
+pub use attrib::{ClassPass, ClassTally, MissClass, MissClassifier};
 pub use cache::{Associativity, SetAssocCache, TlbConfig};
 pub use coalesce::{CoalescedTlb, ColtLookup};
 pub use mosaic::{MosaicLookup, MosaicTlb};

@@ -6,7 +6,6 @@
 //! miss** — the walker refills just that CPFN, leaving the rest of the ToC
 //! intact. Whole entries are evicted LRU on capacity misses.
 
-use super::attrib::{MissBreakdown, MissClassifier};
 use super::cache::{SetAssocCache, TlbConfig};
 use super::obs::TlbObs;
 use super::stats::TlbStats;
@@ -65,7 +64,6 @@ pub struct MosaicTlb {
     unmapped: Cpfn,
     stats: TlbStats,
     obs: TlbObs,
-    classifier: Option<MissClassifier>,
     /// One-entry recycle pool: the last evicted ToC, whose buffer
     /// [`MosaicTlb::fill_toc_ref`] reuses for the next fill (same
     /// arity, so steady-state fills never touch the allocator).
@@ -88,30 +86,16 @@ impl MosaicTlb {
             unmapped,
             stats: TlbStats::new(),
             obs: TlbObs::noop(),
-            classifier: None,
             recycled: None,
         }
     }
 
-    /// Exports this TLB's counters as `tlb.<label>.*` on `obs`.
-    ///
-    /// When `obs` has attribution opted in
-    /// ([`ObsHandle::set_attrib`]), this also attaches a shadow
-    /// fully-associative [`MissClassifier`] (MVPN-granularity tags,
-    /// VPN-granularity cold set) charging 3C classes into the
-    /// `tlb.<label>` attribution table. A no-op when `obs` is
-    /// disabled; simulation behavior is unchanged either way.
+    /// Exports this TLB's counters as `tlb.<label>.*` on `obs`. A no-op
+    /// when `obs` is disabled; simulation behavior is unchanged either
+    /// way. (3C miss classification is the driver's: see
+    /// [`crate::tlb::ClassPass`].)
     pub fn set_obs(&mut self, obs: &ObsHandle, label: &str) {
         self.obs = TlbObs::register(obs, label);
-        self.classifier = obs.attrib_enabled().then(|| {
-            MissClassifier::new(self.cfg.entries(), obs.attrib(&format!("tlb.{label}")))
-        });
-    }
-
-    /// Per-class miss counts (`None` until attribution is enabled via
-    /// [`MosaicTlb::set_obs`]).
-    pub fn miss_breakdown(&self) -> Option<MissBreakdown> {
-        self.classifier.as_ref().map(MissClassifier::breakdown)
     }
 
     /// Runs `f` with exported-counter publication deferred: the
@@ -121,8 +105,7 @@ impl MosaicTlb {
     /// exported totals are identical to the undeferred path at every
     /// point outside `f` — the batched replay wraps each instance's
     /// pass in this so an observed grid pays five atomic adds per
-    /// batch instead of two or three per lookup. Attribution
-    /// classifiers (when attached) keep observing every lookup live.
+    /// batch instead of two or three per lookup.
     pub fn with_deferred_obs<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let live = std::mem::take(&mut self.obs);
         let before = self.stats;
@@ -183,12 +166,6 @@ impl MosaicTlb {
                 MosaicLookup::Miss
             }
         };
-        if let Some(c) = &mut self.classifier {
-            // Shadow tags at MVPN granularity (what a fully-associative
-            // mosaic TLB caches); the cold set at VPN granularity (the
-            // unit both models first-touch on a shared trace).
-            c.observe(asid, tag.mvpn.0, vpn.0, result.is_hit());
-        }
         result
     }
 
@@ -259,17 +236,11 @@ impl MosaicTlb {
     pub fn invalidate_entry(&mut self, asid: Asid, vpn: Vpn) {
         let (tag, _) = self.tag(asid, vpn);
         self.cache.invalidate(tag.mvpn.0 as usize, tag);
-        if let Some(c) = &mut self.classifier {
-            c.invalidate(asid, tag.mvpn.0);
-        }
     }
 
     /// Drops every entry (full flush).
     pub fn flush(&mut self) {
         self.cache.flush();
-        if let Some(c) = &mut self.classifier {
-            c.flush();
-        }
     }
 
     /// Drops every entry belonging to `asid`, returning how many entries
@@ -284,9 +255,6 @@ impl MosaicTlb {
         let invalidated = victims.len();
         for (set, tag) in victims {
             self.cache.invalidate(set, tag);
-        }
-        if let Some(c) = &mut self.classifier {
-            c.flush_asid(asid);
         }
         invalidated
     }

@@ -6,7 +6,6 @@
 //! Graph500 (§4.1) — so the model supports both page sizes in one
 //! structure, with the set index derived from each size's own page number.
 
-use super::attrib::{MissBreakdown, MissClassifier};
 use super::cache::{SetAssocCache, TlbConfig};
 use super::obs::TlbObs;
 use super::stats::TlbStats;
@@ -67,7 +66,6 @@ pub struct VanillaTlb {
     cfg: TlbConfig,
     stats: TlbStats,
     obs: TlbObs,
-    classifier: Option<MissClassifier>,
 }
 
 impl VanillaTlb {
@@ -78,28 +76,15 @@ impl VanillaTlb {
             cfg,
             stats: TlbStats::new(),
             obs: TlbObs::noop(),
-            classifier: None,
         }
     }
 
-    /// Exports this TLB's counters as `tlb.<label>.*` on `obs`.
-    ///
-    /// When `obs` has attribution opted in
-    /// ([`ObsHandle::set_attrib`]), this also attaches a shadow
-    /// fully-associative [`MissClassifier`] charging 3C classes into
-    /// the `tlb.<label>` attribution table. A no-op when `obs` is
-    /// disabled; simulation behavior is unchanged either way.
+    /// Exports this TLB's counters as `tlb.<label>.*` on `obs`. A no-op
+    /// when `obs` is disabled; simulation behavior is unchanged either
+    /// way. (3C miss classification is the driver's: see
+    /// [`crate::tlb::ClassPass`].)
     pub fn set_obs(&mut self, obs: &ObsHandle, label: &str) {
         self.obs = TlbObs::register(obs, label);
-        self.classifier = obs.attrib_enabled().then(|| {
-            MissClassifier::new(self.cfg.entries(), obs.attrib(&format!("tlb.{label}")))
-        });
-    }
-
-    /// Per-class miss counts (`None` until attribution is enabled via
-    /// [`VanillaTlb::set_obs`]).
-    pub fn miss_breakdown(&self) -> Option<MissBreakdown> {
-        self.classifier.as_ref().map(MissClassifier::breakdown)
     }
 
     /// Runs `f` with exported-counter publication deferred: the
@@ -109,8 +94,7 @@ impl VanillaTlb {
     /// exported totals are identical to the undeferred path at every
     /// point outside `f` — the batched replay wraps each instance's
     /// pass in this so an observed grid pays five atomic adds per
-    /// batch instead of two or three per lookup. Attribution
-    /// classifiers (when attached) keep observing every lookup live.
+    /// batch instead of two or three per lookup.
     pub fn with_deferred_obs<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let live = std::mem::take(&mut self.obs);
         let before = self.stats;
@@ -173,9 +157,6 @@ impl VanillaTlb {
             self.stats.misses += 1;
             self.obs.misses.inc();
         }
-        if let Some(c) = &mut self.classifier {
-            c.observe(asid, vpn.0, vpn.0, result.is_hit());
-        }
         result
     }
 
@@ -207,17 +188,11 @@ impl VanillaTlb {
     pub fn invalidate(&mut self, asid: Asid, vpn: Vpn) {
         self.cache
             .invalidate(vpn.0 as usize, Self::base_tag(asid, vpn));
-        if let Some(c) = &mut self.classifier {
-            c.invalidate(asid, vpn.0);
-        }
     }
 
     /// Drops every entry (full flush).
     pub fn flush(&mut self) {
         self.cache.flush();
-        if let Some(c) = &mut self.classifier {
-            c.flush();
-        }
     }
 
     /// Drops every entry belonging to `asid` (a context-switch shootdown
@@ -233,9 +208,6 @@ impl VanillaTlb {
         let invalidated = victims.len();
         for (set, tag) in victims {
             self.cache.invalidate(set, tag);
-        }
-        if let Some(c) = &mut self.classifier {
-            c.flush_asid(asid);
         }
         invalidated
     }

@@ -1,11 +1,13 @@
 //! Model-based property tests for the MMU structures: the TLB cache
-//! against a reference LRU, and the radix table against a `HashMap`.
+//! against a reference LRU, the radix table against a `HashMap`, and the
+//! shared 3C classification pass against naive per-instance classifiers.
 
 use mosaic_mem::{Asid, Cpfn, Pfn, Vpn};
-use mosaic_mmu::tlb::{Associativity, SetAssocCache, TlbConfig};
+use mosaic_mmu::tlb::{Associativity, ClassPass, SetAssocCache, TlbConfig};
 use mosaic_mmu::{Arity, MosaicLookup, MosaicTlb, RadixTable, Toc, VanillaTlb};
+use mosaic_obs::AttribCategory;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Reference model for a fully-associative LRU cache.
 struct RefLru {
@@ -195,5 +197,198 @@ proptest! {
             }
         }
         prop_assert_eq!(toc.valid_count(), model.iter().filter(|&&b| b).count());
+    }
+}
+
+/// Tests-only 3C reference for one TLB instance, classifying the way
+/// every instance did before the pass was shared: its own first-touch
+/// set and its own `Vec`-LRU shadow at its tag granularity.
+struct NaiveClassifier {
+    arity: Arity,
+    cap: usize,
+    seen: HashSet<(Asid, u64)>,
+    /// Shadow tags, most-recent last.
+    lru: Vec<(Asid, u64)>,
+}
+
+impl NaiveClassifier {
+    fn new(arity: Arity, cap: usize) -> Self {
+        Self {
+            arity,
+            cap,
+            seen: HashSet::new(),
+            lru: Vec::new(),
+        }
+    }
+
+    /// The class this instance would charge if it missed here.
+    fn class(&mut self, asid: Asid, vpn: Vpn) -> AttribCategory {
+        let first = self.seen.insert((asid, vpn.0));
+        let tag = (asid, self.arity.mvpn_of(vpn).0);
+        let hit = match self.lru.iter().position(|&t| t == tag) {
+            Some(pos) => {
+                self.lru.remove(pos);
+                true
+            }
+            None => {
+                if self.lru.len() == self.cap {
+                    self.lru.remove(0);
+                }
+                false
+            }
+        };
+        self.lru.push(tag);
+        if first {
+            AttribCategory::Compulsory
+        } else if hit {
+            AttribCategory::Conflict
+        } else {
+            AttribCategory::Capacity
+        }
+    }
+
+    fn invalidate(&mut self, asid: Asid, vpn: Vpn) {
+        let tag = (asid, self.arity.mvpn_of(vpn).0);
+        self.lru.retain(|&t| t != tag);
+    }
+
+    fn flush_asid(&mut self, asid: Asid) {
+        self.lru.retain(|&(a, _)| a != asid);
+    }
+}
+
+/// One step of a multi-ASID stream with shootdowns mixed in.
+#[derive(Debug, Clone, Copy)]
+enum StreamOp {
+    Access(Asid, Vpn),
+    Invalidate(Asid, Vpn),
+    FlushAsid(Asid),
+    Flush,
+}
+
+/// Mostly accesses over three ASIDs: of every 28 ops, 2 are entry
+/// invalidations, 1 an ASID shootdown and 1 a full flush.
+fn any_stream_op() -> impl Strategy<Value = StreamOp> {
+    (0u8..28, 1u16..4, 0u64..96).prop_map(|(kind, a, v)| {
+        let (asid, vpn) = (Asid::new(a), Vpn::new(v));
+        match kind {
+            0..=23 => StreamOp::Access(asid, vpn),
+            24 | 25 => StreamOp::Invalidate(asid, vpn),
+            26 => StreamOp::FlushAsid(asid),
+            _ => StreamOp::Flush,
+        }
+    })
+}
+
+/// The oracle's granularities: the VPN, then MVPN-4 and MVPN-8.
+const ORACLE_ARITIES: [usize; 2] = [4, 8];
+
+/// Shadow capacities: degenerate, tiny, odd (not a power of two) and
+/// wide enough for the cache's hash-indexed slot path.
+const ORACLE_CAPACITIES: [usize; 4] = [1, 2, 7, 64];
+
+proptest! {
+    /// The shared pass classifies every position exactly as a separate
+    /// per-instance classifier at each granularity would, across ASIDs,
+    /// invalidations, ASID shootdowns and full flushes.
+    #[test]
+    fn class_pass_matches_per_instance_oracle(
+        ops in prop::collection::vec(any_stream_op(), 1..400),
+        cap_idx in 0usize..4,
+    ) {
+        let cap = ORACLE_CAPACITIES[cap_idx];
+        let arities = ORACLE_ARITIES.map(Arity::new);
+        let mut pass = ClassPass::new(cap, &arities);
+        let mut naive: Vec<NaiveClassifier> = std::iter::once(Arity::new(1))
+            .chain(arities)
+            .map(|a| NaiveClassifier::new(a, cap))
+            .collect();
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                StreamOp::Access(asid, vpn) => {
+                    let class = pass.classify(asid, vpn);
+                    for (g, n) in naive.iter_mut().enumerate() {
+                        prop_assert_eq!(
+                            class.category(g),
+                            n.class(asid, vpn),
+                            "position {} granularity {}",
+                            i,
+                            g
+                        );
+                    }
+                }
+                StreamOp::Invalidate(asid, vpn) => {
+                    pass.invalidate(asid, vpn);
+                    naive.iter_mut().for_each(|n| n.invalidate(asid, vpn));
+                }
+                StreamOp::FlushAsid(asid) => {
+                    pass.flush_asid(asid);
+                    naive.iter_mut().for_each(|n| n.flush_asid(asid));
+                }
+                StreamOp::Flush => {
+                    pass.flush();
+                    naive.iter_mut().for_each(|n| n.lru.clear());
+                }
+            }
+        }
+    }
+
+    /// A real fully-associative TLB of the shadow's size never takes a
+    /// conflict miss: with whole-ToC fills (no sub-entry misses) each
+    /// one holds exactly its shadow's tags.
+    #[test]
+    fn full_assoc_tlbs_never_take_conflict_misses(
+        ops in prop::collection::vec(any_stream_op(), 1..400),
+        cap_idx in 0usize..4,
+    ) {
+        let cap = ORACLE_CAPACITIES[cap_idx];
+        let cfg = TlbConfig::new(cap, Associativity::Full);
+        let arities = ORACLE_ARITIES.map(Arity::new);
+        let mut pass = ClassPass::new(cap, &arities);
+        let mut vanilla = VanillaTlb::new(cfg);
+        let mut mosaics: Vec<MosaicTlb> = arities.iter().map(|&a| MosaicTlb::new(cfg, a)).collect();
+        for op in ops {
+            match op {
+                StreamOp::Access(asid, vpn) => {
+                    let class = pass.classify(asid, vpn);
+                    if !vanilla.lookup(asid, vpn).is_hit() {
+                        prop_assert_ne!(class.category(0), AttribCategory::Conflict);
+                        vanilla.fill_base(asid, vpn, Pfn::new(vpn.0));
+                    }
+                    for (i, tlb) in mosaics.iter_mut().enumerate() {
+                        match tlb.lookup(asid, vpn) {
+                            MosaicLookup::Hit(_) => {}
+                            MosaicLookup::SubMiss => prop_assert!(false, "whole-ToC fills never sub-miss"),
+                            MosaicLookup::Miss => {
+                                let g = ClassPass::granularity(Some(i));
+                                prop_assert_ne!(class.category(g), AttribCategory::Conflict);
+                                let mut toc = tlb.blank_toc();
+                                for off in 0..toc.len() {
+                                    toc.set(off, Cpfn(1));
+                                }
+                                tlb.fill_toc(asid, vpn, toc);
+                            }
+                        }
+                    }
+                }
+                StreamOp::Invalidate(asid, vpn) => {
+                    pass.invalidate(asid, vpn);
+                    vanilla.invalidate(asid, vpn);
+                    mosaics.iter_mut().for_each(|m| m.invalidate_entry(asid, vpn));
+                }
+                StreamOp::FlushAsid(asid) => {
+                    pass.flush_asid(asid);
+                    vanilla.flush_asid(asid);
+                    mosaics.iter_mut().for_each(|m| {
+                        m.flush_asid(asid);
+                    });
+                }
+                StreamOp::Flush => {
+                    pass.flush();
+                    vanilla.flush();
+                    mosaics.iter_mut().for_each(MosaicTlb::flush);
+                }
+            }
+        }
     }
 }

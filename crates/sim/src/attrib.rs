@@ -5,9 +5,9 @@
 //! load over **both** layers of the system:
 //!
 //! * every Figure 6 TLB cell (vanilla and mosaic at each swept
-//!   associativity), with the shadow fully-associative classifier
-//!   splitting misses into compulsory / capacity / conflict
-//!   ([`mosaic_mmu::MissClassifier`]);
+//!   associativity), with one shared pass of shadow fully-associative
+//!   TLBs splitting misses into compulsory / capacity / conflict
+//!   ([`mosaic_mmu::tlb::ClassPass`]);
 //! * both memory managers (Mosaic and the Linux-like baseline) under a
 //!   two-tenant split of the same reference stream, charging every
 //!   eviction to an (evictor, victim) ASID pair in the
@@ -37,7 +37,7 @@
 //! merged observability stream are byte-identical at any thread count.
 
 use crate::dual::reference_os;
-use crate::fig6::{run_fig6_cell, CellSpec, TlbKind};
+use crate::fig6::{classify_stream, run_fig6_cell, CellSpec, TlbKind};
 use crate::os::USER_ASID;
 use crate::parallel::{derive_seed, run_cells};
 use crate::report::{group_digits, Table};
@@ -320,6 +320,8 @@ fn run_one_workload(
         .finish(meta.clone())
         .expect("failed to record reference trace");
     drop(workload);
+    // One shared 3C pass classifies the stream for every TLB cell.
+    let classes = classify_stream(obs, &trace, USER_ASID, cfg.tlb_entries, &cfg.arities);
 
     // Cell order fixes both the report row order and the merged-stream
     // order: per associativity the vanilla cell then one mosaic cell
@@ -346,6 +348,7 @@ fn run_one_workload(
                 tlb_spec,
                 &child,
                 &snapshots,
+                &classes,
             )),
             AttribCellSpec::Mem(kind) => {
                 run_mem_cell(cfg, kind, &trace, &child, &snapshots, i);
@@ -364,19 +367,11 @@ fn run_one_workload(
     for (spec, stats, child) in outcomes {
         match spec {
             AttribCellSpec::Tlb(tlb_spec) => {
-                let (assoc, kind, label) = match tlb_spec {
-                    CellSpec::Vanilla(a) => (
-                        a,
-                        TlbKind::Vanilla,
-                        format!("tlb.vanilla.{}", a.to_string().to_lowercase()),
-                    ),
-                    CellSpec::Mosaic(a, k) => (
-                        a,
-                        TlbKind::Mosaic(k),
-                        format!("tlb.mosaic-{}.{}", k.get(), a.to_string().to_lowercase()),
-                    ),
+                let (assoc, kind) = match tlb_spec {
+                    CellSpec::Vanilla(a) => (a, TlbKind::Vanilla),
+                    CellSpec::Mosaic(a, k) => (a, TlbKind::Mosaic(k)),
                 };
-                let table = child.attrib_table(&label);
+                let table = child.attrib_table(&format!("tlb.{}", tlb_spec.label()));
                 report.tlb.push(TlbAttribRow {
                     workload: wl.name(),
                     assoc,

@@ -17,6 +17,7 @@
 use crate::os::{frames_for_footprint, OsModel, TocMemoSlot, VanillaTranslation, KERNEL_VPN_BASE};
 use mosaic_hash::SplitMix64;
 use mosaic_mem::{AccessKind, Asid, MemoryLayout, Vpn};
+use mosaic_mmu::tlb::{ClassPass, ClassTally, MissClass};
 use mosaic_mmu::{
     Arity, Associativity, MosaicLookup, MosaicTlb, TlbConfig, TlbStats, VanillaTlb,
 };
@@ -114,6 +115,17 @@ pub(crate) fn reference_os(
     OsModel::with_asid(layout, arities, seed, asid)
 }
 
+/// A TLB instance's obs label, `<design>.<associativity>` in lowercase
+/// (`vanilla.direct`, `mosaic-4.full`): both Figure 6 engines register
+/// counters as `tlb.<label>.*` and 3C tables as `tlb.<label>`.
+pub(crate) fn instance_label(assoc: Associativity, arity: Option<Arity>) -> String {
+    let assoc = assoc.to_string().to_lowercase();
+    match arity {
+        None => format!("vanilla.{assoc}"),
+        Some(a) => format!("mosaic-{}.{assoc}", a.get()),
+    }
+}
+
 /// One simultaneously-simulated TLB configuration and its counters.
 #[derive(Debug)]
 enum Instance {
@@ -122,31 +134,43 @@ enum Instance {
     Mosaic(usize, MosaicTlb),
 }
 
+impl Instance {
+    /// This instance's tag granularity in the shared [`ClassPass`].
+    fn granularity(&self) -> usize {
+        match self {
+            Instance::Vanilla(_) => ClassPass::granularity(None),
+            Instance::Mosaic(idx, _) => ClassPass::granularity(Some(*idx)),
+        }
+    }
+}
+
 /// Drives one page reference through one TLB instance, filling from the
 /// OS on a miss. `cpfn_memo` caches the sub-page CPFN resolution: it is
 /// arity- and associativity-independent (and never changes once the page
 /// is mapped), so one resolution serves every instance that sub-misses on
 /// the same reference — per-access in the scalar path, per-batch-position
 /// in the batched path. Counted page walks stay per-instance (they model
-/// per-TLB walkers).
+/// per-TLB walkers). Returns whether the lookup hit.
 fn step_instance(
     os: &mut OsModel,
     asid: Asid,
     inst: &mut Instance,
     vpn: Vpn,
     cpfn_memo: &mut Option<mosaic_mem::Cpfn>,
-) {
+) -> bool {
     match inst {
         Instance::Vanilla(tlb) => {
-            if !tlb.lookup(asid, vpn).is_hit() {
+            let hit = tlb.lookup(asid, vpn).is_hit();
+            if !hit {
                 match os.vanilla_walk(vpn) {
                     VanillaTranslation::Base(pfn) => tlb.fill_base(asid, vpn, pfn),
                     VanillaTranslation::Huge(first) => tlb.fill_huge(asid, vpn, first),
                 }
             }
+            hit
         }
         Instance::Mosaic(arity_idx, tlb) => match tlb.lookup(asid, vpn) {
-            MosaicLookup::Hit(_) => {}
+            MosaicLookup::Hit(_) => true,
             MosaicLookup::SubMiss => {
                 let cpfn = match *cpfn_memo {
                     Some(c) => c,
@@ -157,10 +181,12 @@ fn step_instance(
                     }
                 };
                 tlb.fill_sub(asid, vpn, cpfn);
+                false
             }
             MosaicLookup::Miss => {
                 let toc = os.mosaic_walk_ref(*arity_idx, vpn);
                 tlb.fill_toc_ref(asid, vpn, toc);
+                false
             }
         },
     }
@@ -173,12 +199,20 @@ pub struct DualSim {
     asid: Asid,
     /// `(associativity, instance)` pairs, all fed every access.
     instances: Vec<(Associativity, Instance)>,
+    /// The shared 3C classification pass (attribution on only).
+    classes: Option<ClassPass>,
+    /// Per-instance 3C counts, parallel to `instances` (noop sinks until
+    /// attribution is on), flushed at the end of every scalar access
+    /// and every batch.
+    tallies: Vec<ClassTally>,
     kernel: Option<KernelInjector>,
     user_accesses: u64,
     /// Batch scratch (reused allocation): the expanded reference stream.
     batch_refs: Vec<Vpn>,
     /// Batch scratch: first-touch growth events as `(position, vpn)`.
     batch_growth: Vec<(u32, Vpn)>,
+    /// Batch scratch: per-position 3C class (attribution on only).
+    batch_class: Vec<MissClass>,
     /// Batch scratch: per-position CPFN memo shared across instances.
     batch_cpfn: Vec<Option<mosaic_mem::Cpfn>>,
     /// Batch scratch: per-position vanilla-translation memo (result plus
@@ -245,14 +279,18 @@ impl DualSim {
         }
 
         let kernel = kernel.map(|k| KernelInjector::new(k, seed));
+        let tallies = vec![ClassTally::default(); instances.len()];
         Self {
             os,
             asid,
             instances,
+            classes: None,
+            tallies,
             kernel,
             user_accesses: 0,
             batch_refs: Vec::new(),
             batch_growth: Vec::new(),
+            batch_class: Vec::new(),
             batch_cpfn: Vec::new(),
             batch_vwalk: Vec::new(),
             batch_toc: Vec::new(),
@@ -271,6 +309,7 @@ impl DualSim {
                 self.reference(vpn, AccessKind::Load);
             }
         }
+        self.flush_tallies();
     }
 
     /// Feeds a batch of workload accesses through the pipeline:
@@ -319,6 +358,14 @@ impl DualSim {
                 }
             }
         }
+        // The shared 3C pass classifies every position once, in stream
+        // order, for all instances.
+        self.batch_class.clear();
+        if let Some(pass) = &mut self.classes {
+            let asid = self.asid;
+            self.batch_class
+                .extend(self.batch_refs.iter().map(|&vpn| pass.classify(asid, vpn)));
+        }
         let n = self.batch_refs.len();
         self.batch_cpfn.clear();
         self.batch_cpfn.resize(n, None);
@@ -342,6 +389,8 @@ impl DualSim {
         // current after every call returns).
         let asid = self.asid;
         let instances = &mut self.instances;
+        let tallies = &mut self.tallies;
+        let classes = &self.batch_class;
         let refs = &self.batch_refs;
         let growth = &self.batch_growth;
         let cpfns = &mut self.batch_cpfn;
@@ -349,13 +398,22 @@ impl DualSim {
         let tocs = &mut self.batch_toc;
         let gen = self.batch_gen;
         self.os.with_deferred_walk_obs(|os| {
-            for (_, inst) in instances.iter_mut() {
+            for ((_, inst), tally) in instances.iter_mut().zip(tallies.iter_mut()) {
+                // A miss at position `j` charges its shared class (the
+                // class slice is empty when attribution is off).
+                let g = inst.granularity();
+                let mut charge = |j: usize| {
+                    if let Some(c) = classes.get(j) {
+                        tally.record(c.category(g));
+                    }
+                };
                 match inst {
                     Instance::Vanilla(tlb) => tlb.with_deferred_obs(|tlb| {
                         // Vanilla translations never change after first
                         // touch, so no rewind is needed.
                         for (j, &vpn) in refs.iter().enumerate() {
                             if !tlb.lookup(asid, vpn).is_hit() {
+                                charge(j);
                                 match os.vanilla_walk_memo(vpn, &mut vwalks[j]) {
                                     VanillaTranslation::Base(pfn) => tlb.fill_base(asid, vpn, pfn),
                                     VanillaTranslation::Huge(first) => {
@@ -385,6 +443,7 @@ impl DualSim {
                                 match tlb.lookup(asid, vpn) {
                                     MosaicLookup::Hit(_) => {}
                                     MosaicLookup::SubMiss => {
+                                        charge(j);
                                         let cpfn = match cpfns[j] {
                                             Some(c) => c,
                                             None => {
@@ -398,6 +457,7 @@ impl DualSim {
                                         tlb.fill_sub(asid, vpn, cpfn);
                                     }
                                     MosaicLookup::Miss => {
+                                        charge(j);
                                         let toc = os.mosaic_walk_memo(
                                             ai,
                                             vpn,
@@ -414,38 +474,64 @@ impl DualSim {
                 }
             }
         });
+        self.flush_tallies();
     }
 
     /// Drives one page reference through the OS and all TLB instances.
     fn reference(&mut self, vpn: Vpn, kind: AccessKind) {
         self.os.touch(vpn, kind);
         let asid = self.asid;
+        let class = self.classes.as_mut().map(|pass| pass.classify(asid, vpn));
         let mut cpfn_memo = None;
-        for (_, inst) in &mut self.instances {
-            step_instance(&mut self.os, asid, inst, vpn, &mut cpfn_memo);
+        for ((_, inst), tally) in self.instances.iter_mut().zip(&mut self.tallies) {
+            let hit = step_instance(&mut self.os, asid, inst, vpn, &mut cpfn_memo);
+            if let (false, Some(c)) = (hit, class) {
+                tally.record(c.category(inst.granularity()));
+            }
+        }
+    }
+
+    /// Charges every instance's pending 3C counts to its table.
+    fn flush_tallies(&mut self) {
+        if self.classes.is_some() {
+            for tally in &mut self.tallies {
+                tally.flush(self.asid);
+            }
         }
     }
 
     /// Binds every TLB instance (and the shared OS model) to a live
-    /// metrics registry. Instance labels are
-    /// `<design>.<associativity>` in lowercase — e.g.
+    /// metrics registry. Instance labels are [`instance_label`]s — e.g.
     /// `tlb.vanilla.direct.misses`, `tlb.mosaic-4.full.accesses` — so a
     /// whole Figure 6 grid exports into one stream.
+    ///
+    /// When `obs` has attribution opted in
+    /// ([`mosaic_obs::ObsHandle::set_attrib`]), this also starts one
+    /// shared [`ClassPass`] for the grid and charges each instance's 3C
+    /// classes into its `tlb.<label>` attribution table.
     pub fn set_obs(&mut self, obs: &mosaic_obs::ObsHandle) {
         self.os.set_obs(obs);
         let arities = self.os.arities();
-        for (assoc, inst) in &mut self.instances {
-            let assoc_label = assoc.to_string().to_lowercase();
-            match inst {
+        let mut entries = 0;
+        for ((assoc, inst), tally) in self.instances.iter_mut().zip(&mut self.tallies) {
+            let label = match inst {
                 Instance::Vanilla(tlb) => {
-                    tlb.set_obs(obs, &format!("vanilla.{assoc_label}"));
+                    let label = instance_label(*assoc, None);
+                    tlb.set_obs(obs, &label);
+                    entries = tlb.config().entries();
+                    label
                 }
                 Instance::Mosaic(idx, tlb) => {
-                    let label = format!("mosaic-{}.{assoc_label}", arities[*idx].get());
+                    let label = instance_label(*assoc, Some(arities[*idx]));
                     tlb.set_obs(obs, &label);
+                    label
                 }
-            }
+            };
+            *tally = ClassTally::new(obs.attrib(&format!("tlb.{label}")));
         }
+        self.classes = obs
+            .attrib_enabled()
+            .then(|| ClassPass::new(entries, &arities));
     }
 
     /// Publishes point-in-time gauges (allocator utilization).

@@ -13,12 +13,13 @@
 //!   own TLB and page-table walker. Results are collected in the serial
 //!   engine's instance order, so output is identical at any `--jobs`.
 
-use crate::dual::{reference_os, DualSim, KernelConfig, KernelInjector};
+use crate::dual::{instance_label, reference_os, DualSim, KernelConfig, KernelInjector};
 use crate::os::OsModel;
 use crate::parallel::run_cells;
 use crate::report::{humanize, Table};
 use crate::trace_buffer::{TraceBuffer, TraceBufferBuilder};
 use mosaic_mem::{AccessKind, Asid, Cpfn, Pfn, VirtAddr, PAGE_SIZE};
+use mosaic_mmu::tlb::{ClassPass, ClassTally, MissClass};
 use mosaic_mmu::{
     Arity, Associativity, MosaicLookup, MosaicTlb, PageWalker, RadixTable, TlbConfig, TlbStats,
     Toc, VanillaTlb,
@@ -207,6 +208,53 @@ pub(crate) enum CellSpec {
     Mosaic(Associativity, Arity),
 }
 
+impl CellSpec {
+    /// The cell's tag granularity in a [`ClassPass`] over `arities`.
+    fn granularity(self, arities: &[Arity]) -> usize {
+        ClassPass::granularity(match self {
+            CellSpec::Vanilla(_) => None,
+            CellSpec::Mosaic(_, arity) => Some(
+                arities
+                    .iter()
+                    .position(|&a| a == arity)
+                    .expect("cell arity is one of the OS model's"),
+            ),
+        })
+    }
+
+    /// The cell's TLB label (the serial engine's [`instance_label`]).
+    pub(crate) fn label(self) -> String {
+        match self {
+            CellSpec::Vanilla(a) => instance_label(a, None),
+            CellSpec::Mosaic(a, k) => instance_label(a, Some(k)),
+        }
+    }
+}
+
+/// Classifies a recorded stream once for a whole grid of `tlb_entries`
+/// TLBs when `obs` has attribution on (empty otherwise): one
+/// [`MissClass`] per reference, shared read-only by every cell, which
+/// reads its class on its own misses only.
+pub(crate) fn classify_stream(
+    obs: &mosaic_obs::ObsHandle,
+    trace: &TraceBuffer,
+    asid: Asid,
+    tlb_entries: usize,
+    arities: &[Arity],
+) -> Vec<MissClass> {
+    if !obs.attrib_enabled() {
+        return Vec::new();
+    }
+    let mut pass = ClassPass::new(tlb_entries, arities);
+    let mut classes = Vec::with_capacity(trace.len() as usize);
+    trace
+        .replay_chunks(&mut |chunk| {
+            classes.extend(chunk.iter().map(|a| pass.classify(asid, a.addr.vpn())));
+        })
+        .expect("reference trace replay failed");
+    classes
+}
+
 /// A cell's private simulation state: its TLB plus its own page-table
 /// walker over state derived from the frozen reference [`OsModel`].
 enum CellSim<'a> {
@@ -238,12 +286,14 @@ enum CellSim<'a> {
 
 impl CellSim<'_> {
     /// Feeds one reference through the cell, mirroring
-    /// `DualSim::reference` for this single instance.
-    fn step(&mut self, asid: Asid, a: Access) {
+    /// `DualSim::reference` for this single instance. Returns whether
+    /// the lookup hit.
+    fn step(&mut self, asid: Asid, a: Access) -> bool {
         let vpn = a.addr.vpn();
         match self {
             CellSim::Vanilla { tlb, walker, huge } => {
-                if !tlb.lookup(asid, vpn).is_hit() {
+                let hit = tlb.lookup(asid, vpn).is_hit();
+                if !hit {
                     if OsModel::is_kernel(vpn) {
                         let idx = mosaic_mmu::arity::huge_index(vpn);
                         let first = *huge.get(&idx).expect("kernel page touched before walk");
@@ -253,6 +303,7 @@ impl CellSim<'_> {
                         tlb.fill_base(asid, vpn, pfn);
                     }
                 }
+                hit
             }
             CellSim::Mosaic {
                 tlb,
@@ -283,14 +334,16 @@ impl CellSim<'_> {
                     }
                 }
                 match tlb.lookup(asid, vpn) {
-                    MosaicLookup::Hit(_) => {}
+                    MosaicLookup::Hit(_) => true,
                     MosaicLookup::SubMiss => {
                         let cpfn = os.cpfn_of(vpn).expect("touched page must be mapped");
                         tlb.fill_sub(asid, vpn, cpfn);
+                        false
                     }
                     MosaicLookup::Miss => {
                         let toc = shadow.walk(mvpn.0).expect("page touched before walk");
                         tlb.fill_toc_ref(asid, vpn, toc);
+                        false
                     }
                 }
             }
@@ -308,6 +361,11 @@ impl CellSim<'_> {
 /// Runs one cell: replays the shared reference stream against a private
 /// TLB + walker, snapshotting its child registry at the recorded
 /// positions so merged observability matches a serial run's cadence.
+///
+/// `classes` is the stream's shared 3C classification
+/// ([`classify_stream`], empty when attribution is off): each miss at
+/// position `i` charges `classes[i]`'s class for this cell's tag
+/// granularity into the `tlb.<label>` attribution table.
 pub(crate) fn run_fig6_cell(
     os: &OsModel,
     trace: &TraceBuffer,
@@ -315,14 +373,15 @@ pub(crate) fn run_fig6_cell(
     spec: CellSpec,
     child: &mosaic_obs::ObsHandle,
     snapshots: &[(u64, u64)],
+    classes: &[MissClass],
 ) -> TlbStats {
+    let label = spec.label();
     let mut sim = match spec {
         CellSpec::Vanilla(assoc) => {
             let mut tlb = VanillaTlb::new(TlbConfig::new(tlb_entries, assoc));
             let mut walker = PageWalker::new(os.vanilla_table().clone());
             if child.is_enabled() {
-                let assoc_label = assoc.to_string().to_lowercase();
-                tlb.set_obs(child, &format!("vanilla.{assoc_label}"));
+                tlb.set_obs(child, &label);
                 walker.set_obs(child, "vanilla");
             }
             CellSim::Vanilla {
@@ -336,8 +395,7 @@ pub(crate) fn run_fig6_cell(
             let mvpn_bits = 36 - arity.offset_bits();
             let mut shadow = PageWalker::new(RadixTable::new(mvpn_bits, 9));
             if child.is_enabled() {
-                let assoc_label = assoc.to_string().to_lowercase();
-                tlb.set_obs(child, &format!("mosaic-{}.{assoc_label}", arity.get()));
+                tlb.set_obs(child, &label);
                 shadow.set_obs(child, &format!("mosaic-{}", arity.get()));
             }
             CellSim::Mosaic {
@@ -349,6 +407,8 @@ pub(crate) fn run_fig6_cell(
             }
         }
     };
+    let mut tally = ClassTally::new(child.attrib(&format!("tlb.{label}")));
+    let g = spec.granularity(&os.arities());
     let mut refs = 0u64;
     let mut snap = snapshots.iter().copied().peekable();
     let asid = os.asid();
@@ -357,15 +417,21 @@ pub(crate) fn run_fig6_cell(
     trace
         .replay_chunks(&mut |chunk| {
             for &a in chunk {
-                sim.step(asid, a);
+                if !sim.step(asid, a) {
+                    if let Some(c) = classes.get(refs as usize) {
+                        tally.record(c.category(g));
+                    }
+                }
                 refs += 1;
                 if snap.peek().is_some_and(|&(r, _)| r == refs) {
                     let (_, user_accesses) = snap.next().expect("peeked position");
+                    tally.flush(asid);
                     child.snapshot(user_accesses);
                 }
             }
         })
         .expect("reference trace replay failed");
+    tally.flush(asid);
     sim.stats()
 }
 
@@ -451,6 +517,7 @@ pub fn run_workload_observed_jobs(
     let trace = builder
         .finish(meta.clone())
         .expect("failed to record reference trace");
+    let classes = classify_stream(obs, &trace, os.asid(), cfg.tlb_entries, &cfg.arities);
 
     // Fan the grid out: serial instance order (per associativity, the
     // vanilla cell then one mosaic cell per arity).
@@ -462,7 +529,15 @@ pub fn run_workload_observed_jobs(
         }
     }
     let outcomes = run_cells(jobs, inputs, |_, (spec, child)| {
-        let stats = run_fig6_cell(&os, &trace, cfg.tlb_entries, spec, &child, &snapshots);
+        let stats = run_fig6_cell(
+            &os,
+            &trace,
+            cfg.tlb_entries,
+            spec,
+            &child,
+            &snapshots,
+            &classes,
+        );
         (spec, stats, child)
     });
 

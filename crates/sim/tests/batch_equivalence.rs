@@ -70,30 +70,39 @@ proptest! {
     /// Deferred obs publication is invisible from outside a batch: after
     /// any stream and chunking, the full exported obs state — every
     /// counter, gauge, and histogram, including the walker depth
-    /// histograms flushed via `record_n` — renders byte-identically to
-    /// the scalar run's.
+    /// histograms flushed via `record_n`, and with attribution on the
+    /// per-instance 3C tables charged from the shared classification
+    /// pass — renders byte-identically to the scalar run's, with and
+    /// without kernel injection (whose huge-page first touches can hit,
+    /// so an instance skips those positions' classes).
     #[test]
     fn obs_exports_match_scalar(
         accesses in vec(any_access(), 1..200),
         chunk in 1usize..64,
     ) {
-        let scalar_obs = mosaic_obs::ObsHandle::enabled();
-        let mut scalar = sim(true);
-        scalar.set_obs(&scalar_obs);
-        for &a in &accesses {
-            scalar.access(a);
-        }
+        for (kernel, attrib) in [(false, false), (true, false), (false, true), (true, true)] {
+            let scalar_obs = mosaic_obs::ObsHandle::enabled();
+            scalar_obs.set_attrib(attrib);
+            let mut scalar = sim(kernel);
+            scalar.set_obs(&scalar_obs);
+            for &a in &accesses {
+                scalar.access(a);
+            }
 
-        let batched_obs = mosaic_obs::ObsHandle::enabled();
-        let mut batched = sim(true);
-        batched.set_obs(&batched_obs);
-        for c in accesses.chunks(chunk) {
-            batched.access_batch(c);
-        }
+            let batched_obs = mosaic_obs::ObsHandle::enabled();
+            batched_obs.set_attrib(attrib);
+            let mut batched = sim(kernel);
+            batched.set_obs(&batched_obs);
+            for c in accesses.chunks(chunk) {
+                batched.access_batch(c);
+            }
 
-        scalar_obs.snapshot(accesses.len() as u64);
-        batched_obs.snapshot(accesses.len() as u64);
-        prop_assert_eq!(scalar_obs.render_jsonl(), batched_obs.render_jsonl());
+            scalar_obs.snapshot(accesses.len() as u64);
+            batched_obs.snapshot(accesses.len() as u64);
+            let jsonl = scalar_obs.render_jsonl();
+            prop_assert_eq!(jsonl.contains("\"t\":\"attrib\""), attrib);
+            prop_assert_eq!(jsonl, batched_obs.render_jsonl(), "kernel {} attrib {}", kernel, attrib);
+        }
     }
 
     /// Re-chunking is also self-consistent: two different chunkings of

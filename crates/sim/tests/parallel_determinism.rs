@@ -4,11 +4,14 @@
 //! results byte-identical to its serial twin at any `--jobs` value:
 //! the record-once/replay-many trace plus deterministic per-cell seed
 //! derivation make thread count a pure throughput knob. These tests pin
-//! that contract for the Figure 6 grid, the Table 4 pressure sweep
-//! (fault-free and fault-injected), and the fragmentation sweep.
+//! that contract for the Figure 6 grid (rows and 3C attribution
+//! tables), the Table 4 pressure sweep (fault-free and fault-injected),
+//! and the fragmentation sweep.
 
 use mosaic_mem::{FaultPlan, ResilienceStats};
-use mosaic_sim::fig6::{run_workload, run_workload_jobs, Fig6Config};
+use mosaic_sim::fig6::{
+    run_workload, run_workload_jobs, run_workload_observed_jobs, Fig6Config, TlbKind,
+};
 use mosaic_sim::frag::{run_frag, run_frag_jobs, FragConfig};
 use mosaic_sim::pressure::{
     run_table4, run_table4_jobs, PressureConfig, ResilienceConfig,
@@ -68,6 +71,53 @@ fn fig6_with_kernel_identical_across_job_counts() {
         let rows = run_workload_jobs(&cfg, &mut quick_gups(), jobs);
         assert_eq!(rows, serial, "fig6 kernel rows diverged at jobs={jobs}");
     }
+}
+
+#[test]
+fn fig6_attrib_tables_identical_across_engines() {
+    // jobs 1 classifies inside `DualSim`'s batches; jobs 2 classifies the
+    // recorded stream once before the cells fan out. Both must charge
+    // every instance's misses to the same 3C cells.
+    let cfg = Fig6Config {
+        kernel: Some(mosaic_sim::dual::KernelConfig {
+            pages: 64,
+            period: 16,
+        }),
+        arities: vec![mosaic_mmu::Arity::new(4), mosaic_mmu::Arity::new(8)],
+        ..Fig6Config::quick_test()
+    };
+    let tables = |jobs| {
+        let obs = mosaic_obs::ObsHandle::enabled();
+        obs.set_attrib(true);
+        let rows = run_workload_observed_jobs(&cfg, &mut quick_gups(), &obs, 5_000, jobs);
+        let tables: Vec<_> = obs
+            .attrib_names()
+            .into_iter()
+            .filter(|name| name.starts_with("tlb."))
+            .map(|name| {
+                let table = obs.attrib_table(&name);
+                (name, table)
+            })
+            .collect();
+        (rows, tables)
+    };
+    let (serial_rows, serial) = tables(1);
+    let (cell_rows, cells) = tables(2);
+    assert_eq!(cell_rows, serial_rows);
+    assert_eq!(serial.len(), 2 * 3, "one table per TLB instance");
+    for row in &serial_rows {
+        let design = match row.kind {
+            TlbKind::Vanilla => "vanilla".to_string(),
+            TlbKind::Mosaic(a) => format!("mosaic-{}", a.get()),
+        };
+        let name = format!("tlb.{design}.{}", row.assoc.to_string().to_lowercase());
+        let (_, table) = serial
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no table {name}"));
+        assert_eq!(table.total(), row.misses(), "{name}: every miss classified");
+    }
+    assert_eq!(cells, serial, "3C tables diverged between engines");
 }
 
 #[test]

@@ -14,6 +14,8 @@ cd "$(dirname "$0")/.."
 cargo build --release -q -p mosaic-bench
 BIN=target/release
 HOST_CORES=$(nproc)
+# The measured source: the commit, marked -dirty when the tree has edits.
+GIT_REV=$(git describe --always --dirty --abbrev=12 2>/dev/null || echo unknown)
 WORKLOADS=(graph500 btree gups xsbench)
 FIG6_FLAGS=(--scale 0 --entries 64)
 
@@ -82,10 +84,11 @@ cat > BENCH_obs.json <<EOF
   "benchmark": "obs overhead and miss-rate baseline (fig6, --scale 0, --entries 64, seed 0xF166)",
   "recorded": "$(date -u +%F)",
   "host_cores": ${HOST_CORES},
+  "git_rev": "${GIT_REV}",
   "note": "wall_time_s is end-to-end binary wall time; obs_on adds --obs-out + --obs-interval 5000, attrib_on adds --attrib on top (3C + blame tables in the stream). The Mosaic-4 vs vanilla 8-way miss-reduction headline must be identical in all three modes (enforced by this script).",
   "workloads": {
 $(printf '%s' "${entries%,$'\n'}")
   }
 }
 EOF
-echo "[bench_obs] wrote BENCH_obs.json (host_cores=${HOST_CORES})" >&2
+echo "[bench_obs] wrote BENCH_obs.json (host_cores=${HOST_CORES}, git_rev=${GIT_REV})" >&2

@@ -67,6 +67,23 @@ cmp "$OBS_TMP/scalar.jsonl" "$OBS_TMP/par1.jsonl"
   > "$OBS_TMP/parout8.txt" 2>/dev/null
 cmp "$OBS_TMP/parout8.txt" "$OBS_TMP/parout1.txt"
 
+echo "==> attribution batch gate (fig6 --attrib: --batch 1 vs batched, with and without kernel)"
+# The shared 3C pass classifies each position once per batch (or once per
+# scalar access); every instance's attribution table must reach each
+# interval snapshot with the same cells either way. Kernel injection is
+# the case where an instance skips classes (huge-page first touches hit).
+for kernel in no-kernel kernel; do
+  KERNEL_FLAGS=(--attrib --obs-interval 5000)
+  if [[ "$kernel" == no-kernel ]]; then KERNEL_FLAGS+=(--no-kernel); fi
+  ./target/release/fig6 gups --scale 0 --entries 64 "${KERNEL_FLAGS[@]}" --batch 1 \
+    --obs-out "$OBS_TMP/at-$kernel-scalar.jsonl" > "$OBS_TMP/at-$kernel-scalar.txt" 2>/dev/null
+  ./target/release/fig6 gups --scale 0 --entries 64 "${KERNEL_FLAGS[@]}" \
+    --obs-out "$OBS_TMP/at-$kernel-batch.jsonl" > "$OBS_TMP/at-$kernel-batch.txt" 2>/dev/null
+  cmp "$OBS_TMP/at-$kernel-scalar.jsonl" "$OBS_TMP/at-$kernel-batch.jsonl"
+  cmp "$OBS_TMP/at-$kernel-scalar.txt" "$OBS_TMP/at-$kernel-batch.txt"
+  grep -q '"t":"attrib"' "$OBS_TMP/at-$kernel-batch.jsonl"
+done
+
 echo "==> batched-pipeline gate (table4: --batch 1 vs batched across --jobs 1/4/8)"
 ./target/release/table4 --buckets 16 --batch 1 --jobs 1 \
   > "$OBS_TMP/t4scalar.txt" 2>/dev/null
