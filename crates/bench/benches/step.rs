@@ -1,11 +1,10 @@
-//! Criterion bench for the full simulator step: one workload access
-//! driven through an entire Figure 6 instance grid ([`DualSim::access`]),
-//! the unit of work every parallel cell replays, plus the batched engine
-//! ([`DualSim::access_batch`]) against the scalar loop and a per-design
-//! cost breakdown. Guards the hot-path micro-optimisations (SoA TLB
-//! sets, set-index masks/reciprocals, per-batch CPFN memo) against
-//! regression; the scalar-vs-batched pair is the ns/access budget's
-//! source of truth (see PERFORMANCE.md).
+//! Criterion bench for the full simulator step: workload accesses
+//! driven through an entire Figure 6 instance grid
+//! ([`DualSim::access_batch`], the one step engine) in the drive
+//! loops' chunk size, plus a per-design cost breakdown. Guards the hot-path
+//! micro-optimisations (SoA TLB sets, set-index masks/reciprocals,
+//! per-batch walk memos) against regression; these rows are the
+//! ns/access budget's source of truth (see PERFORMANCE.md).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mosaic_core::hash::SplitMix64;
@@ -27,29 +26,6 @@ fn grid(entries: usize, footprint_pages: u64, kernel: Option<KernelConfig>) -> D
     )
 }
 
-fn bench_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dual_sim_step");
-    for (name, kernel) in [
-        ("no_kernel", None),
-        ("with_kernel", Some(KernelConfig::default())),
-    ] {
-        g.bench_with_input(BenchmarkId::new("access", name), &kernel, |b, &kernel| {
-            let mut sim = grid(256, 8192, kernel);
-            let mut rng = SplitMix64::new(3);
-            // Warm the grid so steady-state hits/sub-misses dominate,
-            // as they do mid-replay.
-            for _ in 0..20_000 {
-                sim.access(Access::load(VirtAddr(rng.next_below(4096) * PAGE)));
-            }
-            b.iter(|| {
-                let addr = VirtAddr(rng.next_below(4096) * PAGE);
-                sim.access(black_box(Access::load(addr)));
-            })
-        });
-    }
-    g.finish();
-}
-
 /// A reproducible random reference stream over `pages` distinct pages.
 fn trace(len: usize, pages: u64, seed: u64) -> Vec<Access> {
     let mut rng = SplitMix64::new(seed);
@@ -58,18 +34,15 @@ fn trace(len: usize, pages: u64, seed: u64) -> Vec<Access> {
         .collect()
 }
 
-fn bench_scalar_vs_batched(c: &mut Criterion) {
-    // The tentpole comparison: an 8192-access trace through the full
-    // Figure 6 grid at the paper's 1024-entry TLB, scalar per-access
-    // loop vs batched instance-major replay consuming driver-sized
-    // chunks (DEFAULT_BATCH, exactly what the fig6/table4 drive loops
-    // feed). Obs counters are bound, as they are in the figure bins, so
-    // the batched path's deferred-flush advantage is measured and the
-    // scalar path pays its real per-access export cost. The 16384-page
-    // pool spills the 1024-entry sets, keeping the grid in the
-    // miss-heavy regime the figures run in, where the per-batch walk
-    // memos matter. Per-iter time covers 8192 accesses; divide
-    // accordingly.
+fn bench_batched(c: &mut Criterion) {
+    // An 8192-access trace through the full Figure 6 grid at the
+    // paper's 1024-entry TLB, consumed in DEFAULT_BATCH chunks (exactly
+    // what the fig6/table4 drive loops feed).
+    // Obs counters are bound, as they are in the figure bins, so the
+    // batch-end publication cost is measured. The 16384-page pool spills
+    // the 1024-entry sets, keeping the grid in the miss-heavy regime the
+    // figures run in, where the per-batch walk memos matter. Per-iter
+    // time covers 8192 accesses; divide accordingly.
     let refs = trace(8192, 16384, 7);
     let obs = mosaic_obs::ObsHandle::enabled();
     let mut g = c.benchmark_group("dual_sim_batch");
@@ -77,28 +50,16 @@ fn bench_scalar_vs_batched(c: &mut Criterion) {
         ("no_kernel", None),
         ("with_kernel", Some(KernelConfig::default())),
     ] {
-        for mode in ["scalar", "batched"] {
-            g.bench_with_input(
-                BenchmarkId::new(mode, kname),
-                &(kernel, mode),
-                |b, &(kernel, mode)| {
-                    let mut sim = grid(1024, 16384, kernel);
-                    sim.set_obs(&obs);
-                    sim.access_batch(&refs); // warm translations + TLBs
-                    b.iter(|| {
-                        if mode == "batched" {
-                            for chunk in refs.chunks(mosaic_core::sim::fig6::DEFAULT_BATCH) {
-                                sim.access_batch(black_box(chunk));
-                            }
-                        } else {
-                            for &a in &refs {
-                                sim.access(black_box(a));
-                            }
-                        }
-                    })
-                },
-            );
-        }
+        g.bench_with_input(BenchmarkId::new("batched", kname), &kernel, |b, &kernel| {
+            let mut sim = grid(1024, 16384, kernel);
+            sim.set_obs(&obs);
+            sim.access_batch(&refs); // warm translations + TLBs
+            b.iter(|| {
+                for chunk in refs.chunks(mosaic_core::sim::fig6::DEFAULT_BATCH) {
+                    sim.access_batch(black_box(chunk));
+                }
+            })
+        });
     }
     g.finish();
 }
@@ -134,5 +95,5 @@ fn bench_designs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_step, bench_scalar_vs_batched, bench_designs);
+criterion_group!(benches, bench_batched, bench_designs);
 criterion_main!(benches);

@@ -11,9 +11,9 @@
 //! benchmark size (tens of MiB footprints). The TLB has `--entries`
 //! entries (default 1024, as in Table 1a). `--obs-out` exports the whole
 //! TLB grid's counters (and `--obs-interval R` interval snapshots) as
-//! JSONL; render with `obs_report`. `--batch 1` forces the scalar
-//! per-access serial loop (results are byte-identical either way); wall
-//! time and ns/access per workload go to stderr.
+//! JSONL; render with `obs_report`. `--batch N` sets the serial
+//! engine's chunk size (results and JSONL are byte-identical at every
+//! value); wall time and ns/access per workload go to stderr.
 
 use mosaic_bench::obs::ObsSink;
 use mosaic_bench::{Args, JOBS_HELP};
@@ -31,8 +31,8 @@ fig6 [graph500|btree|gups|xsbench|all] [--scale N] [--entries N] [--no-kernel]
 Regenerates Figure 6 (TLB misses across arity x associativity).
 With --jobs N the reference stream is recorded once per workload and the
 grid's (associativity, TLB-kind) cells replay it on N threads.
---batch N sets the serial engine's access-batch size (1 = scalar loop);
-stdout is byte-identical at every --batch and --jobs value.";
+--batch N sets the serial engine's access-batch (chunk) size; it changes
+only speed: stdout is byte-identical at every --batch and --jobs value.";
 
 fn main() {
     let args = Args::from_env();

@@ -38,8 +38,8 @@ table4 [--buckets N] [--csv] [--fault-ppm N] [--obs-out F] [--obs-interval R]
 Regenerates Table 4 (swap I/O under pressure, Linux vs Mosaic).
 With --jobs N the (workload, footprint-ratio) grid cells run on N threads;
 each cell records its workload once and replays it for both managers.
---batch N sets the access-batch size the drive loop consumes (1 = scalar
-per-access loop); stdout is byte-identical at every --batch/--jobs value.
+--batch N sets the chunk size the drive loop consumes; it changes only
+speed: stdout is byte-identical at every --batch/--jobs value.
 Under --fault-ppm every cell derives its own injector seed from the cell
 index, so fault sweeps are reproducible at any thread count.";
 

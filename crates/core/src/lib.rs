@@ -217,7 +217,9 @@ impl MosaicSystem {
             self.config.kernel,
             self.config.seed,
         );
-        workload.run(&mut |a| sim.access(a));
+        workload.run_chunks(mosaic_sim::fig6::DEFAULT_BATCH, &mut |chunk| {
+            sim.access_batch(chunk)
+        });
         let results = sim.results();
         let vanilla = results
             .iter()

@@ -299,12 +299,8 @@ pub struct PageWalker<V> {
     node_accesses: u64,
     obs_walks: mosaic_obs::Counter,
     obs_depth: mosaic_obs::Histogram,
-    /// While obs is paused ([`PageWalker::pause_obs`]): the live
-    /// handles plus the walk count at pause time; the per-depth tally
-    /// below accumulates what `obs_depth` would have recorded.
-    paused: Option<(mosaic_obs::Counter, mosaic_obs::Histogram, u64)>,
-    /// Reused allocation: `depth_tally[d]` walks of depth `d` since
-    /// the pause (empty while obs is live).
+    /// `depth_tally[d]` walks of depth `d` since the last
+    /// [`PageWalker::publish_obs`] (or [`PageWalker::set_obs`]).
     depth_tally: Vec<u64>,
 }
 
@@ -317,18 +313,34 @@ impl<V> PageWalker<V> {
             node_accesses: 0,
             obs_walks: mosaic_obs::Counter::noop(),
             obs_depth: mosaic_obs::Histogram::noop(),
-            paused: None,
             depth_tally: Vec::new(),
         }
     }
 
     /// Exports this walker's counters as `ptw.<label>.walks` and the
     /// per-walk depth distribution as histogram `ptw.<label>.depth`.
+    /// Only walks after this call are exported, and only when
+    /// [`PageWalker::publish_obs`] pushes them.
     ///
     /// A no-op when `obs` is disabled.
     pub fn set_obs(&mut self, obs: &mosaic_obs::ObsHandle, label: &str) {
         self.obs_walks = obs.counter(&format!("ptw.{label}.walks"));
         self.obs_depth = obs.histogram(&format!("ptw.{label}.depth"));
+        self.depth_tally.clear();
+    }
+
+    /// Publishes the walks tallied since the last publish: one counter
+    /// add plus one histogram add per distinct walk depth. Walks only
+    /// tally locally, so exported counters are current after this call
+    /// and stale between calls.
+    pub fn publish_obs(&mut self) {
+        self.obs_walks.add(self.depth_tally.iter().sum());
+        for (depth, &n) in self.depth_tally.iter().enumerate() {
+            if n > 0 {
+                self.obs_depth.record_n(depth as u64, n);
+            }
+        }
+        self.depth_tally.fill(0);
     }
 
     /// The underlying table (for mapping setup).
@@ -353,17 +365,7 @@ impl<V> PageWalker<V> {
         let walk = self.table.walk(index);
         self.walks += 1;
         self.node_accesses += u64::from(walk.levels_touched);
-        self.obs_walks.inc();
-        self.obs_depth.record(u64::from(walk.levels_touched));
-        if self.paused.is_some() {
-            // Inlined tally: `walk` still borrows `self.table`, so the
-            // helper (which takes `&mut self`) can't be called here.
-            let d = walk.levels_touched as usize;
-            if self.depth_tally.len() <= d {
-                self.depth_tally.resize(d + 1, 0);
-            }
-            self.depth_tally[d] += 1;
-        }
+        tally_depth(&mut self.depth_tally, walk.levels_touched);
         (walk.value, walk.levels_touched)
     }
 
@@ -373,54 +375,7 @@ impl<V> PageWalker<V> {
     pub fn recount_walk(&mut self, levels_touched: u32) {
         self.walks += 1;
         self.node_accesses += u64::from(levels_touched);
-        self.obs_walks.inc();
-        self.obs_depth.record(u64::from(levels_touched));
-        if self.paused.is_some() {
-            self.tally_depth(levels_touched);
-        }
-    }
-
-    fn tally_depth(&mut self, levels_touched: u32) {
-        let d = levels_touched as usize;
-        if self.depth_tally.len() <= d {
-            self.depth_tally.resize(d + 1, 0);
-        }
-        self.depth_tally[d] += 1;
-    }
-
-    /// Suspends exported-counter publication: per-walk obs updates are
-    /// tallied locally until [`PageWalker::resume_obs`] bulk-publishes
-    /// them. Walk accounting ([`PageWalker::walks`], node accesses)
-    /// stays live throughout, and the exported totals at resume are
-    /// identical to the unpaused path. A second pause before resume is
-    /// a no-op (the outer pause wins).
-    pub fn pause_obs(&mut self) {
-        if self.paused.is_some() {
-            return;
-        }
-        self.paused = Some((
-            std::mem::take(&mut self.obs_walks),
-            std::mem::take(&mut self.obs_depth),
-            self.walks,
-        ));
-    }
-
-    /// Publishes everything tallied since [`PageWalker::pause_obs`] —
-    /// one counter add plus one histogram add per distinct walk depth —
-    /// and restores live per-walk publication. A no-op when not paused.
-    pub fn resume_obs(&mut self) {
-        let Some((walks_ctr, depth_hist, walks_before)) = self.paused.take() else {
-            return;
-        };
-        walks_ctr.add(self.walks - walks_before);
-        for (depth, &n) in self.depth_tally.iter().enumerate() {
-            if n > 0 {
-                depth_hist.record_n(depth as u64, n);
-            }
-        }
-        self.depth_tally.clear();
-        self.obs_walks = walks_ctr;
-        self.obs_depth = depth_hist;
+        tally_depth(&mut self.depth_tally, levels_touched);
     }
 
     /// Number of walks performed.
@@ -437,6 +392,17 @@ impl<V> PageWalker<V> {
     pub fn mean_walk_cost(&self) -> f64 {
         mosaic_obs::fmt::safe_ratio(self.node_accesses, self.walks)
     }
+}
+
+/// Counts one walk of depth `levels_touched` (a free function so
+/// [`PageWalker::walk_leveled`] can call it while the walk result still
+/// borrows the table).
+fn tally_depth(tally: &mut Vec<u64>, levels_touched: u32) {
+    let d = levels_touched as usize;
+    if tally.len() <= d {
+        tally.resize(d + 1, 0);
+    }
+    tally[d] += 1;
 }
 
 #[cfg(test)]
@@ -551,6 +517,25 @@ mod tests {
         assert_eq!(w.walks(), 2);
         assert_eq!(w.node_accesses(), 4 + 1);
         assert!((w.mean_walk_cost() - 2.5).abs() < 1e-12);
+
+        // Binding after traffic sets the baseline: the two walks above
+        // are never exported.
+        let obs = mosaic_obs::ObsHandle::enabled();
+        w.set_obs(&obs, "v");
+        w.publish_obs();
+        assert_eq!(obs.counter_value("ptw.v.walks"), 0);
+        // Walks tally locally until a publish pushes walks and depths.
+        w.walk(3);
+        w.recount_walk(4);
+        w.walk(1 << 35);
+        assert_eq!(obs.counter_value("ptw.v.walks"), 0);
+        w.publish_obs();
+        w.publish_obs();
+        assert_eq!(obs.counter_value("ptw.v.walks"), 3);
+        let depth = obs.histogram("ptw.v.depth").snapshot();
+        assert_eq!((depth.count(), depth.sum()), (3, 4 + 4 + 1));
+        assert_eq!((depth.min(), depth.max()), (1, 4));
+        assert_eq!(w.walks(), 5);
     }
 
     #[test]

@@ -64,6 +64,8 @@ pub struct MosaicTlb {
     unmapped: Cpfn,
     stats: TlbStats,
     obs: TlbObs,
+    /// `stats` as of the last [`MosaicTlb::publish_obs`].
+    published: TlbStats,
     /// One-entry recycle pool: the last evicted ToC, whose buffer
     /// [`MosaicTlb::fill_toc_ref`] reuses for the next fill (same
     /// arity, so steady-state fills never touch the allocator).
@@ -86,33 +88,28 @@ impl MosaicTlb {
             unmapped,
             stats: TlbStats::new(),
             obs: TlbObs::noop(),
+            published: TlbStats::new(),
             recycled: None,
         }
     }
 
     /// Exports this TLB's counters as `tlb.<label>.*` on `obs`. A no-op
     /// when `obs` is disabled; simulation behavior is unchanged either
-    /// way. (3C miss classification is the driver's: see
-    /// [`crate::tlb::ClassPass`].)
+    /// way. Only movement after this call is exported, and only when
+    /// [`MosaicTlb::publish_obs`] pushes it. (3C miss classification
+    /// happens outside the TLB: see [`crate::tlb::ClassPass`].)
     pub fn set_obs(&mut self, obs: &ObsHandle, label: &str) {
         self.obs = TlbObs::register(obs, label);
+        self.published = self.stats;
     }
 
-    /// Runs `f` with exported-counter publication deferred: the
-    /// per-lookup atomic increments are suspended and the accumulated
-    /// movement is published in one [`TlbObs::flush_delta`] when `f`
-    /// returns. The local [`TlbStats`] stay exact throughout, and the
-    /// exported totals are identical to the undeferred path at every
-    /// point outside `f` — the batched replay wraps each instance's
-    /// pass in this so an observed grid pays five atomic adds per
-    /// batch instead of two or three per lookup.
-    pub fn with_deferred_obs<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let live = std::mem::take(&mut self.obs);
-        let before = self.stats;
-        let r = f(self);
-        live.flush_delta(&before, &self.stats);
-        self.obs = live;
-        r
+    /// Publishes the counter movement since the last publish (or
+    /// [`MosaicTlb::set_obs`]) in one [`TlbObs::flush_delta`]. Lookups
+    /// and fills only count locally, so exported counters are current
+    /// after this call and stale between calls.
+    pub fn publish_obs(&mut self) {
+        self.obs.flush_delta(&self.published, &self.stats);
+        self.published = self.stats;
     }
 
     /// The TLB geometry.
@@ -143,30 +140,24 @@ impl MosaicTlb {
     /// Looks up the translation for `(asid, vpn)`, counting hit/miss.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> MosaicLookup {
         self.stats.accesses += 1;
-        self.obs.accesses.inc();
         let (tag, offset) = self.tag(asid, vpn);
-        let result = match self.cache.lookup(tag.mvpn.0 as usize, tag) {
+        match self.cache.lookup(tag.mvpn.0 as usize, tag) {
             Some(toc) => match toc.get(offset) {
                 Some(cpfn) => {
                     self.stats.hits += 1;
-                    self.obs.hits.inc();
                     MosaicLookup::Hit(cpfn)
                 }
                 None => {
                     self.stats.misses += 1;
                     self.stats.sub_entry_misses += 1;
-                    self.obs.misses.inc();
-                    self.obs.sub_misses.inc();
                     MosaicLookup::SubMiss
                 }
             },
             None => {
                 self.stats.misses += 1;
-                self.obs.misses.inc();
                 MosaicLookup::Miss
             }
-        };
-        result
+        }
     }
 
     /// Fills a whole ToC after a miss, evicting the set's LRU entry if
@@ -182,7 +173,6 @@ impl MosaicTlb {
         let evicted = self.cache.insert(tag.mvpn.0 as usize, tag, toc);
         if let Some((_, old)) = evicted {
             self.stats.evictions += 1;
-            self.obs.evictions.inc();
             self.recycled = Some(old);
         }
     }
@@ -191,7 +181,7 @@ impl MosaicTlb {
     /// into the last evicted entry's buffer when one is available
     /// ([`Toc::copy_from`]), so steady-state fills are allocation-free.
     /// The walk-memo paths hand out `&Toc`, making this the hot fill
-    /// path for both the scalar and batched pipelines.
+    /// path of the batched replay.
     ///
     /// # Panics
     ///

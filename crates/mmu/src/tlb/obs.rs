@@ -2,9 +2,11 @@
 //!
 //! A [`TlbObs`] bundle is a set of [`mosaic_obs::Counter`] handles that
 //! default to no-ops; [`TlbObs::register`] binds them to a live
-//! registry under `tlb.<label>.*` names. The lookup/fill paths bump
-//! these alongside the local [`super::TlbStats`] counters, so enabling
-//! tracing never changes simulation behavior — only what gets exported.
+//! registry under `tlb.<label>.*` names. The lookup/fill paths count
+//! only into the local [`super::TlbStats`]; a TLB's `publish_obs` pushes
+//! the movement since its last publish through
+//! [`TlbObs::flush_delta`], so enabling tracing never changes simulation
+//! behavior — only what gets exported, and when.
 
 use mosaic_obs::{Counter, ObsHandle};
 
@@ -29,11 +31,8 @@ impl TlbObs {
         Self::default()
     }
 
-    /// Bulk-publishes the counter movement between two [`TlbStats`]
-    /// snapshots — the batched pipeline's deferred flush. One relaxed
-    /// atomic add per counter per batch replaces one per lookup; the
-    /// published totals are identical to the per-lookup path at every
-    /// point where an exporter can observe them.
+    /// Bulk-publishes the counter movement between two [`super::TlbStats`]
+    /// snapshots: one relaxed atomic add per counter per publish.
     pub fn flush_delta(&self, before: &super::TlbStats, after: &super::TlbStats) {
         self.accesses.add(after.accesses - before.accesses);
         self.hits.add(after.hits - before.hits);
@@ -57,6 +56,20 @@ impl TlbObs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tlb::{Associativity, TlbConfig, VanillaTlb};
+    use mosaic_mem::{Asid, Pfn, Vpn};
+
+    const A: Asid = Asid(1);
+
+    /// Four lookups (one hit) and three fills (one eviction) on a
+    /// 2-entry direct-mapped TLB.
+    fn traffic(t: &mut VanillaTlb) {
+        for vpn in [0u64, 1, 1, 2] {
+            if !t.lookup(A, Vpn(vpn)).is_hit() {
+                t.fill_base(A, Vpn(vpn), Pfn(vpn));
+            }
+        }
+    }
 
     #[test]
     fn noop_bundle_counts_nothing() {
@@ -65,15 +78,44 @@ mod tests {
         o.hits.add(5);
         assert_eq!(o.accesses.get(), 0);
         assert_eq!(o.hits.get(), 0);
+        // An unbound TLB publishes into the noop bundle; binding after
+        // traffic sets the baseline, so that earlier traffic never
+        // reaches the registry.
+        let mut t = VanillaTlb::new(TlbConfig::new(2, Associativity::Ways(1)));
+        traffic(&mut t);
+        t.publish_obs();
+        let obs = ObsHandle::enabled();
+        t.set_obs(&obs, "late");
+        t.publish_obs();
+        assert_eq!(obs.counter_value("tlb.late.accesses"), 0);
+        t.lookup(A, Vpn(2));
+        t.publish_obs();
+        assert_eq!(obs.counter_value("tlb.late.accesses"), 1);
+        assert_eq!(obs.counter_value("tlb.late.hits"), 1);
+        assert_eq!(obs.counter_value("tlb.late.misses"), 0);
     }
 
     #[test]
     fn registered_bundle_exports_names() {
         let obs = ObsHandle::enabled();
-        let o = TlbObs::register(&obs, "vanilla.8-way");
-        o.accesses.add(3);
-        o.misses.inc();
-        assert_eq!(obs.counter_value("tlb.vanilla.8-way.accesses"), 3);
-        assert_eq!(obs.counter_value("tlb.vanilla.8-way.misses"), 1);
+        let mut t = VanillaTlb::new(TlbConfig::new(2, Associativity::Ways(1)));
+        t.set_obs(&obs, "vanilla.8-way");
+        traffic(&mut t);
+        // Lookups count locally; nothing is exported until a publish.
+        assert_eq!(obs.counter_value("tlb.vanilla.8-way.accesses"), 0);
+        t.publish_obs();
+        let exported = |name: &str| obs.counter_value(&format!("tlb.vanilla.8-way.{name}"));
+        assert_eq!(exported("accesses"), 4);
+        assert_eq!(exported("hits"), 1);
+        assert_eq!(exported("misses"), 3);
+        assert_eq!(exported("sub_misses"), 0);
+        assert_eq!(exported("evictions"), 1);
+        // A second publish adds only the movement since the first.
+        t.publish_obs();
+        traffic(&mut t);
+        t.publish_obs();
+        assert_eq!(exported("accesses"), t.stats().accesses);
+        assert_eq!(exported("misses"), t.stats().misses);
+        assert_eq!(exported("evictions"), t.stats().evictions);
     }
 }

@@ -66,6 +66,8 @@ pub struct VanillaTlb {
     cfg: TlbConfig,
     stats: TlbStats,
     obs: TlbObs,
+    /// `stats` as of the last [`VanillaTlb::publish_obs`].
+    published: TlbStats,
 }
 
 impl VanillaTlb {
@@ -76,32 +78,27 @@ impl VanillaTlb {
             cfg,
             stats: TlbStats::new(),
             obs: TlbObs::noop(),
+            published: TlbStats::new(),
         }
     }
 
     /// Exports this TLB's counters as `tlb.<label>.*` on `obs`. A no-op
     /// when `obs` is disabled; simulation behavior is unchanged either
-    /// way. (3C miss classification is the driver's: see
-    /// [`crate::tlb::ClassPass`].)
+    /// way. Only movement after this call is exported, and only when
+    /// [`VanillaTlb::publish_obs`] pushes it. (3C miss classification
+    /// happens outside the TLB: see [`crate::tlb::ClassPass`].)
     pub fn set_obs(&mut self, obs: &ObsHandle, label: &str) {
         self.obs = TlbObs::register(obs, label);
+        self.published = self.stats;
     }
 
-    /// Runs `f` with exported-counter publication deferred: the
-    /// per-lookup atomic increments are suspended and the accumulated
-    /// movement is published in one [`TlbObs::flush_delta`] when `f`
-    /// returns. The local [`TlbStats`] stay exact throughout, and the
-    /// exported totals are identical to the undeferred path at every
-    /// point outside `f` — the batched replay wraps each instance's
-    /// pass in this so an observed grid pays five atomic adds per
-    /// batch instead of two or three per lookup.
-    pub fn with_deferred_obs<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let live = std::mem::take(&mut self.obs);
-        let before = self.stats;
-        let r = f(self);
-        live.flush_delta(&before, &self.stats);
-        self.obs = live;
-        r
+    /// Publishes the counter movement since the last publish (or
+    /// [`VanillaTlb::set_obs`]) in one [`TlbObs::flush_delta`]. Lookups
+    /// and fills only count locally, so exported counters are current
+    /// after this call and stale between calls.
+    pub fn publish_obs(&mut self) {
+        self.obs.flush_delta(&self.published, &self.stats);
+        self.published = self.stats;
     }
 
     /// The TLB geometry.
@@ -137,7 +134,6 @@ impl VanillaTlb {
     /// correctness because a page is mapped at one size at a time).
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> VanillaLookup {
         self.stats.accesses += 1;
-        self.obs.accesses.inc();
         let result = 'probe: {
             let base = Self::base_tag(asid, vpn);
             if let Some(e) = self.cache.lookup(vpn.0 as usize, base) {
@@ -152,10 +148,8 @@ impl VanillaTlb {
         };
         if result.is_hit() {
             self.stats.hits += 1;
-            self.obs.hits.inc();
         } else {
             self.stats.misses += 1;
-            self.obs.misses.inc();
         }
         result
     }
@@ -167,7 +161,6 @@ impl VanillaTlb {
             .insert(vpn.0 as usize, Self::base_tag(asid, vpn), VanillaEntry { pfn });
         if evicted.is_some() {
             self.stats.evictions += 1;
-            self.obs.evictions.inc();
         }
     }
 
@@ -180,7 +173,6 @@ impl VanillaTlb {
             .insert(tag.page as usize, tag, VanillaEntry { pfn: first_pfn });
         if evicted.is_some() {
             self.stats.evictions += 1;
-            self.obs.evictions.inc();
         }
     }
 

@@ -142,53 +142,13 @@ impl Instance {
             Instance::Mosaic(idx, _) => ClassPass::granularity(Some(*idx)),
         }
     }
-}
 
-/// Drives one page reference through one TLB instance, filling from the
-/// OS on a miss. `cpfn_memo` caches the sub-page CPFN resolution: it is
-/// arity- and associativity-independent (and never changes once the page
-/// is mapped), so one resolution serves every instance that sub-misses on
-/// the same reference — per-access in the scalar path, per-batch-position
-/// in the batched path. Counted page walks stay per-instance (they model
-/// per-TLB walkers). Returns whether the lookup hit.
-fn step_instance(
-    os: &mut OsModel,
-    asid: Asid,
-    inst: &mut Instance,
-    vpn: Vpn,
-    cpfn_memo: &mut Option<mosaic_mem::Cpfn>,
-) -> bool {
-    match inst {
-        Instance::Vanilla(tlb) => {
-            let hit = tlb.lookup(asid, vpn).is_hit();
-            if !hit {
-                match os.vanilla_walk(vpn) {
-                    VanillaTranslation::Base(pfn) => tlb.fill_base(asid, vpn, pfn),
-                    VanillaTranslation::Huge(first) => tlb.fill_huge(asid, vpn, first),
-                }
-            }
-            hit
+    /// Pushes the TLB's counter movement since the last publish.
+    fn publish_obs(&mut self) {
+        match self {
+            Instance::Vanilla(tlb) => tlb.publish_obs(),
+            Instance::Mosaic(_, tlb) => tlb.publish_obs(),
         }
-        Instance::Mosaic(arity_idx, tlb) => match tlb.lookup(asid, vpn) {
-            MosaicLookup::Hit(_) => true,
-            MosaicLookup::SubMiss => {
-                let cpfn = match *cpfn_memo {
-                    Some(c) => c,
-                    None => {
-                        let c = os.cpfn_of(vpn).expect("touched page must be mapped");
-                        *cpfn_memo = Some(c);
-                        c
-                    }
-                };
-                tlb.fill_sub(asid, vpn, cpfn);
-                false
-            }
-            MosaicLookup::Miss => {
-                let toc = os.mosaic_walk_ref(*arity_idx, vpn);
-                tlb.fill_toc_ref(asid, vpn, toc);
-                false
-            }
-        },
     }
 }
 
@@ -202,8 +162,7 @@ pub struct DualSim {
     /// The shared 3C classification pass (attribution on only).
     classes: Option<ClassPass>,
     /// Per-instance 3C counts, parallel to `instances` (noop sinks until
-    /// attribution is on), flushed at the end of every scalar access
-    /// and every batch.
+    /// attribution is on), flushed at the end of every batch.
     tallies: Vec<ClassTally>,
     kernel: Option<KernelInjector>,
     user_accesses: u64,
@@ -298,46 +257,35 @@ impl DualSim {
         }
     }
 
-    /// Feeds one workload access (plus any due kernel injection) to every
-    /// TLB instance.
-    pub fn access(&mut self, access: Access) {
-        self.user_accesses += 1;
-        self.reference(access.addr.vpn(), access.kind);
-        // Kernel injection.
-        if let Some(injector) = &mut self.kernel {
-            if let Some(vpn) = injector.after_user_access() {
-                self.reference(vpn, AccessKind::Load);
-            }
-        }
-        self.flush_tallies();
-    }
-
-    /// Feeds a batch of workload accesses through the pipeline:
-    /// equivalent to calling [`access`](Self::access) per element, but
+    /// Feeds a batch of workload accesses (plus any due kernel
+    /// injections) to every TLB instance — the only way to step a
+    /// simulation; a single access is a batch of one. The batch is
     /// replayed **instance-major** — one TLB instance over the whole
     /// batch, then the next — so each instance's ToC lines and set
     /// metadata stay hot and the instance dispatch is amortized over the
     /// batch instead of paid per reference.
     ///
-    /// Two mechanisms keep the result bit-identical to the scalar loop:
+    /// Two mechanisms make every instance see the OS state of its
+    /// position in the stream, so results are independent of how the
+    /// stream is chunked:
     ///
     /// * an OS pre-pass touches every reference (expanding kernel
     ///   injections inline) in stream order, so allocator clocks and
-    ///   walk tables advance exactly as the scalar path advances them;
+    ///   walk tables advance in stream order;
     /// * first-touch **growth events** recorded by the pre-pass are
     ///   unmirrored from the shared ToC leaves before each mosaic
     ///   instance's replay and remirrored as the replay cursor passes
-    ///   them, so a mid-batch `mosaic_walk` copies the same
-    ///   point-in-time ToC the scalar path would have seen (vanilla
-    ///   translations never change after first touch, so vanilla
-    ///   instances replay without rewinding).
+    ///   them, so a mid-batch `mosaic_walk` copies the point-in-time ToC
+    ///   of its position (vanilla translations never change after first
+    ///   touch, so vanilla instances replay without rewinding).
     ///
-    /// Per-position memos (the batch analogue of the old per-access
-    /// scratch) are shared across all instances: the sub-page CPFN, the
-    /// vanilla translation, and the per-arity leaf ToC. Results are
-    /// resolved once per position; every consuming instance still
-    /// *counts* its own page walk (same counters, same obs effects), so
-    /// walk accounting matches the scalar loop exactly.
+    /// Per-position memos are shared across all instances: the sub-page
+    /// CPFN, the vanilla translation, and the per-arity leaf ToC.
+    /// Results are resolved once per position; every consuming instance
+    /// still *counts* its own page walk (it models a per-TLB walker).
+    ///
+    /// Exported obs (TLB counters, walker walks and depths, 3C tables)
+    /// counts locally during the batch and is published when it returns.
     pub fn access_batch(&mut self, accesses: &[Access]) {
         // Phase 1: stream-order OS pre-pass.
         self.batch_refs.clear();
@@ -382,14 +330,9 @@ impl DualSim {
 
         // Phase 2: instance-major replay. The variant match is hoisted
         // out of the position loop so each instance replays the batch
-        // through a straight-line body. Exported obs counters are
-        // deferred for the whole phase — the TLB and walker deltas are
-        // flushed in bulk at instance/batch end (the scalar per-access
-        // API cannot defer: its contract is that exported counters are
-        // current after every call returns).
+        // through a straight-line body.
         let asid = self.asid;
-        let instances = &mut self.instances;
-        let tallies = &mut self.tallies;
+        let os = &mut self.os;
         let classes = &self.batch_class;
         let refs = &self.batch_refs;
         let growth = &self.batch_growth;
@@ -397,107 +340,72 @@ impl DualSim {
         let vwalks = &mut self.batch_vwalk;
         let tocs = &mut self.batch_toc;
         let gen = self.batch_gen;
-        self.os.with_deferred_walk_obs(|os| {
-            for ((_, inst), tally) in instances.iter_mut().zip(tallies.iter_mut()) {
-                // A miss at position `j` charges its shared class (the
-                // class slice is empty when attribution is off).
-                let g = inst.granularity();
-                let mut charge = |j: usize| {
-                    if let Some(c) = classes.get(j) {
-                        tally.record(c.category(g));
-                    }
-                };
-                match inst {
-                    Instance::Vanilla(tlb) => tlb.with_deferred_obs(|tlb| {
-                        // Vanilla translations never change after first
-                        // touch, so no rewind is needed.
-                        for (j, &vpn) in refs.iter().enumerate() {
-                            if !tlb.lookup(asid, vpn).is_hit() {
-                                charge(j);
-                                match os.vanilla_walk_memo(vpn, &mut vwalks[j]) {
-                                    VanillaTranslation::Base(pfn) => tlb.fill_base(asid, vpn, pfn),
-                                    VanillaTranslation::Huge(first) => {
-                                        tlb.fill_huge(asid, vpn, first)
-                                    }
-                                }
+        for ((_, inst), tally) in self.instances.iter_mut().zip(&mut self.tallies) {
+            // A miss at position `j` charges its shared class (the class
+            // slice is empty when attribution is off).
+            let g = inst.granularity();
+            let mut charge = |j: usize| {
+                if let Some(c) = classes.get(j) {
+                    tally.record(c.category(g));
+                }
+            };
+            match inst {
+                Instance::Vanilla(tlb) => {
+                    // Vanilla translations never change after first
+                    // touch, so no rewind is needed.
+                    for (j, &vpn) in refs.iter().enumerate() {
+                        if !tlb.lookup(asid, vpn).is_hit() {
+                            charge(j);
+                            match os.vanilla_walk_memo(vpn, &mut vwalks[j]) {
+                                VanillaTranslation::Base(pfn) => tlb.fill_base(asid, vpn, pfn),
+                                VanillaTranslation::Huge(first) => tlb.fill_huge(asid, vpn, first),
                             }
                         }
-                    }),
-                    Instance::Mosaic(arity_idx, tlb) => {
-                        let ai = *arity_idx;
-                        tlb.with_deferred_obs(|tlb| {
-                            let rewind = !growth.is_empty();
-                            if rewind {
-                                for &(_, vpn) in growth {
-                                    os.unmirror(vpn);
-                                }
-                            }
-                            let mut cursor = 0;
-                            for (j, &vpn) in refs.iter().enumerate() {
-                                if rewind {
-                                    while cursor < growth.len() && growth[cursor].0 as usize == j {
-                                        os.remirror(growth[cursor].1);
-                                        cursor += 1;
-                                    }
-                                }
-                                match tlb.lookup(asid, vpn) {
-                                    MosaicLookup::Hit(_) => {}
-                                    MosaicLookup::SubMiss => {
-                                        charge(j);
-                                        let cpfn = match cpfns[j] {
-                                            Some(c) => c,
-                                            None => {
-                                                let c = os
-                                                    .cpfn_of(vpn)
-                                                    .expect("touched page must be mapped");
-                                                cpfns[j] = Some(c);
-                                                c
-                                            }
-                                        };
-                                        tlb.fill_sub(asid, vpn, cpfn);
-                                    }
-                                    MosaicLookup::Miss => {
-                                        charge(j);
-                                        let toc = os.mosaic_walk_memo(
-                                            ai,
-                                            vpn,
-                                            &mut tocs[j * arity_count + ai],
-                                            gen,
-                                        );
-                                        tlb.fill_toc_ref(asid, vpn, toc);
-                                    }
-                                }
-                            }
-                            debug_assert!(!rewind || cursor == growth.len());
-                        })
                     }
                 }
+                Instance::Mosaic(ai, tlb) => {
+                    let ai = *ai;
+                    for &(_, vpn) in growth {
+                        os.unmirror(vpn);
+                    }
+                    let mut cursor = 0;
+                    for (j, &vpn) in refs.iter().enumerate() {
+                        while cursor < growth.len() && growth[cursor].0 as usize == j {
+                            os.remirror(growth[cursor].1);
+                            cursor += 1;
+                        }
+                        match tlb.lookup(asid, vpn) {
+                            MosaicLookup::Hit(_) => {}
+                            MosaicLookup::SubMiss => {
+                                charge(j);
+                                let cpfn = *cpfns[j].get_or_insert_with(|| {
+                                    os.cpfn_of(vpn).expect("touched page must be mapped")
+                                });
+                                tlb.fill_sub(asid, vpn, cpfn);
+                            }
+                            MosaicLookup::Miss => {
+                                charge(j);
+                                let slot = &mut tocs[j * arity_count + ai];
+                                let toc = os.mosaic_walk_memo(ai, vpn, slot, gen);
+                                tlb.fill_toc_ref(asid, vpn, toc);
+                            }
+                        }
+                    }
+                    debug_assert_eq!(cursor, growth.len());
+                }
             }
-        });
-        self.flush_tallies();
+        }
+        self.flush_obs();
     }
 
-    /// Drives one page reference through the OS and all TLB instances.
-    fn reference(&mut self, vpn: Vpn, kind: AccessKind) {
-        self.os.touch(vpn, kind);
-        let asid = self.asid;
-        let class = self.classes.as_mut().map(|pass| pass.classify(asid, vpn));
-        let mut cpfn_memo = None;
+    /// Publishes every instance's TLB counters and 3C tally and the OS
+    /// walkers' walks, so exported obs is current at every batch end.
+    fn flush_obs(&mut self) {
         for ((_, inst), tally) in self.instances.iter_mut().zip(&mut self.tallies) {
-            let hit = step_instance(&mut self.os, asid, inst, vpn, &mut cpfn_memo);
-            if let (false, Some(c)) = (hit, class) {
-                tally.record(c.category(inst.granularity()));
-            }
+            inst.publish_obs();
+            tally.flush(self.asid);
         }
-    }
-
-    /// Charges every instance's pending 3C counts to its table.
-    fn flush_tallies(&mut self) {
-        if self.classes.is_some() {
-            for tally in &mut self.tallies {
-                tally.flush(self.asid);
-            }
-        }
+        self.os.publish_walk_obs();
     }
 
     /// Binds every TLB instance (and the shared OS model) to a live
@@ -579,9 +487,8 @@ mod tests {
     }
 
     fn touch_pages(sim: &mut DualSim, pages: impl Iterator<Item = u64>) {
-        for p in pages {
-            sim.access(Access::load(VirtAddr(p * 4096)));
-        }
+        let accesses: Vec<Access> = pages.map(|p| Access::load(VirtAddr(p * 4096))).collect();
+        sim.access_batch(&accesses);
     }
 
     #[test]
@@ -672,22 +579,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar() {
+    fn single_access_batches_match_chunked() {
         for kernel in [None, Some(KernelConfig { pages: 16, period: 10 })] {
             let trace: Vec<Access> = (0..400u64)
                 .map(|i| Access::load(VirtAddr(((i * 37) % 512) * 4096)))
                 .collect();
-            let mut scalar = sim(64, kernel);
-            for &a in &trace {
-                scalar.access(a);
+            let mut ones = sim(64, kernel);
+            for a in &trace {
+                ones.access_batch(std::slice::from_ref(a));
             }
             let mut batched = sim(64, kernel);
             for chunk in trace.chunks(33) {
                 batched.access_batch(chunk);
             }
-            assert_eq!(scalar.results(), batched.results());
-            assert_eq!(scalar.user_accesses(), batched.user_accesses());
-            assert_eq!(scalar.os().walk_counts(), batched.os().walk_counts());
+            assert_eq!(ones.results(), batched.results());
+            assert_eq!(ones.user_accesses(), batched.user_accesses());
+            assert_eq!(ones.os().walk_counts(), batched.os().walk_counts());
             batched.os().verify().expect("ToCs fully remirrored");
         }
     }

@@ -59,8 +59,8 @@ pub struct Fig6Config {
     /// Simulation seed.
     pub seed: u64,
     /// Accesses per [`DualSim::access_batch`] chunk in the serial
-    /// engine; `<= 1` selects the scalar per-access loop. Results are
-    /// bit-identical either way.
+    /// engine (`0` is treated as `1`). Only the chunk size changes:
+    /// results and obs exports are bit-identical at every value.
     pub batch: usize,
 }
 
@@ -151,38 +151,26 @@ pub fn run_workload_observed(
             &[("workload", mosaic_obs::Value::from(meta.name))],
         );
     }
-    if cfg.batch <= 1 {
-        workload.run(&mut |a| {
-            sim.access(a);
-            if obs_interval > 0 && sim.user_accesses().is_multiple_of(obs_interval) {
+    // Buffer the stream into batches, flushing early at every
+    // `obs_interval` user-access boundary: a batch publishes its obs when
+    // it returns, so every snapshot sees the totals at its boundary.
+    let batch = cfg.batch.max(1);
+    let mut buf: Vec<Access> = Vec::with_capacity(batch);
+    workload.run(&mut |a| {
+        buf.push(a);
+        let at_interval = obs_interval > 0
+            && (sim.user_accesses() + buf.len() as u64).is_multiple_of(obs_interval);
+        if at_interval || buf.len() >= batch {
+            sim.access_batch(&buf);
+            buf.clear();
+            if at_interval {
                 sim.publish_obs();
                 obs.snapshot(sim.user_accesses());
             }
-        });
-    } else {
-        // Buffer the stream into batches, flushing early at every
-        // `obs_interval` user-access boundary so counter totals at each
-        // snapshot equal the scalar loop's (within a batch only the
-        // increment *order* differs, never a boundary total).
-        let mut buf: Vec<Access> = Vec::with_capacity(cfg.batch);
-        let mut flushed = 0u64;
-        workload.run(&mut |a| {
-            buf.push(a);
-            let at_interval =
-                obs_interval > 0 && (flushed + buf.len() as u64).is_multiple_of(obs_interval);
-            if at_interval || buf.len() >= cfg.batch {
-                sim.access_batch(&buf);
-                buf.clear();
-                flushed = sim.user_accesses();
-                if at_interval {
-                    sim.publish_obs();
-                    obs.snapshot(sim.user_accesses());
-                }
-            }
-        });
-        if !buf.is_empty() {
-            sim.access_batch(&buf);
         }
+    });
+    if !buf.is_empty() {
+        sim.access_batch(&buf);
     }
     if obs.is_enabled() {
         sim.publish_obs();
@@ -285,9 +273,9 @@ enum CellSim<'a> {
 }
 
 impl CellSim<'_> {
-    /// Feeds one reference through the cell, mirroring
-    /// `DualSim::reference` for this single instance. Returns whether
-    /// the lookup hit.
+    /// Feeds one reference through the cell, as
+    /// [`DualSim::access_batch`] steps this instance at the same stream
+    /// position. Returns whether the lookup hit.
     fn step(&mut self, asid: Asid, a: Access) -> bool {
         let vpn = a.addr.vpn();
         match self {
@@ -346,6 +334,21 @@ impl CellSim<'_> {
                         false
                     }
                 }
+            }
+        }
+    }
+
+    /// Pushes the TLB's and walker's counter movement since the last
+    /// publish.
+    fn publish_obs(&mut self) {
+        match self {
+            CellSim::Vanilla { tlb, walker, .. } => {
+                tlb.publish_obs();
+                walker.publish_obs();
+            }
+            CellSim::Mosaic { tlb, shadow, .. } => {
+                tlb.publish_obs();
+                shadow.publish_obs();
             }
         }
     }
@@ -425,12 +428,14 @@ pub(crate) fn run_fig6_cell(
                 refs += 1;
                 if snap.peek().is_some_and(|&(r, _)| r == refs) {
                     let (_, user_accesses) = snap.next().expect("peeked position");
+                    sim.publish_obs();
                     tally.flush(asid);
                     child.snapshot(user_accesses);
                 }
             }
         })
         .expect("reference trace replay failed");
+    sim.publish_obs();
     tally.flush(asid);
     sim.stats()
 }

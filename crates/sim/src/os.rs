@@ -121,8 +121,8 @@ impl OsModel {
 
     /// Binds the model's page-table walkers (and the mosaic allocator)
     /// to a live metrics registry: walk counts and depths export as
-    /// `ptw.vanilla.*` / `ptw.mosaic-<arity>.*`, allocator counters as
-    /// `mosaic.*`.
+    /// `ptw.vanilla.*` / `ptw.mosaic-<arity>.*` when the simulation
+    /// publishes them at batch end, allocator counters as `mosaic.*`.
     pub fn set_obs(&mut self, obs: &mosaic_obs::ObsHandle) {
         use mosaic_mem::MemoryManager as _;
         self.mosaic.set_obs(obs, "mosaic");
@@ -193,9 +193,9 @@ impl OsModel {
     /// leaf, rewinding the ToCs to their pre-touch contents. The batched
     /// pipeline pre-touches a whole chunk, then unmirrors the chunk's
     /// growth events before replaying each instance so a mid-batch
-    /// `mosaic_walk` sees exactly the point-in-time ToC the scalar path
-    /// would — [`remirror`](Self::remirror) reapplies the event when the
-    /// replay cursor passes it. Leaf *nodes* allocated by the pre-touch
+    /// `mosaic_walk` sees exactly the point-in-time ToC of its stream
+    /// position — [`remirror`](Self::remirror) reapplies the event when
+    /// the replay cursor passes it. Leaf *nodes* allocated by the pre-touch
     /// stay allocated, which is invisible: walk depth is fixed per table
     /// and an all-sentinel ToC is never walked (the triggering access
     /// remirrors before it walks).
@@ -356,25 +356,13 @@ impl OsModel {
         self.mosaic_pts.len()
     }
 
-    /// Runs `f` with every page walker's exported counters deferred
-    /// ([`PageWalker::pause_obs`]): per-walk obs updates are tallied
-    /// locally and bulk-published when `f` returns, so an observed
-    /// batched replay pays a handful of atomic adds per batch instead
-    /// of a counter increment and a histogram lock per walk. Walk
-    /// accounting ([`OsModel::walk_counts`]) stays live throughout and
-    /// the exported totals outside `f` are identical to the undeferred
-    /// path.
-    pub(crate) fn with_deferred_walk_obs<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.vanilla_pt.pause_obs();
+    /// Publishes every page walker's walks and walk depths tallied
+    /// since the last publish ([`PageWalker::publish_obs`]).
+    pub(crate) fn publish_walk_obs(&mut self) {
+        self.vanilla_pt.publish_obs();
         for (_, pt) in &mut self.mosaic_pts {
-            pt.pause_obs();
+            pt.publish_obs();
         }
-        let r = f(self);
-        self.vanilla_pt.resume_obs();
-        for (_, pt) in &mut self.mosaic_pts {
-            pt.resume_obs();
-        }
-        r
     }
 
     /// The CPFN of one sub-page (for sub-entry fills).

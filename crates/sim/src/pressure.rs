@@ -76,9 +76,9 @@ pub struct PressureConfig {
     pub mem_buckets: usize,
     /// Run seed.
     pub seed: u64,
-    /// Accesses per replay chunk fed to the drive loop; `<= 1` selects
-    /// the per-access feed. Results are bit-identical either way (the
-    /// chunking only amortizes trace decode and sink dispatch).
+    /// Accesses per replay chunk fed to the drive loop (`0` is treated
+    /// as `1`). Results are bit-identical at every value (the chunking
+    /// only amortizes trace decode and sink dispatch).
     pub batch: usize,
 }
 
@@ -390,10 +390,11 @@ pub fn run_pressure_observed(
 /// footprint in bytes, the number of accesses dropped to typed errors,
 /// and the final reference count; propagates only invariant violations.
 ///
-/// `batch > 1` pulls the stream through [`Workload::run_chunks`] — for a
-/// trace replayer that's a slice-at-a-time feed straight from the
-/// recorded chunks — while the per-access body (and so every counter,
-/// sample, snapshot, and verify cadence) stays identical.
+/// The stream is pulled through [`Workload::run_chunks`] in `batch`-sized
+/// chunks — for a trace replayer that's a slice-at-a-time feed straight
+/// from the recorded chunks — while the per-access body (and so every
+/// counter, sample, snapshot, and verify cadence) is independent of the
+/// chunk size.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     manager: &mut dyn MemoryManager,
@@ -440,15 +441,11 @@ fn drive(
             }
         }
     };
-    if batch > 1 {
-        w.run_chunks(batch, &mut |chunk| {
-            for &a in chunk {
-                step(a);
-            }
-        });
-    } else {
-        w.run(&mut step);
-    }
+    w.run_chunks(batch, &mut |chunk| {
+        for &a in chunk {
+            step(a);
+        }
+    });
     if let Some(e) = violation {
         return Err(e);
     }

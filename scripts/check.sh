@@ -51,10 +51,11 @@ cmp "$OBS_TMP/parout4.txt" "$OBS_TMP/parout4b.txt"
 ./target/release/obs_report "$OBS_TMP/par4.jsonl" > "$OBS_TMP/parreport.txt"
 grep -q "interval curve" "$OBS_TMP/parreport.txt"
 
-echo "==> batched-pipeline gate (fig6: --batch 1 scalar loop vs batched, --jobs 8)"
-# The batched engine's contract: stdout and the JSONL export are
-# byte-identical to the scalar per-access loop and at every --jobs value.
-# par1.* above were produced with the default batch at --jobs 1.
+echo "==> batch-size gate (fig6: batches of one vs the default batch, --jobs 8)"
+# The one step engine's contract: stdout and the JSONL export are
+# byte-identical whether it is fed batches of one access or the default
+# batch, and at every --jobs value. par1.* above were produced with the
+# default batch at --jobs 1.
 ./target/release/fig6 gups --scale 0 --entries 64 --no-kernel --batch 1 \
   --obs-out "$OBS_TMP/scalar.jsonl" --obs-interval 5000 \
   > "$OBS_TMP/scalarout.txt" 2>/dev/null
@@ -67,11 +68,11 @@ cmp "$OBS_TMP/scalar.jsonl" "$OBS_TMP/par1.jsonl"
   > "$OBS_TMP/parout8.txt" 2>/dev/null
 cmp "$OBS_TMP/parout8.txt" "$OBS_TMP/parout1.txt"
 
-echo "==> attribution batch gate (fig6 --attrib: --batch 1 vs batched, with and without kernel)"
-# The shared 3C pass classifies each position once per batch (or once per
-# scalar access); every instance's attribution table must reach each
-# interval snapshot with the same cells either way. Kernel injection is
-# the case where an instance skips classes (huge-page first touches hit).
+echo "==> attribution batch-size gate (fig6 --attrib: batches of one vs the default batch, with and without kernel)"
+# The shared 3C pass classifies each position once per batch; every
+# instance's attribution table must reach each interval snapshot with the
+# same cells at any batch size. Kernel injection is the case where an
+# instance skips classes (huge-page first touches hit).
 for kernel in no-kernel kernel; do
   KERNEL_FLAGS=(--attrib --obs-interval 5000)
   if [[ "$kernel" == no-kernel ]]; then KERNEL_FLAGS+=(--no-kernel); fi
@@ -84,7 +85,7 @@ for kernel in no-kernel kernel; do
   grep -q '"t":"attrib"' "$OBS_TMP/at-$kernel-batch.jsonl"
 done
 
-echo "==> batched-pipeline gate (table4: --batch 1 vs batched across --jobs 1/4/8)"
+echo "==> batch-size gate (table4: batches of one vs the default batch across --jobs 1/4/8)"
 ./target/release/table4 --buckets 16 --batch 1 --jobs 1 \
   > "$OBS_TMP/t4scalar.txt" 2>/dev/null
 for jobs in 1 4 8; do

@@ -6,9 +6,11 @@ use mosaic_core::sim::dual::DualSim;
 use mosaic_core::workloads::Access;
 
 fn feed_pages(sim: &mut DualSim, pages: impl IntoIterator<Item = u64>) {
-    for p in pages {
-        sim.access(Access::load(VirtAddr(p * PAGE_SIZE)));
-    }
+    let accesses: Vec<Access> = pages
+        .into_iter()
+        .map(|p| Access::load(VirtAddr(p * PAGE_SIZE)))
+        .collect();
+    sim.access_batch(&accesses);
 }
 
 fn stats_of(
@@ -163,7 +165,7 @@ fn mosaic_system_facade_matches_dual_sim() {
         None,
         11,
     );
-    w.run(&mut |a| sim.access(a));
+    w.run(&mut |a| sim.access_batch(&[a]));
     assert_eq!(report.vanilla, stats_of(&sim, Associativity::Ways(8), None));
     assert_eq!(report.mosaic, stats_of(&sim, Associativity::Ways(8), Some(8)));
 }

@@ -105,10 +105,13 @@ proptest! {
             seed,
         );
         let mut rng = SplitMix64::new(seed);
-        for _ in 0..len {
-            let page = rng.next_below(96);
-            sim.access(mosaic_core::workloads::Access::load(VirtAddr(page * PAGE_SIZE)));
-        }
+        let accesses: Vec<_> = (0..len)
+            .map(|_| {
+                let page = rng.next_below(96);
+                mosaic_core::workloads::Access::load(VirtAddr(page * PAGE_SIZE))
+            })
+            .collect();
+        sim.access_batch(&accesses);
         let results = sim.results();
         let vanilla = results.iter().find(|(_, k, _)| k.is_none()).unwrap().2;
         let mosaic = results.iter().find(|(_, k, _)| k.is_some()).unwrap().2;
