@@ -10,10 +10,13 @@
 //!
 //! Attribution is always on in this binary (it *is* the attribution
 //! report); `--obs-out` additionally exports the raw stream, including
-//! the `{"t":"attrib",...}` table records, for `obs_report`.
+//! the `{"t":"attrib",...}` table records, for `obs_report`. An
+//! `--entries` value that some swept associativity cannot divide into
+//! whole sets is a usage error (exit 2).
 
 use mosaic_bench::obs::ObsSink;
 use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_core::mmu::Associativity;
 use mosaic_core::sim::attrib::{render, run_attrib, AttribConfig};
 use mosaic_obs::{ObsHandle, Value};
 
@@ -25,7 +28,9 @@ Regenerates the miss-attribution report: 3C classification of every TLB
 design's misses (conflict misses removed by Mosaic-k vs vanilla over the
 same trace), the memory-fault taxonomy, and the per-tenant blame table.
 Defaults: --buckets 16 (1024 frames), --entries 1056, --load 105,
---fault-ppm 0. Output is byte-identical at any --jobs value.";
+--fault-ppm 0. --entries must be a positive multiple of 4, the widest
+set-associative way count swept. Output is byte-identical at any --jobs
+value.";
 
 fn main() {
     let args = Args::from_env();
@@ -34,7 +39,10 @@ fn main() {
 
     let mut cfg = AttribConfig::paper();
     cfg.mem_buckets = args.get_u64("buckets", cfg.mem_buckets as u64) as usize;
-    cfg.tlb_entries = args.get_u64("entries", cfg.tlb_entries as u64) as usize;
+    cfg.tlb_entries = entries_or_exit(
+        args.get_u64("entries", cfg.tlb_entries as u64) as usize,
+        &cfg.associativities,
+    );
     cfg.load_pct = args.get_u64("load", cfg.load_pct);
     cfg.seed = args.get_u64("seed", cfg.seed);
     cfg.fault_ppm = args.get_u64("fault-ppm", u64::from(cfg.fault_ppm)) as u32;
@@ -70,4 +78,17 @@ fn main() {
     let report = run_attrib(&cfg, handle, sink.interval(), jobs);
     print!("{}", render(&report));
     sink.finish();
+}
+
+/// `entries`, or `error: …` and exit 2 when it is zero or some swept
+/// associativity cannot divide it into whole sets.
+fn entries_or_exit(entries: usize, associativities: &[Associativity]) -> usize {
+    for &assoc in associativities {
+        let ways = assoc.ways(entries);
+        if entries == 0 || !entries.is_multiple_of(ways) {
+            eprintln!("error: --entries {entries} must be a positive multiple of {ways} ({assoc})");
+            std::process::exit(2);
+        }
+    }
+    entries
 }

@@ -11,14 +11,18 @@
 //! benchmark size (tens of MiB footprints). The TLB has `--entries`
 //! entries (default 1024, as in Table 1a). `--obs-out` exports the whole
 //! TLB grid's counters (and `--obs-interval R` interval snapshots) as
-//! JSONL; render with `obs_report`. `--batch N` sets the serial
-//! engine's chunk size (results and JSONL are byte-identical at every
-//! value); wall time and ns/access per workload go to stderr.
+//! JSONL; render with `obs_report`. `--batch N` sets the simulator's
+//! chunk size (results and JSONL are byte-identical at every value);
+//! wall time and ns/access per workload go to stderr. An `--entries`
+//! value that some swept associativity cannot divide into whole sets is
+//! a usage error (exit 2).
 
 use mosaic_bench::obs::ObsSink;
 use mosaic_bench::{Args, JOBS_HELP};
 use mosaic_core::sim::dual::KernelConfig;
-use mosaic_core::sim::fig6::{render, run_workload_observed_jobs, Fig6Config, TlbKind};
+use mosaic_core::sim::fig6::{
+    render, run_workload_observed_jobs, Fig6Config, TlbKind, DEFAULT_BATCH,
+};
 use mosaic_core::sim::platform::TlbPlatform;
 use mosaic_core::sim::report::Table;
 use mosaic_core::mmu::{Arity, Associativity};
@@ -29,9 +33,12 @@ fig6 [graph500|btree|gups|xsbench|all] [--scale N] [--entries N] [--no-kernel]
      [--csv] [--obs-out F] [--obs-interval R] [--jobs N] [--batch N]
 
 Regenerates Figure 6 (TLB misses across arity x associativity).
+--entries N (default 1024) must be a positive multiple of 8, the widest
+set-associative way count swept.
 With --jobs N the reference stream is recorded once per workload and the
-grid's (associativity, TLB-kind) cells replay it on N threads.
---batch N sets the serial engine's access-batch (chunk) size; it changes
+associativities split into up to N parts, each replaying it through its
+own simulator on its own thread.
+--batch N sets the simulator's access-batch (chunk) size; it changes
 only speed: stdout is byte-identical at every --batch and --jobs value.";
 
 fn main() {
@@ -39,7 +46,8 @@ fn main() {
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
     let jobs = args.jobs_or_exit();
     let scale = args.get_u64("scale", 1) as u32;
-    let entries = args.get_u64("entries", 1024) as usize;
+    let associativities = Associativity::FIGURE6_SWEEP.to_vec();
+    let entries = entries_or_exit(args.get_u64("entries", 1024) as usize, &associativities);
     let which = args
         .positional()
         .first()
@@ -47,7 +55,7 @@ fn main() {
 
     let cfg = Fig6Config {
         tlb_entries: entries,
-        associativities: Associativity::FIGURE6_SWEEP.to_vec(),
+        associativities,
         arities: [4, 8, 16, 32, 64].map(Arity::new).to_vec(),
         kernel: if args.has("no-kernel") {
             None
@@ -55,7 +63,7 @@ fn main() {
             Some(KernelConfig::default())
         },
         seed: args.get_u64("seed", 0xF166),
-        batch: args.get_u64("batch", mosaic_core::sim::fig6::DEFAULT_BATCH as u64) as usize,
+        batch: args.get_u64("batch", DEFAULT_BATCH as u64) as usize,
     };
     let sink = ObsSink::from_args(&args, "fig6");
     if sink.is_enabled() {
@@ -128,7 +136,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let rows = run_workload_observed_jobs(&cfg, w.as_mut(), sink.handle(), sink.interval(), jobs);
         let wall = t0.elapsed();
-        // Each grid cell replays the full reference stream once.
+        // Every TLB instance sees the full reference stream once.
         let stepped: u64 = rows.iter().map(|r| r.stats.accesses).sum();
         if stepped > 0 {
             eprintln!(
@@ -161,4 +169,17 @@ fn main() {
         }
     }
     sink.finish();
+}
+
+/// `entries`, or `error: …` and exit 2 when it is zero or some swept
+/// associativity cannot divide it into whole sets.
+fn entries_or_exit(entries: usize, associativities: &[Associativity]) -> usize {
+    for &assoc in associativities {
+        let ways = assoc.ways(entries);
+        if entries == 0 || !entries.is_multiple_of(ways) {
+            eprintln!("error: --entries {entries} must be a positive multiple of {ways} ({assoc})");
+            std::process::exit(2);
+        }
+    }
+    entries
 }

@@ -1,0 +1,33 @@
+//! Usage errors in the sweep binaries: a bad flag value prints
+//! `error: …` and exits 2 instead of panicking.
+
+use std::process::Command;
+
+/// Runs `bin` with `args` and returns its exit code and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn entries_no_swept_associativity_divides_is_a_usage_error() {
+    let fig6 = env!("CARGO_BIN_EXE_fig6");
+    let attrib = env!("CARGO_BIN_EXE_attrib");
+    for (bin, args) in [
+        (fig6, &["gups", "--scale", "0", "--entries", "0"][..]),
+        (fig6, &["gups", "--scale", "0", "--entries", "3"][..]),
+        (fig6, &["gups", "--scale", "0", "--entries", "1028"][..]),
+        (attrib, &["--entries", "1058"][..]),
+        (attrib, &["--entries", "0"][..]),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --entries"),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+}

@@ -47,11 +47,6 @@ impl Toc {
         self.cpfns.is_empty()
     }
 
-    /// The unmapped sentinel this ToC uses.
-    pub fn unmapped_sentinel(&self) -> Cpfn {
-        self.unmapped
-    }
-
     /// The CPFN at `offset`, or `None` if that sub-page is unmapped.
     ///
     /// # Panics

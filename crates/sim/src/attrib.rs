@@ -4,19 +4,19 @@
 //! One run drives two workloads (GUPS and Graph500) at a configured
 //! load over **both** layers of the system:
 //!
-//! * every Figure 6 TLB cell (vanilla and mosaic at each swept
-//!   associativity), with one shared pass of shadow fully-associative
-//!   TLBs splitting misses into compulsory / capacity / conflict
-//!   ([`mosaic_mmu::tlb::ClassPass`]);
+//! * every Figure 6 TLB design (vanilla and mosaic at each swept
+//!   associativity) in one [`DualSim`](crate::DualSim) grid, with one
+//!   shared pass of shadow fully-associative TLBs splitting misses into
+//!   compulsory / capacity / conflict ([`mosaic_mmu::tlb::ClassPass`]);
 //! * both memory managers (Mosaic and the Linux-like baseline) under a
 //!   two-tenant split of the same reference stream, charging every
 //!   eviction to an (evictor, victim) ASID pair in the
 //!   cold / capacity-evict / cross-tenant / quota-self / shootdown
 //!   taxonomy.
 //!
-//! All cells replay the **same recorded trace**, so the per-design
-//! attribution deltas are aligned by construction: the "conflict misses
-//! removed by Mosaic-k" column is literally
+//! The TLB grid and both managers replay the **same recorded trace**,
+//! so the per-design attribution deltas are aligned by construction:
+//! the "conflict misses removed by Mosaic-k" column is literally
 //! `vanilla.conflict − mosaic-k.conflict` over an identical reference
 //! stream, and compulsory counts must agree exactly across designs
 //! (every first touch of a VPN misses in both models).
@@ -32,16 +32,16 @@
 //! footprint removes — but over-committed enough that those conflicts
 //! actually occur.
 //!
-//! There is **one** execution engine — record once, fan cells out via
-//! [`run_cells`] — used at every `--jobs` value, so results and the
-//! merged observability stream are byte-identical at any thread count.
+//! Each workload's trace is recorded once and fanned out via
+//! [`run_cells`] as three cells — the TLB grid and the two managers — at
+//! every `--jobs` value, so results and the merged observability stream
+//! are byte-identical at any thread count.
 
-use crate::dual::reference_os;
-use crate::fig6::{classify_stream, run_fig6_cell, CellSpec, TlbKind};
-use crate::os::USER_ASID;
+use crate::dual::instance_label;
+use crate::fig6::{run_grid, Fig6Config, TlbKind, DEFAULT_BATCH};
 use crate::parallel::{derive_seed, run_cells};
 use crate::report::{group_digits, Table};
-use crate::trace_buffer::TraceBufferBuilder;
+use crate::trace_buffer::TraceBuffer;
 use mosaic_mem::{
     Asid, FaultPlan, IcebergConfig, LinuxMemory, MemoryLayout, MemoryManager, MosaicMemory,
     PageKey, TenantQuota, PAGE_SIZE,
@@ -246,10 +246,11 @@ impl MemKind {
     }
 }
 
-/// One cell of the attribution grid.
+/// One cell of the attribution experiment.
 #[derive(Debug, Clone, Copy)]
-enum AttribCellSpec {
-    Tlb(CellSpec),
+enum Cell {
+    /// The whole TLB grid, one [`DualSim`](crate::DualSim).
+    Tlb,
     Mem(MemKind),
 }
 
@@ -259,9 +260,9 @@ enum AttribCellSpec {
 /// opted in ([`ObsHandle::set_attrib`]); with a plain or disabled
 /// handle the classified counts are zero while the raw [`TlbStats`]
 /// stay exact. Results and — when `obs` is enabled — the merged
-/// observability stream are byte-identical at any `jobs` value: there
-/// is a single record-once/replay-many engine, cells come back in
-/// input order, and fault-injector seeds derive from the cell index.
+/// observability stream are byte-identical at any `jobs` value: the
+/// cell list does not depend on `jobs`, cells come back in input order,
+/// and fault-injector seeds derive from the cell index.
 pub fn run_attrib(
     cfg: &AttribConfig,
     obs: &ObsHandle,
@@ -278,7 +279,8 @@ pub fn run_attrib(
     report
 }
 
-/// Records `wl`'s trace once, then fans every TLB and memory cell out.
+/// Records `wl`'s trace once, then fans the TLB grid and both memory
+/// managers out over it.
 fn run_one_workload(
     cfg: &AttribConfig,
     wl: AttribWorkload,
@@ -287,102 +289,70 @@ fn run_one_workload(
     jobs: usize,
     report: &mut AttribReport,
 ) {
-    let mut workload = wl.build(cfg.footprint_pages(), cfg.seed);
-    let meta = workload.meta();
-    let footprint_pages = meta.footprint_bytes.div_ceil(PAGE_SIZE) + 16;
-    let mut os = reference_os(&cfg.arities, footprint_pages, 0, cfg.seed, USER_ASID);
     if obs.is_enabled() {
-        os.set_obs(obs);
-        obs.event(
-            0,
-            "drive.begin",
-            &[("workload", Value::from(wl.name()))],
-        );
+        obs.event(0, "drive.begin", &[("workload", Value::from(wl.name()))]);
     }
-
-    // Reference pass: resolve all demand mapping while recording the
-    // stream (no kernel injection — kernel huge pages would break the
-    // compulsory-equality invariant the experiment checks).
-    let mut builder = TraceBufferBuilder::new();
-    let mut refs = 0u64;
-    let mut snapshots: Vec<(u64, u64)> = Vec::new();
-    workload.run(&mut |a| {
-        os.touch(a.addr.vpn(), a.kind);
-        builder.push(a);
-        refs += 1;
-        if obs_interval > 0 && refs.is_multiple_of(obs_interval) && obs.is_enabled() {
-            snapshots.push((refs, refs));
-            os.publish_obs();
-            obs.snapshot(refs);
-        }
-    });
-    let trace = builder
-        .finish(meta.clone())
+    let trace = TraceBuffer::record(wl.build(cfg.footprint_pages(), cfg.seed).as_mut())
         .expect("failed to record reference trace");
-    drop(workload);
-    // One shared 3C pass classifies the stream for every TLB cell.
-    let classes = classify_stream(obs, &trace, USER_ASID, cfg.tlb_entries, &cfg.arities);
+    let refs = trace.len();
+    // No kernel injection: kernel huge pages would break the
+    // compulsory-equality invariant the experiment checks.
+    let grid = Fig6Config {
+        tlb_entries: cfg.tlb_entries,
+        associativities: cfg.associativities.clone(),
+        arities: cfg.arities.clone(),
+        kernel: None,
+        seed: cfg.seed,
+        batch: DEFAULT_BATCH,
+    };
 
-    // Cell order fixes both the report row order and the merged-stream
-    // order: per associativity the vanilla cell then one mosaic cell
-    // per arity (Figure 6's order), then the two memory managers.
-    let mut inputs: Vec<(AttribCellSpec, ObsHandle)> = Vec::new();
-    for &assoc in &cfg.associativities {
-        inputs.push((AttribCellSpec::Tlb(CellSpec::Vanilla(assoc)), obs.child()));
-        for &arity in &cfg.arities {
-            inputs.push((
-                AttribCellSpec::Tlb(CellSpec::Mosaic(assoc, arity)),
-                obs.child(),
-            ));
-        }
-    }
-    inputs.push((AttribCellSpec::Mem(MemKind::Mosaic), obs.child()));
-    inputs.push((AttribCellSpec::Mem(MemKind::Linux), obs.child()));
-
-    let outcomes = run_cells(jobs, inputs, |i, (spec, child)| {
-        let out = match spec {
-            AttribCellSpec::Tlb(tlb_spec) => Some(run_fig6_cell(
-                &os,
-                &trace,
-                cfg.tlb_entries,
-                tlb_spec,
-                &child,
-                &snapshots,
-                &classes,
-            )),
-            AttribCellSpec::Mem(kind) => {
-                run_mem_cell(cfg, kind, &trace, &child, &snapshots, i);
-                None
+    // Cell order fixes the merged-stream order: the TLB grid, then the
+    // two memory managers.
+    let inputs = vec![
+        (Cell::Tlb, obs.child()),
+        (Cell::Mem(MemKind::Mosaic), obs.child()),
+        (Cell::Mem(MemKind::Linux), obs.child()),
+    ];
+    let outcomes = run_cells(jobs, inputs, |i, (cell, child)| {
+        let rows = match cell {
+            Cell::Tlb => {
+                let mut replay = trace.replayer();
+                let rows = run_grid(&grid, &mut replay, &child, obs_interval, true);
+                if let Some(e) = replay.into_error() {
+                    panic!("reference trace replay failed: {e}");
+                }
+                rows
+            }
+            Cell::Mem(kind) => {
+                run_mem_cell(cfg, kind, &trace, &child, obs_interval, i);
+                Vec::new()
             }
         };
-        // Final per-cell snapshot: covers the tail past the last
-        // interval, so the cell's curve reaches the end of the trace
-        // (a table flat over the tail is simply not re-emitted).
-        if child.is_enabled() {
-            child.snapshot(refs);
-        }
-        (spec, out, child)
+        (cell, rows, child)
     });
 
-    for (spec, stats, child) in outcomes {
-        match spec {
-            AttribCellSpec::Tlb(tlb_spec) => {
-                let (assoc, kind) = match tlb_spec {
-                    CellSpec::Vanilla(a) => (a, TlbKind::Vanilla),
-                    CellSpec::Mosaic(a, k) => (a, TlbKind::Mosaic(k)),
-                };
-                let table = child.attrib_table(&format!("tlb.{}", tlb_spec.label()));
-                report.tlb.push(TlbAttribRow {
-                    workload: wl.name(),
-                    assoc,
-                    kind,
-                    stats: stats.expect("TLB cells return stats"),
-                    compulsory: table.category_total(AttribCategory::Compulsory),
-                    capacity: table.category_total(AttribCategory::Capacity),
-                    conflict: table.category_total(AttribCategory::Conflict),
-                });
+    for (cell, rows, child) in outcomes {
+        match cell {
+            Cell::Tlb => {
+                for row in rows {
+                    let arity = match row.kind {
+                        TlbKind::Vanilla => None,
+                        TlbKind::Mosaic(a) => Some(a),
+                    };
+                    let table =
+                        child.attrib_table(&format!("tlb.{}", instance_label(row.assoc, arity)));
+                    report.tlb.push(TlbAttribRow {
+                        workload: wl.name(),
+                        assoc: row.assoc,
+                        kind: row.kind,
+                        stats: row.stats,
+                        compulsory: table.category_total(AttribCategory::Compulsory),
+                        capacity: table.category_total(AttribCategory::Capacity),
+                        conflict: table.category_total(AttribCategory::Conflict),
+                    });
+                }
             }
-            AttribCellSpec::Mem(kind) => {
+            Cell::Mem(kind) => {
                 let table = child.attrib_table(&format!("{}.faults", kind.prefix()));
                 report.mem.push(MemAttribRow {
                     workload: wl.name(),
@@ -397,12 +367,9 @@ fn run_one_workload(
                 });
             }
         }
-        if obs.is_enabled() {
-            obs.merge_from(&child);
-        }
+        obs.merge_from(&child);
     }
     if obs.is_enabled() {
-        os.publish_obs();
         obs.snapshot(refs);
     }
 }
@@ -413,12 +380,14 @@ fn run_one_workload(
 /// Pages alternate between [`TENANT_EVEN`] and [`TENANT_ODD`] by VPN
 /// parity; the odd tenant is quota'd to a quarter of memory (exercising
 /// quota self-eviction) and released at the end (exit shootdown).
+/// `child` is snapshotted every `obs_interval` references and at the
+/// end of the trace.
 fn run_mem_cell(
     cfg: &AttribConfig,
     kind: MemKind,
-    trace: &crate::trace_buffer::TraceBuffer,
+    trace: &TraceBuffer,
     child: &ObsHandle,
-    snapshots: &[(u64, u64)],
+    obs_interval: u64,
     cell_index: usize,
 ) {
     let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
@@ -462,7 +431,6 @@ fn run_mem_cell(
     let mut now = 0u64;
     let mut dropped = 0u64;
     let mut max_vpn = 0u64;
-    let mut snap = snapshots.iter().copied().peekable();
     trace
         .replay(&mut |a| {
             now += 1;
@@ -474,10 +442,9 @@ fn run_mem_cell(
                 // access, keep the manager consistent.
                 dropped += 1;
             }
-            if snap.peek().is_some_and(|&(r, _)| r == now) {
-                let (_, stamp) = snap.next().expect("peeked position");
+            if obs_interval > 0 && now.is_multiple_of(obs_interval) && child.is_enabled() {
                 mgr.publish_obs();
-                child.snapshot(stamp);
+                child.snapshot(now);
             }
         })
         .expect("reference trace replay failed");
@@ -514,6 +481,7 @@ fn run_mem_cell(
         child
             .counter(&format!("{}.attrib_dropped", kind.prefix()))
             .add(dropped);
+        child.snapshot(trace.len());
     }
 }
 

@@ -45,7 +45,7 @@ impl KernelConfig {
     }
 
     /// Draws the next kernel page to touch.
-    pub(crate) fn next_page(&self, rng: &mut SplitMix64) -> u64 {
+    fn next_page(&self, rng: &mut SplitMix64) -> u64 {
         if rng.next_below(8) < 7 {
             rng.next_below(self.hot_pages())
         } else {
@@ -65,59 +65,9 @@ impl Default for KernelConfig {
     }
 }
 
-/// The kernel-injection state machine, factored out of [`DualSim`] so
-/// the parallel engine's record-once reference pass replays *exactly*
-/// the serial simulator's kernel stream (same RNG seeding, same due
-/// counter semantics).
-#[derive(Debug)]
-pub(crate) struct KernelInjector {
-    cfg: KernelConfig,
-    rng: SplitMix64,
-    due: u64,
-}
-
-impl KernelInjector {
-    /// Builds the injector exactly as [`DualSim::new`] seeds it.
-    pub(crate) fn new(cfg: KernelConfig, seed: u64) -> Self {
-        Self {
-            cfg,
-            rng: SplitMix64::new(seed ^ 0x4B45_524E),
-            due: 0,
-        }
-    }
-
-    /// Called once after every user access; returns the kernel VPN to
-    /// inject when one is due.
-    pub(crate) fn after_user_access(&mut self) -> Option<Vpn> {
-        self.due += 1;
-        if self.due >= self.cfg.period {
-            self.due = 0;
-            let page = self.cfg.next_page(&mut self.rng);
-            Some(Vpn(KERNEL_VPN_BASE + page))
-        } else {
-            None
-        }
-    }
-}
-
-/// Builds the OS model sized as every Figure 6 driver sizes it. Shared
-/// by [`DualSim::new`] and the parallel engine's reference pass so the
-/// two can never drift apart.
-pub(crate) fn reference_os(
-    arities: &[Arity],
-    footprint_pages: u64,
-    kernel_pages: u64,
-    seed: u64,
-    asid: Asid,
-) -> OsModel {
-    let frames = frames_for_footprint(footprint_pages, kernel_pages);
-    let layout = MemoryLayout::default().with_at_least_frames(frames);
-    OsModel::with_asid(layout, arities, seed, asid)
-}
-
 /// A TLB instance's obs label, `<design>.<associativity>` in lowercase
-/// (`vanilla.direct`, `mosaic-4.full`): both Figure 6 engines register
-/// counters as `tlb.<label>.*` and 3C tables as `tlb.<label>`.
+/// (`vanilla.direct`, `mosaic-4.full`): [`DualSim::set_obs`] registers
+/// instance counters as `tlb.<label>.*` and 3C tables as `tlb.<label>`.
 pub(crate) fn instance_label(assoc: Associativity, arity: Option<Arity>) -> String {
     let assoc = assoc.to_string().to_lowercase();
     match arity {
@@ -164,7 +114,11 @@ pub struct DualSim {
     /// Per-instance 3C counts, parallel to `instances` (noop sinks until
     /// attribution is on), flushed at the end of every batch.
     tallies: Vec<ClassTally>,
-    kernel: Option<KernelInjector>,
+    kernel: Option<KernelConfig>,
+    /// Draws the injected kernel pages.
+    kernel_rng: SplitMix64,
+    /// User accesses since the last kernel injection.
+    kernel_due: u64,
     user_accesses: u64,
     /// Batch scratch (reused allocation): the expanded reference stream.
     batch_refs: Vec<Vpn>,
@@ -223,7 +177,9 @@ impl DualSim {
         asid: Asid,
     ) -> Self {
         let kernel_pages = kernel.map_or(0, |k| k.pages);
-        let os = reference_os(arities, footprint_pages, kernel_pages, seed, asid);
+        let frames = frames_for_footprint(footprint_pages, kernel_pages);
+        let layout = MemoryLayout::default().with_at_least_frames(frames);
+        let os = OsModel::with_asid(layout, arities, seed, asid);
 
         let mut instances = Vec::new();
         for &assoc in associativities {
@@ -237,7 +193,6 @@ impl DualSim {
             }
         }
 
-        let kernel = kernel.map(|k| KernelInjector::new(k, seed));
         let tallies = vec![ClassTally::default(); instances.len()];
         Self {
             os,
@@ -246,6 +201,8 @@ impl DualSim {
             classes: None,
             tallies,
             kernel,
+            kernel_rng: SplitMix64::new(seed ^ 0x4B45_524E),
+            kernel_due: 0,
             user_accesses: 0,
             batch_refs: Vec::new(),
             batch_growth: Vec::new(),
@@ -297,8 +254,11 @@ impl DualSim {
                 self.batch_growth.push((self.batch_refs.len() as u32, vpn));
             }
             self.batch_refs.push(vpn);
-            if let Some(injector) = &mut self.kernel {
-                if let Some(kvpn) = injector.after_user_access() {
+            if let Some(k) = &self.kernel {
+                self.kernel_due += 1;
+                if self.kernel_due >= k.period {
+                    self.kernel_due = 0;
+                    let kvpn = Vpn(KERNEL_VPN_BASE + k.next_page(&mut self.kernel_rng));
                     if self.os.touch(kvpn, AccessKind::Load) {
                         self.batch_growth.push((self.batch_refs.len() as u32, kvpn));
                     }
@@ -418,7 +378,19 @@ impl DualSim {
     /// shared [`ClassPass`] for the grid and charges each instance's 3C
     /// classes into its `tlb.<label>` attribution table.
     pub fn set_obs(&mut self, obs: &mosaic_obs::ObsHandle) {
-        self.os.set_obs(obs);
+        self.bind_obs(obs, true);
+    }
+
+    /// [`DualSim::set_obs`], leaving the mosaic allocator unbound when
+    /// `alloc_obs` is false: a grid split across several simulations
+    /// rebuilds the same deterministic OS model in each, so only one of
+    /// them may export the `mosaic.*` allocator counters.
+    pub(crate) fn bind_obs(&mut self, obs: &mosaic_obs::ObsHandle, alloc_obs: bool) {
+        if alloc_obs {
+            self.os.set_obs(obs);
+        } else {
+            self.os.set_walker_obs(obs);
+        }
         let arities = self.os.arities();
         let mut entries = 0;
         for ((assoc, inst), tally) in self.instances.iter_mut().zip(&mut self.tallies) {

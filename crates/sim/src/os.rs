@@ -126,6 +126,11 @@ impl OsModel {
     pub fn set_obs(&mut self, obs: &mosaic_obs::ObsHandle) {
         use mosaic_mem::MemoryManager as _;
         self.mosaic.set_obs(obs, "mosaic");
+        self.set_walker_obs(obs);
+    }
+
+    /// [`OsModel::set_obs`] for the page-table walkers only.
+    pub(crate) fn set_walker_obs(&mut self, obs: &mosaic_obs::ObsHandle) {
         self.vanilla_pt.set_obs(obs, "vanilla");
         for (arity, pt) in &mut self.mosaic_pts {
             pt.set_obs(obs, &format!("mosaic-{}", arity.get()));
@@ -373,25 +378,6 @@ impl OsModel {
     /// The arities this model maintains page tables for.
     pub fn arities(&self) -> Vec<Arity> {
         self.mosaic_pts.iter().map(|&(a, _)| a).collect()
-    }
-
-    /// The vanilla 4 KiB radix table (parallel cells clone it into a
-    /// private walker so per-cell walk accounting stays independent).
-    pub(crate) fn vanilla_table(&self) -> &RadixTable<Pfn> {
-        self.vanilla_pt.table()
-    }
-
-    /// The vanilla 2 MiB kernel mappings, shared read-only by parallel
-    /// cells (huge walks never touch the radix walker's counters).
-    pub(crate) fn vanilla_huge_map(&self) -> &HashMap<u64, Pfn> {
-        &self.vanilla_huge
-    }
-
-    /// The unmapped-sub-page sentinel CPFN new ToCs are initialized
-    /// with — parallel cells use it to grow their shadow page tables
-    /// exactly as [`OsModel::touch`] grows the reference ones.
-    pub(crate) fn unmapped_sentinel(&self) -> mosaic_mem::Cpfn {
-        self.mosaic.codec().unmapped()
     }
 
     /// Checks dual-world agreement: the mosaic manager's own invariants,

@@ -1,11 +1,11 @@
 //! Deterministic parallel cell execution for the sweep drivers.
 //!
-//! A *cell* is one independent unit of a sweep grid — one
-//! (associativity × TLB kind) pair of Figure 6, one (workload × ratio)
-//! pair of Table 4, one fragmentation level, one hash-function count of
-//! Table 5. Cells share only immutable inputs (a recorded
-//! [`TraceBuffer`](crate::trace_buffer::TraceBuffer), a frozen OS
-//! model), so they can fan out across threads freely.
+//! A *cell* is one independent unit of a sweep grid — one contiguous
+//! part of Figure 6's associativities, one (workload × ratio) pair of
+//! Table 4, one fragmentation level, one hash-function count of
+//! Table 5. Cells share only immutable inputs (such as a recorded
+//! [`TraceBuffer`](crate::trace_buffer::TraceBuffer)), so they can fan
+//! out across threads freely.
 //!
 //! [`run_cells`] is the one execution primitive: it maps a closure over
 //! the cells on a rayon pool of `jobs` threads and returns the results

@@ -1,12 +1,11 @@
-//! Record-once / replay-many traces: the substrate of the parallel
-//! sweep engine.
+//! Record-once / replay-many traces for parallel sweeps.
 //!
-//! [`DualSim`](crate::dual::DualSim) used to regenerate a workload's
-//! reference stream from scratch for every (associativity × TLB-kind)
-//! cell of a sweep. A [`TraceBuffer`] instead records the stream once —
-//! into compact packed 8-byte records, chunked so recording never
-//! reallocates a giant contiguous block — and replays it read-only to
-//! any number of cells, concurrently.
+//! A sweep whose cells each consume a workload's reference stream (the
+//! parts of a Figure 6 grid, the managers of a Table 4 cell) records
+//! the stream once in a [`TraceBuffer`] — compact packed 8-byte
+//! records, chunked so recording never reallocates a giant contiguous
+//! block — and replays it read-only to any number of cells,
+//! concurrently.
 //!
 //! Streams that outgrow an in-memory byte budget (default 128 MiB) spill
 //! all-or-nothing to a temporary file in the exact
@@ -260,9 +259,8 @@ impl Workload for TraceReplayer<'_> {
 }
 
 /// Push-style recorder for streams that are produced inside a sink
-/// closure (the Figure 6 reference pass interleaves kernel accesses into
-/// the user stream as it records, so it cannot hand the whole workload
-/// to [`TraceBuffer::record`]).
+/// closure rather than by one [`Workload`] that can be handed to
+/// [`TraceBuffer::record`].
 ///
 /// `push` is infallible so it can be called from `FnMut(Access)` sinks;
 /// spill I/O errors are latched and surface from

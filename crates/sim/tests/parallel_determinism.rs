@@ -75,9 +75,9 @@ fn fig6_with_kernel_identical_across_job_counts() {
 
 #[test]
 fn fig6_attrib_tables_identical_across_engines() {
-    // jobs 1 classifies inside `DualSim`'s batches; jobs 2 classifies the
-    // recorded stream once before the cells fan out. Both must charge
-    // every instance's misses to the same 3C cells.
+    // jobs 1 classifies inside one `DualSim`; jobs 2 splits the grid
+    // into two `DualSim`s, each classifying the recorded stream again.
+    // Both must charge every instance's misses to the same 3C cells.
     let cfg = Fig6Config {
         kernel: Some(mosaic_sim::dual::KernelConfig {
             pages: 64,

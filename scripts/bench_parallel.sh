@@ -2,17 +2,16 @@
 # Measures serial-vs-parallel wall times for the sweep drivers and
 # writes BENCH_parallel.json.
 #
-# The engine's contract is byte-identical output at any --jobs value;
-# the speedup is whatever the host's cores allow. On a single-CPU
-# container the fan-out cannot beat the serial engine — the numbers
-# then record the engine's overhead honestly (host_cores in the JSON
-# says which regime a record came from).
+# The drivers' contract is byte-identical output at any --jobs value;
+# the speedup is whatever the host's cores allow (host_cores and git_rev
+# in the JSON say where a record came from).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release -q -p mosaic-bench
 BIN=target/release
 HOST_CORES=$(nproc)
+GIT_REV=$(git describe --always --dirty --abbrev=12 2>/dev/null || echo unknown)
 JOBS_SWEEP=(1 2 4 8)
 
 # Wall time of one invocation in milliseconds, plus the ns/access figure
@@ -60,6 +59,7 @@ speedup() {
 cat > BENCH_parallel.json <<EOF
 {
   "host_cores": ${HOST_CORES},
+  "git_rev": "${GIT_REV}",
   "jobs_sweep": [$(IFS=,; echo "${JOBS_SWEEP[*]}")],
   "benchmarks": [
     {
@@ -81,7 +81,7 @@ $(join_records table4_times table4_ns)
       "speedup_at_max_jobs": $(speedup table4_times)
     }
   ],
-  "note": "Wall-clock times from scripts/bench_parallel.sh. Output is byte-identical at every jobs value (gated in scripts/check.sh and crates/sim/tests/parallel_determinism.rs); speedup scales with host_cores. On a host_cores=1 container the parallel engine cannot beat the serial one and these numbers record its overhead instead — rerun on a multi-core host for real scaling."
+  "note": "Wall-clock times from scripts/bench_parallel.sh. Output is byte-identical at every jobs value (gated in scripts/check.sh and crates/sim/tests/parallel_determinism.rs); speedup is bounded by host_cores."
 }
 EOF
-echo "[bench_parallel] wrote BENCH_parallel.json (host_cores=${HOST_CORES})" >&2
+echo "[bench_parallel] wrote BENCH_parallel.json (host_cores=${HOST_CORES}, git_rev=${GIT_REV})" >&2

@@ -62,7 +62,8 @@ echo "==> batch-size gate (fig6: batches of one vs the default batch, --jobs 8)"
 cmp "$OBS_TMP/scalarout.txt" "$OBS_TMP/parout1.txt"
 cmp "$OBS_TMP/scalar.jsonl" "$OBS_TMP/par1.jsonl"
 # Across jobs values the contract is stdout byte-identity (the JSONL
-# stream layout is engine-specific; its self-determinism is gated above).
+# stream layout depends on how many parts --jobs splits the grid into;
+# its self-determinism is gated above).
 ./target/release/fig6 gups --scale 0 --entries 64 --no-kernel --jobs 8 \
   --obs-out "$OBS_TMP/par8.jsonl" --obs-interval 5000 \
   > "$OBS_TMP/parout8.txt" 2>/dev/null
@@ -93,6 +94,10 @@ for jobs in 1 4 8; do
     > "$OBS_TMP/t4j$jobs.txt" 2>/dev/null
   cmp "$OBS_TMP/t4j$jobs.txt" "$OBS_TMP/t4scalar.txt"
 done
+
+echo "==> fig6 golden gate (fig6 --jobs 2 must reproduce results_fig6.txt)"
+./target/release/fig6 --jobs 2 > "$OBS_TMP/f6gold.txt" 2>/dev/null
+cmp "$OBS_TMP/f6gold.txt" results_fig6.txt
 
 echo "==> table4 golden gate (batched default must reproduce results_table4.txt)"
 ./target/release/table4 --jobs 4 > "$OBS_TMP/t4gold.txt" 2>/dev/null
