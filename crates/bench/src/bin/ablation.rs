@@ -37,15 +37,6 @@ independent cells (policies, baselines, d values, splits, timestamp
 modes) fanned out over --jobs threads; tables, sweep events, and merged
 observability are emitted in the serial order afterwards.";
 
-/// Per-cell observability child, merged into the sink post-join.
-fn mk_child(enabled: bool) -> ObsHandle {
-    if enabled {
-        ObsHandle::enabled()
-    } else {
-        ObsHandle::noop()
-    }
-}
-
 /// Metric-name slug for a human-readable run label.
 fn slug(s: &str) -> String {
     let mut out = String::new();
@@ -103,13 +94,12 @@ fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
     let jobs = args.jobs_or_exit();
-    let buckets = args.get_u64("buckets", 64) as usize;
+    let buckets = args.buckets_or_exit(64);
     let sink = ObsSink::from_args(&args, "ablation");
     if sink.is_enabled() {
         sink.handle()
             .meta(&[("buckets", Value::from(buckets as u64))]);
     }
-    let enabled = sink.is_enabled();
     let obs_interval = sink.interval();
     let layout = MemoryLayout::new(IcebergConfig::paper_default(buckets));
     let target = layout.bytes() * 5 / 4; // 125 % footprint
@@ -135,8 +125,7 @@ fn main() {
         MosaicPolicy::ReservedCapacity { reserve_permille: 80 },
     ];
     eprintln!("[ablation] {} policy cells on {jobs} thread(s) ...", policies.len());
-    for (row, child) in run_cells(jobs, policies, |_, policy| {
-        let child = mk_child(enabled);
+    for row in run_cells(jobs, sink.handle(), policies, |_, policy, child| {
         let mut mm = MosaicMemory::with_policy(layout, 7, policy);
         drive(
             &mut mm,
@@ -144,10 +133,10 @@ fn main() {
             target,
             7,
             &format!("policy {policy}"),
-            &child,
+            child,
             obs_interval,
         );
-        let row = vec![
+        vec![
             policy.to_string(),
             mm.stats().swap_ops().to_string(),
             mm.stats().conflicts.to_string(),
@@ -156,12 +145,8 @@ fn main() {
                 "{:.2}",
                 mm.utilization_tracker().steady_state_mean().unwrap_or(0.0) * 100.0
             ),
-        ];
-        (row, child)
+        ]
     }) {
-        if enabled {
-            sink.handle().merge_from(&child);
-        }
         t1.row(row);
     }
     println!("{}", t1.render());
@@ -180,8 +165,7 @@ fn main() {
     .with_title("Ablation 2: Mosaic vs baseline reclaim fidelity (same stream)");
     let baselines = ["Mosaic (Horizon LRU)", "Baseline: exact LRU", "Baseline: 2-list clock"];
     eprintln!("[ablation] {} manager cells on {jobs} thread(s) ...", baselines.len());
-    for (row, child) in run_cells(jobs, (0..baselines.len()).collect(), |_, which| {
-        let child = mk_child(enabled);
+    for row in run_cells(jobs, sink.handle(), (0..baselines.len()).collect(), |_, which, child| {
         let name = baselines[which];
         // Each cell builds its own manager so the drives are independent.
         let mut mosaic;
@@ -201,20 +185,16 @@ fn main() {
                 &mut clock
             }
         };
-        drive(mgr, workload, target, 7, name, &child, obs_interval);
-        let row = vec![
+        drive(mgr, workload, target, 7, name, child, obs_interval);
+        vec![
             name.to_string(),
             mgr.stats().swap_ops().to_string(),
             format!(
                 "{:.2}",
                 mgr.utilization_tracker().steady_state_mean().unwrap_or(0.0) * 100.0
             ),
-        ];
-        (row, child)
+        ]
     }) {
-        if enabled {
-            sink.handle().merge_from(&child);
-        }
         t2.row(row);
     }
     println!("{}", t2.render());
@@ -226,7 +206,7 @@ fn main() {
         "First-conflict load (%)".into(),
     ])
     .with_title("Ablation 3: power-of-d-choices vs achievable load (56 + d x 8 geometry)");
-    for (d, cfg, s) in run_cells(jobs, vec![1usize, 2, 3, 4, 6, 8], |_, d| {
+    for (d, cfg, s) in run_cells(jobs, &ObsHandle::noop(), vec![1usize, 2, 3, 4, 6, 8], |_, d, _| {
         let cfg = IcebergConfig::new(buckets.max(8), 56, 8, d);
         (d, cfg, experiments::first_conflict_summary(cfg, 5, 3))
     }) {
@@ -257,8 +237,9 @@ fn main() {
     .with_title("Ablation 4: bucket split between yards (64 frames per bucket, d = 6)");
     for (front, back, cfg, s) in run_cells(
         jobs,
+        &ObsHandle::noop(),
         vec![(63, 1), (60, 4), (56, 8), (48, 16), (32, 32)],
-        |_, (front, back)| {
+        |_, (front, back), _| {
             let cfg = IcebergConfig::new(buckets.max(8), front, back, 6);
             (front, back, cfg, experiments::first_conflict_summary(cfg, 6, 3))
         },
@@ -291,9 +272,8 @@ fn main() {
     ])
     .with_title("Ablation 5: exact timestamps vs the access-bit scanning daemon (§3.2)");
     eprintln!("[ablation] 2 timestamp cells on {jobs} thread(s) ...");
-    for (row, child) in run_cells(jobs, vec![false, true], |_, use_scanner| {
-        let child = mk_child(enabled);
-        let row = if use_scanner {
+    for row in run_cells(jobs, sink.handle(), vec![false, true], |_, use_scanner, child| {
+        if use_scanner {
             // Scan interval ~ one pass over memory, the analogue of the
             // paper's 1 s wall-clock interval on its 4 GiB pool.
             let mut scanned = MosaicMemory::with_scanner(
@@ -304,7 +284,7 @@ fn main() {
                     ..Default::default()
                 },
             );
-            drive(&mut scanned, workload, target, 7, "ts scanned", &child, obs_interval);
+            drive(&mut scanned, workload, target, 7, "ts scanned", child, obs_interval);
             let st = *scanned.scanner().expect("scanner mode").stats();
             vec![
                 "Scanned (access bits + 20% hot sampling)".into(),
@@ -314,19 +294,15 @@ fn main() {
             ]
         } else {
             let mut exact = MosaicMemory::new(layout, 7);
-            drive(&mut exact, workload, target, 7, "ts exact", &child, obs_interval);
+            drive(&mut exact, workload, target, 7, "ts exact", child, obs_interval);
             vec![
                 "Exact (ideal hardware)".into(),
                 exact.stats().swap_ops().to_string(),
                 "-".into(),
                 "-".into(),
             ]
-        };
-        (row, child)
-    }) {
-        if enabled {
-            sink.handle().merge_from(&child);
         }
+    }) {
         t5.row(row);
     }
     println!("{}", t5.render());

@@ -38,7 +38,7 @@ fn main() {
     let jobs = args.jobs_or_exit();
 
     let mut cfg = AttribConfig::paper();
-    cfg.mem_buckets = args.get_u64("buckets", cfg.mem_buckets as u64) as usize;
+    cfg.mem_buckets = args.buckets_or_exit(cfg.mem_buckets);
     cfg.tlb_entries = entries_or_exit(
         args.get_u64("entries", cfg.tlb_entries as u64) as usize,
         &cfg.associativities,

@@ -21,7 +21,7 @@ use mosaic_core::sim::pressure::{
 };
 use mosaic_core::sim::report::Table;
 use mosaic_core::sim::run_cells;
-use mosaic_obs::{ObsHandle, Value};
+use mosaic_obs::Value;
 
 const USAGE: &str = "\
 table3 [--buckets N] [--runs K] [--csv] [--obs-out F] [--obs-interval R] [--jobs N]
@@ -35,7 +35,7 @@ fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
     let jobs = args.jobs_or_exit();
-    let buckets = args.get_u64("buckets", 64) as usize;
+    let buckets = args.buckets_or_exit(64);
     let runs = args.get_u64("runs", 3).max(1);
     let sink = ObsSink::from_args(&args, "table3");
     if sink.is_enabled() {
@@ -60,20 +60,14 @@ fn main() {
     // cell is independent, so the grid fans out across `--jobs` threads;
     // seeds stay tied to (workload, run), never to the thread.
     let obs_interval = sink.interval();
-    let enabled = sink.is_enabled();
     let mut grid = Vec::new();
     for &ratio in &PressureConfig::table3_ratios() {
         for (widx, w) in PressureWorkload::ALL.into_iter().enumerate() {
-            let child = if enabled {
-                ObsHandle::enabled()
-            } else {
-                ObsHandle::noop()
-            };
-            grid.push((ratio, widx, w, child));
+            grid.push((ratio, widx, w));
         }
     }
     eprintln!("[table3] {} cells x {runs} run(s) on {jobs} thread(s) ...", grid.len());
-    let outcomes = run_cells(jobs, grid, |_, (ratio, widx, w, child)| {
+    let outcomes = run_cells(jobs, sink.handle(), grid, |_, (ratio, widx, w), child| {
         let mut first = Vec::new();
         let mut steady = Vec::new();
         let mut footprint = 0u64;
@@ -90,7 +84,7 @@ fn main() {
                 ratio,
                 &cfg,
                 &ResilienceConfig::none(),
-                &child,
+                child,
                 obs_interval,
             )
             .unwrap_or_else(|e| panic!("fault-free pressure run cannot fail: {e}"));
@@ -100,12 +94,9 @@ fn main() {
                 steady.push(s);
             }
         }
-        ((w, footprint, first, steady), child)
+        (w, footprint, first, steady)
     });
-    for ((w, footprint, first, steady), child) in outcomes {
-        if enabled {
-            sink.handle().merge_from(&child);
-        }
+    for (w, footprint, first, steady) in outcomes {
         if first.is_empty() {
             continue; // no conflict at this footprint (headroom run)
         }

@@ -23,11 +23,10 @@
 
 use mosaic_bench::obs::ObsSink;
 use mosaic_bench::{Args, JOBS_HELP};
-use mosaic_core::prelude::*;
 use mosaic_core::sim::platform::SwapPlatform;
 use mosaic_core::sim::pressure::{
-    render_resilience, render_table4, run_table4_cells, run_table4_observed_jobs, PressureConfig,
-    PressureWorkload, ResilienceConfig,
+    render_resilience, render_table4, run_table4, PressureConfig, PressureWorkload,
+    ResilienceConfig,
 };
 use mosaic_obs::Value;
 
@@ -47,7 +46,7 @@ fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
     let jobs = args.jobs_or_exit();
-    let buckets = args.get_u64("buckets", 64) as usize;
+    let buckets = args.buckets_or_exit(64);
     // Parsed up front so a malformed value fails before the long sweep.
     let fault_ppm = args.get_u64("fault-ppm", 0) as u32;
     let cfg = PressureConfig {
@@ -72,7 +71,7 @@ fn main() {
         PressureWorkload::ALL.len() * ratios.len()
     );
     let t0 = std::time::Instant::now();
-    let (rows, reports): (Vec<_>, Vec<_>) = run_table4_observed_jobs(
+    let (rows, reports): (Vec<_>, Vec<_>) = run_table4(
         &cfg,
         &ratios,
         &ResilienceConfig::none(),
@@ -80,8 +79,8 @@ fn main() {
         sink.interval(),
         jobs,
     )
-    .unwrap_or_else(|e| panic!("fault-free pressure run cannot fail: {e}"))
     .into_iter()
+    .map(|cell| cell.unwrap_or_else(|e| panic!("fault-free pressure run cannot fail: {e}")))
     .unzip();
     let wall = t0.elapsed();
     let stepped: u64 = reports.iter().map(|r| r.accesses_driven).sum();
@@ -123,14 +122,7 @@ fn main() {
     );
 
     if fault_ppm > 0 {
-        let res = ResilienceConfig {
-            plan: FaultPlan::NONE
-                .with_alloc_failures(fault_ppm)
-                .with_io_failures(fault_ppm, 2)
-                .with_toc_flips(fault_ppm),
-            fault_seed: cfg.seed ^ 0xFA17,
-            verify_every: 250_000,
-        };
+        let res = ResilienceConfig::at_ppm(fault_ppm, cfg.seed ^ 0xFA17, 250_000);
         eprintln!(
             "[table4] {} cells on {jobs} thread(s) (faults {fault_ppm} ppm) ...",
             PressureWorkload::ALL.len() * ratios.len()
@@ -142,7 +134,7 @@ fn main() {
             }
         }
         let mut frows = Vec::new();
-        let outs = run_table4_cells(&cfg, &ratios, &res, sink.handle(), sink.interval(), jobs);
+        let outs = run_table4(&cfg, &ratios, &res, sink.handle(), sink.interval(), jobs);
         for ((w, ratio), out) in grid.into_iter().zip(outs) {
             match out {
                 Ok(row) => frows.push(row),

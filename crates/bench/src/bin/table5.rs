@@ -13,7 +13,7 @@ use mosaic_bench::{Args, JOBS_HELP};
 use mosaic_core::hw::{asic, circuit::TabHashCircuit, fpga};
 use mosaic_core::sim::report::Table;
 use mosaic_core::sim::run_cells;
-use mosaic_obs::Value;
+use mosaic_obs::{ObsHandle, Value};
 
 const USAGE: &str = "\
 table5 [--csv] [--obs-out F] [--jobs N]
@@ -49,9 +49,12 @@ fn main() {
     .with_title("Table 5: size and latency of the Tabulation Hash circuit on an FPGA");
     // Each synthesis point is a pure function of H, so the sweep fans out
     // as cells; rows/events are emitted post-join in H order regardless.
-    let points = run_cells(jobs, vec![1usize, 2, 4, 8], |_, h| {
-        (fpga::synthesize(h), asic::synthesize(h))
-    });
+    let points = run_cells(
+        jobs,
+        &ObsHandle::noop(),
+        vec![1usize, 2, 4, 8],
+        |_, h, _| (fpga::synthesize(h), asic::synthesize(h)),
+    );
     for (r, _) in &points {
         sink.handle().event(
             r.hash_functions as u64,

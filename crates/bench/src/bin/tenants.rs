@@ -20,7 +20,6 @@
 
 use mosaic_bench::obs::ObsSink;
 use mosaic_bench::{Args, JOBS_HELP};
-use mosaic_core::prelude::*;
 use mosaic_core::sim::pressure::ResilienceConfig;
 use mosaic_core::sim::report::Table;
 use mosaic_core::tenants::{
@@ -211,7 +210,7 @@ fn main() {
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
     let jobs = args.jobs_or_exit();
     let tenants = args.get_u64("tenants", 64) as usize;
-    let buckets = args.get_u64("buckets", 64) as usize;
+    let buckets = args.buckets_or_exit(64);
     let seed = args.get_u64("seed", 0x7E4A47);
     let theta = args.get_u64("theta-centi", 99) as f64 / 100.0;
     let steps = args.get_u64("steps", 400_000);
@@ -295,20 +294,9 @@ fn main() {
         ]);
     }
 
+    let faults = ResilienceConfig::at_ppm(fault_ppm, seed ^ 0xFA17, 250_000);
     if isolation {
-        let res = if fault_ppm > 0 {
-            ResilienceConfig {
-                plan: FaultPlan::NONE
-                    .with_alloc_failures(fault_ppm)
-                    .with_io_failures(fault_ppm, 2)
-                    .with_toc_flips(fault_ppm),
-                fault_seed: seed ^ 0xFA17,
-                verify_every: 250_000,
-            }
-        } else {
-            ResilienceConfig::none()
-        };
-        run_isolation_study(&base, &loads_pct, &res, &sink, jobs);
+        run_isolation_study(&base, &loads_pct, &faults, &sink, jobs);
         sink.finish();
         return;
     }
@@ -323,15 +311,7 @@ fn main() {
     );
 
     if fault_ppm > 0 {
-        let res = ResilienceConfig {
-            plan: FaultPlan::NONE
-                .with_alloc_failures(fault_ppm)
-                .with_io_failures(fault_ppm, 2)
-                .with_toc_flips(fault_ppm),
-            fault_seed: seed ^ 0xFA17,
-            verify_every: 250_000,
-        };
-        run_sweep(&base, &loads_pct, &res, &sink, jobs, " [faults]");
+        run_sweep(&base, &loads_pct, &faults, &sink, jobs, " [faults]");
     }
 
     sink.finish();

@@ -22,7 +22,6 @@ use mosaic_core::mmu::{Arity, RadixTable, WalkCache};
 use mosaic_core::sim::report::Table;
 use mosaic_core::sim::run_cells;
 use mosaic_core::workloads::{BTreeConfig, BTreeWorkload, Workload};
-use mosaic_obs::ObsHandle;
 
 const USAGE: &str = "\
 walkcost [--keys N] [--lookups N] [--obs-out F] [--jobs N]
@@ -94,15 +93,10 @@ fn main() {
 
     // Every design walks the same shared, read-only stream; each cell
     // owns its page table and an obs child merged back in design order.
-    let enabled = sink.is_enabled();
     let vpns = &vpns;
     eprintln!("[walkcost] {} designs on {jobs} thread(s) ...", configs.len());
-    let outcomes = run_cells(jobs, configs, |_, (name, bits, per_level, index_of)| {
-        let child = if enabled {
-            ObsHandle::enabled()
-        } else {
-            ObsHandle::noop()
-        };
+    let rows = run_cells(jobs, sink.handle(), configs, |_, config, child| {
+        let (name, bits, per_level, index_of) = config;
         // Short metric label, e.g. "vanilla" / "mosaic-16".
         let label = name
             .split_whitespace()
@@ -123,26 +117,22 @@ fn main() {
             depth_hist.record(touched);
         }
         let mut wc = WalkCache::new(16);
-        wc.set_obs(&child, &label);
+        wc.set_obs(child, &label);
         let mut cached_fetches = 0u64;
         for v in vpns {
             cached_fetches += u64::from(wc.walk(&table, index_of(*v)).1);
         }
         let n = vpns.len() as f64;
-        let row = vec![
+        vec![
             name,
             table.levels().to_string(),
             table.len().to_string(),
             table.node_count().to_string(),
             format!("{:.2}", raw_fetches as f64 / n),
             format!("{:.2}", cached_fetches as f64 / n),
-        ];
-        (row, child)
+        ]
     });
-    for (row, child) in outcomes {
-        if enabled {
-            sink.handle().merge_from(&child);
-        }
+    for row in rows {
         t.row(row);
     }
     println!("{}", t.render());

@@ -16,6 +16,8 @@
 pub mod obs;
 pub mod obs_report;
 
+use mosaic_core::iceberg::config::PAPER_D_CHOICES;
+
 /// A malformed command-line flag, reported instead of a panic so the
 /// binaries can print a usage-style diagnostic and exit with a status
 /// code rather than a backtrace.
@@ -30,6 +32,9 @@ pub enum ArgsError {
     },
     /// `--jobs 0` — there is no such thing as a zero-thread sweep.
     ZeroJobs,
+    /// `--buckets N` below the paper geometry's backyard choices: `d`
+    /// distinct buckets must exist to choose among.
+    TooFewBuckets(u64),
 }
 
 impl std::fmt::Display for ArgsError {
@@ -41,11 +46,21 @@ impl std::fmt::Display for ArgsError {
             ArgsError::ZeroJobs => {
                 write!(f, "--jobs must be at least 1 (use 1 for the serial engine)")
             }
+            ArgsError::TooFewBuckets(n) => write!(
+                f,
+                "--buckets must be at least {PAPER_D_CHOICES} (one per backyard choice), got {n}"
+            ),
         }
     }
 }
 
 impl std::error::Error for ArgsError {}
+
+/// Prints a usage error as `error: …` and exits 2.
+fn exit_usage(e: &ArgsError) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
 
 /// The shared `--jobs` paragraph appended to every binary's `--help`.
 pub const JOBS_HELP: &str = "\
@@ -105,19 +120,12 @@ impl Args {
         &self.positional
     }
 
-    /// The value of `--name` as a `u64`, or `default`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flag is present but not a number.
+    /// The value of `--name` as a `u64`, or `default` — for binaries:
+    /// a malformed value prints the [`Args::try_get_u64`] error and
+    /// exits 2.
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map_or(default, |(_, v)| {
-                v.parse().unwrap_or_else(|_| panic!("--{name} expects a number, got {v:?}"))
-            })
+        self.try_get_u64(name, default)
+            .unwrap_or_else(|e| exit_usage(&e))
     }
 
     /// The value of `--name` as a `u64`, or `default` — with a typed
@@ -154,10 +162,25 @@ impl Args {
 
     /// [`Args::jobs`] for binaries: prints the error and exits 2.
     pub fn jobs_or_exit(&self) -> usize {
-        self.jobs().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
+        self.jobs().unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// The validated `--buckets` value (Iceberg buckets of 64 frames).
+    ///
+    /// # Errors
+    ///
+    /// [`ArgsError::NotANumber`] for non-numeric values and
+    /// [`ArgsError::TooFewBuckets`] below [`PAPER_D_CHOICES`].
+    pub fn buckets(&self, default: usize) -> Result<usize, ArgsError> {
+        match self.try_get_u64("buckets", default as u64)? {
+            n if n < PAPER_D_CHOICES as u64 => Err(ArgsError::TooFewBuckets(n)),
+            n => Ok(n as usize),
+        }
+    }
+
+    /// [`Args::buckets`] for binaries: prints the error and exits 2.
+    pub fn buckets_or_exit(&self, default: usize) -> usize {
+        self.buckets(default).unwrap_or_else(|e| exit_usage(&e))
     }
 
     /// Prints `usage` and exits 0 when `--help` was passed; otherwise
@@ -210,12 +233,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expects a number")]
-    fn non_numeric_flag_panics() {
-        parse(&["bin", "--scale", "abc"]).get_u64("scale", 0);
-    }
-
-    #[test]
     fn last_flag_wins() {
         let a = parse(&["bin", "--n", "1", "--n", "2"]);
         assert_eq!(a.get_u64("n", 0), 2);
@@ -247,6 +264,15 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("expects a number"));
+    }
+
+    #[test]
+    fn buckets_below_the_backyard_choices_are_a_typed_error() {
+        assert_eq!(parse(&["bin"]).buckets(64), Ok(64));
+        assert_eq!(parse(&["bin", "--buckets", "6"]).buckets(64), Ok(6));
+        let err = parse(&["bin", "--buckets", "0"]).buckets(64).unwrap_err();
+        assert_eq!(err, ArgsError::TooFewBuckets(0));
+        assert!(err.to_string().starts_with("--buckets must be at least 6"));
     }
 
     #[test]

@@ -31,3 +31,47 @@ fn entries_no_swept_associativity_divides_is_a_usage_error() {
         );
     }
 }
+
+#[test]
+fn non_numeric_flag_values_are_usage_errors() {
+    for (bin, args, flag) in [
+        (
+            env!("CARGO_BIN_EXE_table4"),
+            &["--buckets", "abc"][..],
+            "buckets",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--scale", "abc"][..],
+            "scale",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["gups", "--batch", "abc"][..],
+            "batch",
+        ),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: --{flag} expects a number, got \"abc\""),
+            "{bin} {args:?}"
+        );
+    }
+}
+
+#[test]
+fn zero_buckets_is_a_usage_error() {
+    for bin in [
+        env!("CARGO_BIN_EXE_table3"),
+        env!("CARGO_BIN_EXE_table4"),
+        env!("CARGO_BIN_EXE_tenants"),
+        env!("CARGO_BIN_EXE_ablation"),
+        env!("CARGO_BIN_EXE_attrib"),
+    ] {
+        let (code, stderr) = run(bin, &["--buckets", "0"]);
+        assert_eq!(code, Some(2), "{bin}: {stderr}");
+        assert!(stderr.starts_with("error: --buckets"), "{bin}: {stderr}");
+    }
+}

@@ -39,12 +39,12 @@
 
 use crate::dual::instance_label;
 use crate::fig6::{run_grid, Fig6Config, TlbKind, DEFAULT_BATCH};
-use crate::parallel::{derive_seed, run_cells};
+use crate::parallel::run_cells;
+use crate::pressure::ResilienceConfig;
 use crate::report::{group_digits, Table};
 use crate::trace_buffer::TraceBuffer;
 use mosaic_mem::{
-    Asid, FaultPlan, IcebergConfig, LinuxMemory, MemoryLayout, MemoryManager, MosaicMemory,
-    PageKey, TenantQuota, PAGE_SIZE,
+    Asid, IcebergConfig, MemoryLayout, MemoryManager, PageKey, TenantQuota, PAGE_SIZE,
 };
 use mosaic_mmu::{Arity, Associativity, TlbStats};
 use mosaic_obs::{AttribCategory, AttribCell, ObsHandle, Value};
@@ -307,41 +307,30 @@ fn run_one_workload(
     };
 
     // Cell order fixes the merged-stream order: the TLB grid, then the
-    // two memory managers.
-    let inputs = vec![
-        (Cell::Tlb, obs.child()),
-        (Cell::Mem(MemKind::Mosaic), obs.child()),
-        (Cell::Mem(MemKind::Linux), obs.child()),
+    // two memory managers. Each cell reads its attribution tables from
+    // its own child registry before the join merges it into `obs`.
+    let cells = vec![
+        Cell::Tlb,
+        Cell::Mem(MemKind::Mosaic),
+        Cell::Mem(MemKind::Linux),
     ];
-    let outcomes = run_cells(jobs, inputs, |i, (cell, child)| {
-        let rows = match cell {
-            Cell::Tlb => {
-                let mut replay = trace.replayer();
-                let rows = run_grid(&grid, &mut replay, &child, obs_interval, true);
-                if let Some(e) = replay.into_error() {
-                    panic!("reference trace replay failed: {e}");
-                }
-                rows
+    let outcomes = run_cells(jobs, obs, cells, |i, cell, child| match cell {
+        Cell::Tlb => {
+            let mut replay = trace.replayer();
+            let rows = run_grid(&grid, &mut replay, child, obs_interval, true);
+            if let Some(e) = replay.into_error() {
+                panic!("reference trace replay failed: {e}");
             }
-            Cell::Mem(kind) => {
-                run_mem_cell(cfg, kind, &trace, &child, obs_interval, i);
-                Vec::new()
-            }
-        };
-        (cell, rows, child)
-    });
-
-    for (cell, rows, child) in outcomes {
-        match cell {
-            Cell::Tlb => {
-                for row in rows {
+            let tlb = rows
+                .into_iter()
+                .map(|row| {
                     let arity = match row.kind {
                         TlbKind::Vanilla => None,
                         TlbKind::Mosaic(a) => Some(a),
                     };
                     let table =
                         child.attrib_table(&format!("tlb.{}", instance_label(row.assoc, arity)));
-                    report.tlb.push(TlbAttribRow {
+                    TlbAttribRow {
                         workload: wl.name(),
                         assoc: row.assoc,
                         kind: row.kind,
@@ -349,25 +338,31 @@ fn run_one_workload(
                         compulsory: table.category_total(AttribCategory::Compulsory),
                         capacity: table.category_total(AttribCategory::Capacity),
                         conflict: table.category_total(AttribCategory::Conflict),
-                    });
-                }
-            }
-            Cell::Mem(kind) => {
-                let table = child.attrib_table(&format!("{}.faults", kind.prefix()));
-                report.mem.push(MemAttribRow {
-                    workload: wl.name(),
-                    manager: kind.prefix(),
-                    cold: table.category_total(AttribCategory::Cold),
-                    capacity_evict: table.category_total(AttribCategory::CapacityEvict),
-                    cross_tenant: table.category_total(AttribCategory::CrossTenant),
-                    quota_self: table.category_total(AttribCategory::QuotaSelf),
-                    shootdown: table.category_total(AttribCategory::Shootdown),
-                    dropped: child.counter_value(&format!("{}.attrib_dropped", kind.prefix())),
-                    blame: table.cells(),
-                });
-            }
+                    }
+                })
+                .collect();
+            (tlb, None)
         }
-        obs.merge_from(&child);
+        Cell::Mem(kind) => {
+            run_mem_cell(cfg, kind, &trace, child, obs_interval, i);
+            let table = child.attrib_table(&format!("{}.faults", kind.prefix()));
+            let row = MemAttribRow {
+                workload: wl.name(),
+                manager: kind.prefix(),
+                cold: table.category_total(AttribCategory::Cold),
+                capacity_evict: table.category_total(AttribCategory::CapacityEvict),
+                cross_tenant: table.category_total(AttribCategory::CrossTenant),
+                quota_self: table.category_total(AttribCategory::QuotaSelf),
+                shootdown: table.category_total(AttribCategory::Shootdown),
+                dropped: child.counter_value(&format!("{}.attrib_dropped", kind.prefix())),
+                blame: table.cells(),
+            };
+            (Vec::new(), Some(row))
+        }
+    });
+    for (tlb, mem) in outcomes {
+        report.tlb.extend(tlb);
+        report.mem.extend(mem);
     }
     if obs.is_enabled() {
         obs.snapshot(refs);
@@ -391,39 +386,22 @@ fn run_mem_cell(
     cell_index: usize,
 ) {
     let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
-    let plan = if cfg.fault_ppm > 0 {
-        FaultPlan::NONE
-            .with_alloc_failures(cfg.fault_ppm)
-            .with_io_failures(cfg.fault_ppm, 2)
-            .with_toc_flips(cfg.fault_ppm)
-    } else {
-        FaultPlan::NONE
-    };
     // Injector seeds derive from (seed, cell index) at *every* job
     // count, so fault placement is identical no matter how many
     // threads run the grid.
-    let fault_seed = derive_seed(cfg.seed, cell_index as u64);
+    let res = ResilienceConfig::at_ppm(cfg.fault_ppm, cfg.seed, 0).for_cell(cell_index);
     let mut mosaic_mgr;
     let mut linux_mgr;
     let mgr: &mut dyn MemoryManager = match kind {
         MemKind::Mosaic => {
-            mosaic_mgr = MosaicMemory::new(layout, cfg.seed);
-            if !plan.is_none() {
-                mosaic_mgr = mosaic_mgr.with_fault_injector(plan, fault_seed);
-            }
+            mosaic_mgr = res.mosaic_memory(layout, cfg.seed, child);
             &mut mosaic_mgr
         }
         MemKind::Linux => {
-            linux_mgr = LinuxMemory::new(layout);
-            if !plan.is_none() {
-                linux_mgr = linux_mgr.with_fault_injector(plan, fault_seed ^ 0x11);
-            }
+            linux_mgr = res.linux_memory(layout, child);
             &mut linux_mgr
         }
     };
-    if child.is_enabled() {
-        mgr.set_obs(child, kind.prefix());
-    }
 
     // The drive runs un-quota'd: at >100 % load the two tenants churn
     // under pure global pressure, producing capacity (self) and

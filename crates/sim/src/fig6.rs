@@ -237,28 +237,23 @@ pub fn run_workload_observed_jobs(
     // Earlier parts take the extra associativities: the wide sets at the
     // end of a sweep cost more per lookup.
     let bound = |p: usize| (p * assocs.len()).div_ceil(parts);
-    let inputs: Vec<_> = (0..parts)
-        .map(|p| {
-            let part = Fig6Config {
-                associativities: assocs[bound(p)..bound(p + 1)].to_vec(),
-                ..cfg.clone()
-            };
-            (part, obs.child())
+    let cells: Vec<_> = (0..parts)
+        .map(|p| Fig6Config {
+            associativities: assocs[bound(p)..bound(p + 1)].to_vec(),
+            ..cfg.clone()
         })
         .collect();
-    let outcomes = run_cells(parts, inputs, |p, (part, child)| {
+    let rows: Vec<Fig6Row> = run_cells(parts, obs, cells, |p, part, child| {
         let mut replay = trace.replayer();
-        let rows = run_grid(&part, &mut replay, &child, obs_interval, p == 0);
+        let rows = run_grid(&part, &mut replay, child, obs_interval, p == 0);
         if let Some(e) = replay.into_error() {
             panic!("reference trace replay failed: {e}");
         }
-        (rows, child)
-    });
-    let mut rows = Vec::new();
-    for (part_rows, child) in outcomes {
-        obs.merge_from(&child);
-        rows.extend(part_rows);
-    }
+        rows
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     if obs.is_enabled() {
         obs.snapshot(trace.len());
     }

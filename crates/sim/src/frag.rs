@@ -322,7 +322,8 @@ pub fn run_frag_jobs(
 ) -> Vec<FragResult> {
     let trace = crate::trace_buffer::TraceBuffer::record(workload)
         .expect("failed to record fragmentation trace");
-    crate::parallel::run_cells(jobs, cfgs.to_vec(), |_, cfg| {
+    let noop = mosaic_obs::ObsHandle::noop();
+    crate::parallel::run_cells(jobs, &noop, cfgs.to_vec(), |_, cfg, _| {
         let mut replay = trace.replayer();
         let result = run_frag(&cfg, &mut replay);
         assert!(

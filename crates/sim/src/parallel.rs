@@ -8,14 +8,17 @@
 //! out across threads freely.
 //!
 //! [`run_cells`] is the one execution primitive: it maps a closure over
-//! the cells on a rayon pool of `jobs` threads and returns the results
-//! **in input order**, so result tables are assembled identically at any
-//! `--jobs` value. Determinism therefore reduces to each cell being a
-//! pure function of its inputs — which [`derive_seed`] guarantees for
-//! cells that need their own randomness, by deriving a per-cell seed
-//! from (base seed, cell index) instead of from any shared mutable RNG.
+//! the cells on a rayon pool of `jobs` threads, gives every cell its own
+//! observability child registry, and returns the results — and merges
+//! the children into the parent — **in input order**, so result tables
+//! and exported streams are assembled identically at any `--jobs`
+//! value. Determinism therefore reduces to each cell being a pure
+//! function of its inputs — which [`derive_seed`] guarantees for cells
+//! that need their own randomness, by deriving a per-cell seed from
+//! (base seed, cell index) instead of from any shared mutable RNG.
 
 use mosaic_hash::SplitMix64;
+use mosaic_obs::ObsHandle;
 use rayon::prelude::*;
 
 /// Derives cell `index`'s private seed from a sweep-wide base seed.
@@ -32,37 +35,46 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 /// Runs `f` over `cells` on `jobs` threads, returning results in input
 /// order.
 ///
+/// Each cell gets `obs.child()` (a no-op handle when `obs` is disabled)
+/// as its third argument; after the join every child is merged into
+/// `obs` in input order, so the parent's stream is independent of
+/// thread scheduling. Callers without observability pass
+/// [`ObsHandle::noop`].
+///
 /// `jobs == 1` (or a single cell) short-circuits to a plain in-order
 /// serial loop on the calling thread — no pool, no send bounds
-/// exercised, and bit-identical to the pre-parallel drivers by
-/// construction. `jobs == 0` uses the machine's available parallelism.
-pub fn run_cells<T, R, F>(jobs: usize, cells: Vec<T>, f: F) -> Vec<R>
+/// exercised. `jobs == 0` uses the machine's available parallelism.
+pub fn run_cells<T, R, F>(jobs: usize, obs: &ObsHandle, cells: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(usize, T, &ObsHandle) -> R + Sync,
 {
-    if jobs == 1 || cells.len() <= 1 {
-        return cells.into_iter().enumerate().map(|(i, c)| f(i, c)).collect();
-    }
-    let pool = match rayon::ThreadPoolBuilder::new().num_threads(jobs).build() {
-        Ok(p) => p,
-        // Pool construction cannot fail in the vendored shim; fall back
-        // to serial execution rather than aborting the sweep if it ever
-        // does with a real rayon.
-        Err(_) => {
-            return cells.into_iter().enumerate().map(|(i, c)| f(i, c)).collect();
+    let cells: Vec<_> = cells
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| (i, c, obs.child()))
+        .collect();
+    let run = |(i, c, child): (usize, T, ObsHandle)| (f(i, c, &child), child);
+    let serial = |cells: Vec<(usize, T, ObsHandle)>| cells.into_iter().map(run).collect();
+    let outcomes: Vec<(R, ObsHandle)> = if jobs == 1 || cells.len() <= 1 {
+        serial(cells)
+    } else {
+        match rayon::ThreadPoolBuilder::new().num_threads(jobs).build() {
+            Ok(pool) => pool.install(|| cells.into_par_iter().map(run).collect()),
+            // Pool construction cannot fail in the vendored shim; fall
+            // back to serial execution rather than aborting the sweep if
+            // it ever does with a real rayon.
+            Err(_) => serial(cells),
         }
     };
-    pool.install(|| {
-        cells
-            .into_iter()
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(i, c)| f(i, c))
-            .collect()
-    })
+    outcomes
+        .into_iter()
+        .map(|(r, child)| {
+            obs.merge_from(&child);
+            r
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -74,7 +86,9 @@ mod tests {
         let cells: Vec<u64> = (0..37).collect();
         let expect: Vec<(usize, u64)> = cells.iter().map(|&c| (c as usize, c * 3)).collect();
         for jobs in [1, 2, 8] {
-            let got = run_cells(jobs, cells.clone(), |i, c| (i, c * 3));
+            let got = run_cells(jobs, &ObsHandle::noop(), cells.clone(), |i, c, _| {
+                (i, c * 3)
+            });
             assert_eq!(got, expect, "jobs={jobs}");
         }
     }
@@ -90,14 +104,61 @@ mod tests {
 
     #[test]
     fn zero_jobs_uses_machine_default_and_stays_ordered() {
-        let got = run_cells(0, (0..16).collect::<Vec<u64>>(), |_, c| c + 1);
+        let got = run_cells(
+            0,
+            &ObsHandle::noop(),
+            (0..16).collect::<Vec<u64>>(),
+            |_, c, _| c + 1,
+        );
         assert_eq!(got, (1..17).collect::<Vec<u64>>());
     }
 
     #[test]
     fn single_cell_runs_on_calling_thread() {
         let here = std::thread::current().id();
-        let got = run_cells(8, vec![()], |_, ()| std::thread::current().id());
+        let got = run_cells(8, &ObsHandle::noop(), vec![()], |_, (), _| {
+            std::thread::current().id()
+        });
         assert_eq!(got, vec![here]);
+    }
+
+    #[test]
+    fn children_merge_into_the_parent_in_input_order_at_any_job_count() {
+        let export = |jobs| {
+            let obs = ObsHandle::enabled();
+            run_cells(jobs, &obs, (0..6u64).collect(), |i, c, child| {
+                assert!(
+                    child.is_enabled(),
+                    "an enabled parent hands out live children"
+                );
+                child.event(c, "cell", &[("index", mosaic_obs::Value::from(i as u64))]);
+                child.counter("cells").inc();
+                child.snapshot(c);
+            });
+            assert_eq!(obs.counter_value("cells"), 6, "child counters must add up");
+            obs.render_jsonl()
+        };
+        let serial = export(1);
+        assert_eq!(serial, export(2));
+        assert_eq!(serial, export(4));
+        let order: Vec<usize> = (0..6)
+            .map(|i| {
+                serial
+                    .find(&format!("\"index\":{i}"))
+                    .unwrap_or_else(|| panic!("cell {i} missing from {serial}"))
+            })
+            .collect();
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "cells out of input order"
+        );
+    }
+
+    #[test]
+    fn disabled_parent_hands_cells_noop_children() {
+        let got = run_cells(2, &ObsHandle::noop(), vec![(); 3], |_, (), child| {
+            child.is_enabled()
+        });
+        assert_eq!(got, vec![false; 3]);
     }
 }

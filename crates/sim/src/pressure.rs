@@ -141,6 +141,27 @@ pub struct PressureRow {
 }
 
 impl PressureRow {
+    /// The row describing `workload` at `footprint_bytes` once both
+    /// managers have been driven: their swap I/O and the utilization
+    /// milestones of their trackers.
+    pub fn measure(
+        workload: &'static str,
+        footprint_bytes: u64,
+        mosaic: &MosaicMemory,
+        linux: &LinuxMemory,
+    ) -> Self {
+        let pct = |u: f64| u * 100.0;
+        Self {
+            workload,
+            footprint_bytes,
+            linux_swaps: linux.stats().swap_ops(),
+            mosaic_swaps: mosaic.stats().swap_ops(),
+            first_conflict_pct: mosaic.utilization_tracker().first_conflict().map(pct),
+            steady_state_pct: mosaic.utilization_tracker().steady_state_mean().map(pct),
+            linux_steady_pct: linux.utilization_tracker().steady_state_mean().map(pct),
+        }
+    }
+
     /// Table 4's "Difference (%)" column: the percent reduction in swap
     /// I/O Mosaic achieves (positive = Mosaic swaps less).
     pub fn difference_pct(&self) -> f64 {
@@ -189,6 +210,65 @@ impl ResilienceConfig {
             verify_every: 0,
         }
     }
+
+    /// The `--fault-ppm N` plan: transient allocation failures, swap-I/O
+    /// error bursts of two, and ToC bit-flips, each at `ppm` per million,
+    /// with the injectors seeded from `fault_seed` and a structural
+    /// `verify()` every `verify_every` accesses. `ppm == 0` is
+    /// [`ResilienceConfig::none`].
+    pub fn at_ppm(ppm: u32, fault_seed: u64, verify_every: u64) -> Self {
+        if ppm == 0 {
+            return Self::none();
+        }
+        Self {
+            plan: FaultPlan::NONE
+                .with_alloc_failures(ppm)
+                .with_io_failures(ppm, 2)
+                .with_toc_flips(ppm),
+            fault_seed,
+            verify_every,
+        }
+    }
+
+    /// Grid cell `index`'s copy: the same plan and verify cadence, with
+    /// the injector seed derived from (`fault_seed`, `index`) via
+    /// [`derive_seed`] — so fault placement is a function of the grid
+    /// position at every job count, never of the thread that ran it.
+    pub fn for_cell(&self, index: usize) -> Self {
+        Self {
+            fault_seed: derive_seed(self.fault_seed, index as u64),
+            ..*self
+        }
+    }
+
+    /// A Mosaic manager over `layout` (hash seed `seed`) with this
+    /// config's injector attached, drawing from `fault_seed`, and — when
+    /// `obs` is enabled — its counters registered under `mosaic.*`.
+    pub fn mosaic_memory(&self, layout: MemoryLayout, seed: u64, obs: &ObsHandle) -> MosaicMemory {
+        let mut m = MosaicMemory::new(layout, seed);
+        if !self.plan.is_none() {
+            m = m.with_fault_injector(self.plan, self.fault_seed);
+        }
+        if obs.is_enabled() {
+            m.set_obs(obs, "mosaic");
+        }
+        m
+    }
+
+    /// The Linux baseline over `layout`, like
+    /// [`ResilienceConfig::mosaic_memory`] but drawing from
+    /// `fault_seed ^ 0x11` (so the two managers see unrelated fault
+    /// streams) and registered under `linux.*`.
+    pub fn linux_memory(&self, layout: MemoryLayout, obs: &ObsHandle) -> LinuxMemory {
+        let mut l = LinuxMemory::new(layout);
+        if !self.plan.is_none() {
+            l = l.with_fault_injector(self.plan, self.fault_seed ^ 0x11);
+        }
+        if obs.is_enabled() {
+            l.set_obs(obs, "linux");
+        }
+        l
+    }
 }
 
 /// What the fault-injection harness observed in one pressure run.
@@ -213,6 +293,17 @@ pub struct ResilienceReport {
 }
 
 impl ResilienceReport {
+    /// The report before anything ran: every counter zero.
+    pub const ZERO: ResilienceReport = ResilienceReport {
+        mosaic: ResilienceStats::ZERO,
+        linux: ResilienceStats::ZERO,
+        mosaic_dropped: 0,
+        linux_dropped: 0,
+        verify_passes: 0,
+        accesses_driven: 0,
+        last_error: None,
+    };
+
     /// Merged counters of both managers.
     pub fn combined(&self) -> ResilienceStats {
         let mut all = self.mosaic;
@@ -282,26 +373,9 @@ pub fn run_pressure_observed(
 ) -> MosaicResult<(PressureRow, ResilienceReport)> {
     let target = (cfg.mem_bytes() as f64 * footprint_ratio) as u64;
     let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
-    let mut mosaic = MosaicMemory::new(layout, cfg.seed);
-    let mut linux = LinuxMemory::new(layout);
-    if !res.plan.is_none() {
-        mosaic = mosaic.with_fault_injector(res.plan, res.fault_seed);
-        linux = linux.with_fault_injector(res.plan, res.fault_seed ^ 0x11);
-    }
-    if obs.is_enabled() {
-        mosaic.set_obs(obs, "mosaic");
-        linux.set_obs(obs, "linux");
-    }
-
-    let mut report = ResilienceReport {
-        mosaic: ResilienceStats::ZERO,
-        linux: ResilienceStats::ZERO,
-        mosaic_dropped: 0,
-        linux_dropped: 0,
-        verify_passes: 0,
-        accesses_driven: 0,
-        last_error: None,
-    };
+    let mut mosaic = res.mosaic_memory(layout, cfg.seed, obs);
+    let mut linux = res.linux_memory(layout, obs);
+    let mut report = ResilienceReport::ZERO;
 
     // Identical reference streams for both managers: the workload is
     // built and recorded once, then replayed read-only for each drive —
@@ -362,25 +436,7 @@ pub fn run_pressure_observed(
         linux.publish_obs();
         obs.snapshot(end2);
     }
-
-    let row = PressureRow {
-        workload: workload.name(),
-        footprint_bytes: footprint,
-        linux_swaps: linux.stats().swap_ops(),
-        mosaic_swaps: mosaic.stats().swap_ops(),
-        first_conflict_pct: mosaic
-            .utilization_tracker()
-            .first_conflict()
-            .map(|u| u * 100.0),
-        steady_state_pct: mosaic
-            .utilization_tracker()
-            .steady_state_mean()
-            .map(|u| u * 100.0),
-        linux_steady_pct: linux
-            .utilization_tracker()
-            .steady_state_mean()
-            .map(|u| u * 100.0),
-    };
+    let row = PressureRow::measure(workload.name(), footprint, &mosaic, &linux);
     Ok((row, report))
 }
 
@@ -456,17 +512,6 @@ fn drive(
     Ok((w.meta().footprint_bytes, dropped, now))
 }
 
-/// Runs the full Table 4 grid.
-pub fn run_table4(cfg: &PressureConfig, ratios: &[f64]) -> Vec<PressureRow> {
-    let mut rows = Vec::new();
-    for &w in &PressureWorkload::ALL {
-        for &r in ratios {
-            rows.push(run_pressure(w, r, cfg));
-        }
-    }
-    rows
-}
-
 /// Extracts Table 3 rows (runs that conflicted) from pressure results.
 pub fn table3_rows(rows: &[PressureRow]) -> Vec<Table3Row> {
     rows.iter()
@@ -503,95 +548,20 @@ pub fn render_table4(rows: &[PressureRow]) -> Table {
     t
 }
 
-/// Runs the Table 4 grid under a fault plan, collecting resilience
-/// reports alongside the usual rows.
+/// Runs the Table 4 grid — every (workload, ratio) cell through
+/// [`run_pressure_observed`] — on `jobs` threads via [`run_cells`].
 ///
-/// # Errors
+/// Cells are independent (own managers, own recorded trace) and each
+/// exports into its own child of `obs`; results come back, and children
+/// merge into `obs`, in grid order (workloads outer, ratios inner), so
+/// rows and the exported stream are byte-identical at any `jobs`. Each
+/// cell's injector seed is [`ResilienceConfig::for_cell`] of its grid
+/// index.
 ///
-/// Propagates the first structural invariant violation, if any.
-pub fn run_table4_resilient(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
-    run_table4_observed(cfg, ratios, res, &ObsHandle::noop(), 0)
-}
-
-/// The Table 4 grid with metric/event export: every (workload, ratio)
-/// cell runs through [`run_pressure_observed`] against the shared `obs`
-/// registry, so one JSONL stream carries the full grid (counters are
-/// cumulative across cells; `drive.begin` events delimit them).
-///
-/// # Errors
-///
-/// Propagates the first structural invariant violation, if any.
-pub fn run_table4_observed(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
-    let mut rows = Vec::new();
-    for &w in &PressureWorkload::ALL {
-        for &r in ratios {
-            rows.push(run_pressure_observed(w, r, cfg, res, obs, obs_interval)?);
-        }
-    }
-    Ok(rows)
-}
-
-/// [`run_table4_resilient`] on `jobs` threads.
-///
-/// # Errors
-///
-/// Propagates the first structural invariant violation, if any.
-pub fn run_table4_jobs(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-    jobs: usize,
-) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
-    run_table4_observed_jobs(cfg, ratios, res, &ObsHandle::noop(), 0, jobs)
-}
-
-/// [`run_table4_observed`] on `jobs` threads: every (workload, ratio)
-/// cell is independent (own managers, own recorded trace), so the grid
-/// fans out freely; results and merged observability come back in the
-/// serial grid order.
-///
-/// Fault runs derive each cell's injector seed from
-/// (`res.fault_seed`, cell index) via [`derive_seed`] — at *every* job
-/// count, including 1 — so resilience sweeps are identical no matter
-/// how many threads run them. Fault-free `jobs == 1` runs route to the
-/// serial engine unchanged.
-///
-/// # Errors
-///
-/// Propagates the first structural invariant violation, if any.
-pub fn run_table4_observed_jobs(
-    cfg: &PressureConfig,
-    ratios: &[f64],
-    res: &ResilienceConfig,
-    obs: &ObsHandle,
-    obs_interval: u64,
-    jobs: usize,
-) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
-    if jobs == 1 && res.plan.is_none() {
-        return run_table4_observed(cfg, ratios, res, obs, obs_interval);
-    }
-    run_table4_cells(cfg, ratios, res, obs, obs_interval, jobs)
-        .into_iter()
-        .collect()
-}
-
-/// [`run_table4_observed_jobs`] with per-cell outcomes: a cell that dies
-/// under fault injection comes back as `Err` *in place* (grid order is
-/// preserved), so callers can skip the row and keep the rest of the
-/// sweep — the graceful-degradation contract the resilience harness
-/// promises. Observability from every cell, failed or not, is merged
-/// into `obs` in grid order.
-pub fn run_table4_cells(
+/// A cell that dies under fault injection comes back as `Err` *in
+/// place*, so callers can skip the row and keep the rest of the sweep —
+/// the graceful-degradation contract the resilience harness promises.
+pub fn run_table4(
     cfg: &PressureConfig,
     ratios: &[f64],
     res: &ResilienceConfig,
@@ -599,34 +569,15 @@ pub fn run_table4_cells(
     obs_interval: u64,
     jobs: usize,
 ) -> Vec<MosaicResult<(PressureRow, ResilienceReport)>> {
-    let mut inputs = Vec::new();
+    let mut cells = Vec::new();
     for &w in &PressureWorkload::ALL {
         for &r in ratios {
-            inputs.push((w, r, obs.child()));
+            cells.push((w, r));
         }
     }
-    let outcomes = run_cells(jobs, inputs, |i, (w, r, child)| {
-        let cell_res = if res.plan.is_none() {
-            *res
-        } else {
-            ResilienceConfig {
-                plan: res.plan,
-                fault_seed: derive_seed(res.fault_seed, i as u64),
-                verify_every: res.verify_every,
-            }
-        };
-        let out = run_pressure_observed(w, r, cfg, &cell_res, &child, obs_interval);
-        (out, child)
-    });
-    outcomes
-        .into_iter()
-        .map(|(out, child)| {
-            if obs.is_enabled() {
-                obs.merge_from(&child);
-            }
-            out
-        })
-        .collect()
+    run_cells(jobs, obs, cells, |i, (w, r), child| {
+        run_pressure_observed(w, r, cfg, &res.for_cell(i), child, obs_interval)
+    })
 }
 
 /// Renders the fault-injection summary: what was injected and how the

@@ -8,13 +8,15 @@
 //! tables), the Table 4 pressure sweep (fault-free and fault-injected),
 //! and the fragmentation sweep.
 
-use mosaic_mem::{FaultPlan, ResilienceStats};
+use mosaic_mem::{FaultPlan, MosaicResult, ResilienceStats};
+use mosaic_obs::ObsHandle;
 use mosaic_sim::fig6::{
     run_workload, run_workload_jobs, run_workload_observed_jobs, Fig6Config, TlbKind,
 };
 use mosaic_sim::frag::{run_frag, run_frag_jobs, FragConfig};
 use mosaic_sim::pressure::{
-    run_table4, run_table4_jobs, PressureConfig, ResilienceConfig,
+    run_pressure, run_table4, PressureConfig, PressureRow, PressureWorkload, ResilienceConfig,
+    ResilienceReport,
 };
 use mosaic_workloads::{BTreeConfig, BTreeWorkload, Gups, GupsConfig};
 
@@ -120,13 +122,32 @@ fn fig6_attrib_tables_identical_across_engines() {
     assert_eq!(cells, serial, "3C tables diverged between engines");
 }
 
+/// The unobserved Table 4 grid, failing on the first cell that failed.
+fn table4(
+    cfg: &PressureConfig,
+    ratios: &[f64],
+    res: &ResilienceConfig,
+    jobs: usize,
+) -> MosaicResult<Vec<(PressureRow, ResilienceReport)>> {
+    run_table4(cfg, ratios, res, &ObsHandle::noop(), 0, jobs)
+        .into_iter()
+        .collect()
+}
+
 #[test]
 fn table4_zero_fault_parallel_matches_serial_bit_for_bit() {
     let cfg = tiny_pressure_cfg();
     let ratios = [1.25];
-    let serial = run_table4(&cfg, &ratios);
-    for jobs in JOB_COUNTS {
-        let cells = run_table4_jobs(&cfg, &ratios, &ResilienceConfig::none(), jobs)
+    // The serial reference: every grid cell, in grid order, through the
+    // plain single-run entry point.
+    let mut serial = Vec::new();
+    for w in PressureWorkload::ALL {
+        for &r in &ratios {
+            serial.push(run_pressure(w, r, &cfg));
+        }
+    }
+    for jobs in [1, 2, 4, 8] {
+        let cells = table4(&cfg, &ratios, &ResilienceConfig::none(), jobs)
             .expect("fault-free table4 cannot fail");
         let rows: Vec<_> = cells.iter().map(|(row, _)| row.clone()).collect();
         assert_eq!(rows, serial, "table4 rows diverged at jobs={jobs}");
@@ -155,7 +176,7 @@ fn table4_fault_plan_identical_across_job_counts() {
         fault_seed: 0xF00D,
         verify_every: 50_000,
     };
-    let baseline = run_table4_jobs(&cfg, &ratios, &res, 1).expect("faulty run at jobs=1");
+    let baseline = table4(&cfg, &ratios, &res, 1).expect("faulty run at jobs=1");
     assert!(
         baseline
             .iter()
@@ -163,7 +184,7 @@ fn table4_fault_plan_identical_across_job_counts() {
         "plan injected nothing; test would not exercise fault determinism"
     );
     for jobs in JOB_COUNTS {
-        let cells = run_table4_jobs(&cfg, &ratios, &res, jobs).expect("faulty run");
+        let cells = table4(&cfg, &ratios, &res, jobs).expect("faulty run");
         assert_eq!(cells, baseline, "faulty table4 diverged at jobs={jobs}");
     }
 }

@@ -21,8 +21,7 @@ use mosaic_hash::{SplitMix64, XxFamily};
 use mosaic_iceberg::{ConcurrentIcebergTable, IcebergTable};
 use mosaic_mem::{
     AccessKind, Asid, IcebergConfig, LinuxMemory, MemoryLayout, MemoryManager, MosaicError,
-    MosaicResult, MosaicMemory, PageKey, Pfn, QuotaStats, ResilienceStats, TenantQuota, VirtAddr,
-    Vpn, PAGE_SIZE,
+    MosaicMemory, MosaicResult, PageKey, Pfn, QuotaStats, TenantQuota, VirtAddr, Vpn, PAGE_SIZE,
 };
 use mosaic_obs::{ObsHandle, Value};
 use mosaic_sim::parallel::{derive_seed, run_cells};
@@ -810,29 +809,12 @@ pub fn run_schedule_observed(
     obs_interval: u64,
 ) -> MosaicResult<(TenantsRow, ResilienceReport)> {
     let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
-    let mut mosaic = MosaicMemory::new(layout, cfg.seed);
-    let mut linux = LinuxMemory::new(layout);
+    let mut mosaic = res.mosaic_memory(layout, cfg.seed, obs);
+    let mut linux = res.linux_memory(layout, obs);
     if cfg.concurrent_alloc {
         mosaic.enable_concurrent_shadow();
     }
-    if !res.plan.is_none() {
-        mosaic = mosaic.with_fault_injector(res.plan, res.fault_seed);
-        linux = linux.with_fault_injector(res.plan, res.fault_seed ^ 0x11);
-    }
-    if obs.is_enabled() {
-        mosaic.set_obs(obs, "mosaic");
-        linux.set_obs(obs, "linux");
-    }
-
-    let mut report = ResilienceReport {
-        mosaic: ResilienceStats::ZERO,
-        linux: ResilienceStats::ZERO,
-        mosaic_dropped: 0,
-        linux_dropped: 0,
-        verify_passes: 0,
-        accesses_driven: 0,
-        last_error: None,
-    };
+    let mut report = ResilienceReport::ZERO;
 
     let warmup_bytes = cfg.target_bytes();
     if obs.is_enabled() {
@@ -883,27 +865,11 @@ pub fn run_schedule_observed(
         obs.snapshot(l.end_now);
     }
 
-    let pressure = PressureRow {
-        workload: match cfg.mix {
-            TenantMix::Single(w) => w.name(),
-            TenantMix::Rotate => "Mixed",
-        },
-        footprint_bytes: schedule.footprint_bytes(),
-        linux_swaps: linux.stats().swap_ops(),
-        mosaic_swaps: mosaic.stats().swap_ops(),
-        first_conflict_pct: mosaic
-            .utilization_tracker()
-            .first_conflict()
-            .map(|u| u * 100.0),
-        steady_state_pct: mosaic
-            .utilization_tracker()
-            .steady_state_mean()
-            .map(|u| u * 100.0),
-        linux_steady_pct: linux
-            .utilization_tracker()
-            .steady_state_mean()
-            .map(|u| u * 100.0),
+    let workload = match cfg.mix {
+        TenantMix::Single(w) => w.name(),
+        TenantMix::Rotate => "Mixed",
     };
+    let pressure = PressureRow::measure(workload, schedule.footprint_bytes(), &mosaic, &linux);
     Ok((
         TenantsRow {
             tenants: cfg.tenants,
@@ -999,15 +965,7 @@ fn run_solo(cfg: &TenantsConfig, schedule: &Schedule) -> MosaicResult<(DriveOutc
         mosaic.enable_concurrent_shadow();
     }
     let none = ResilienceConfig::none();
-    let mut report = ResilienceReport {
-        mosaic: ResilienceStats::ZERO,
-        linux: ResilienceStats::ZERO,
-        mosaic_dropped: 0,
-        linux_dropped: 0,
-        verify_passes: 0,
-        accesses_driven: 0,
-        last_error: None,
-    };
+    let mut report = ResilienceReport::ZERO;
     let obs = ObsHandle::noop();
     let warmup = cfg.target_bytes();
     let m =
@@ -1244,40 +1202,16 @@ pub fn run_isolation_grid(
     obs_interval: u64,
     jobs: usize,
 ) -> Vec<MosaicResult<IsolationOutcome>> {
-    let inputs: Vec<_> = loads
+    let cells: Vec<_> = loads
         .iter()
-        .map(|&load| {
-            (
-                TenantsConfig {
-                    load,
-                    ..base.clone()
-                },
-                obs.child(),
-            )
+        .map(|&load| TenantsConfig {
+            load,
+            ..base.clone()
         })
         .collect();
-    let outcomes = run_cells(jobs, inputs, |i, (cell_cfg, child)| {
-        let cell_res = if res.plan.is_none() {
-            *res
-        } else {
-            ResilienceConfig {
-                plan: res.plan,
-                fault_seed: derive_seed(res.fault_seed, i as u64),
-                verify_every: res.verify_every,
-            }
-        };
-        let out = run_isolation(&cell_cfg, &cell_res, &child, obs_interval);
-        (out, child)
-    });
-    outcomes
-        .into_iter()
-        .map(|(out, child)| {
-            if obs.is_enabled() {
-                obs.merge_from(&child);
-            }
-            out
-        })
-        .collect()
+    run_cells(jobs, obs, cells, |i, cell_cfg, child| {
+        run_isolation(&cell_cfg, &res.for_cell(i), child, obs_interval)
+    })
 }
 
 /// Runs a (tenant-count × load) grid on `jobs` threads via the parallel
@@ -1295,39 +1229,19 @@ pub fn run_tenants_grid(
     obs_interval: u64,
     jobs: usize,
 ) -> Vec<MosaicResult<(TenantsRow, ResilienceReport)>> {
-    let mut inputs = Vec::new();
+    let mut cells = Vec::new();
     for &tenants in tenant_counts {
         for &load in loads {
-            let cell_cfg = TenantsConfig {
+            cells.push(TenantsConfig {
                 tenants,
                 load,
                 ..base.clone()
-            };
-            inputs.push((cell_cfg, obs.child()));
+            });
         }
     }
-    let outcomes = run_cells(jobs, inputs, |i, (cell_cfg, child)| {
-        let cell_res = if res.plan.is_none() {
-            *res
-        } else {
-            ResilienceConfig {
-                plan: res.plan,
-                fault_seed: derive_seed(res.fault_seed, i as u64),
-                verify_every: res.verify_every,
-            }
-        };
-        let out = run_tenants_observed(&cell_cfg, &cell_res, &child, obs_interval);
-        (out, child)
-    });
-    outcomes
-        .into_iter()
-        .map(|(out, child)| {
-            if obs.is_enabled() {
-                obs.merge_from(&child);
-            }
-            out
-        })
-        .collect()
+    run_cells(jobs, obs, cells, |i, cell_cfg, child| {
+        run_tenants_observed(&cell_cfg, &res.for_cell(i), child, obs_interval)
+    })
 }
 
 /// The [`PressureConfig`] a one-tenant oracle run corresponds to:

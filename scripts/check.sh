@@ -103,6 +103,26 @@ echo "==> table4 golden gate (batched default must reproduce results_table4.txt)
 ./target/release/table4 --jobs 4 > "$OBS_TMP/t4gold.txt" 2>/dev/null
 cmp "$OBS_TMP/t4gold.txt" results_table4.txt
 
+echo "==> table4 obs determinism gate (JSONL --jobs 1 vs --jobs 4, clean + faults)"
+# run_cells owns the obs fan-out: every grid cell exports into its own
+# child registry at every --jobs value, so the stream is jobs-invariant.
+for fault_ppm in 0 200; do
+  for jobs in 1 4; do
+    ./target/release/table4 --buckets 16 --fault-ppm "$fault_ppm" --jobs "$jobs" \
+      --obs-out "$OBS_TMP/t4obs-$fault_ppm-$jobs.jsonl" --obs-interval 50000 \
+      > /dev/null 2>&1
+  done
+  cmp "$OBS_TMP/t4obs-$fault_ppm-1.jsonl" "$OBS_TMP/t4obs-$fault_ppm-4.jsonl"
+done
+
+echo "==> table3 / walkcost / ablation golden gates (must reproduce results_*.txt)"
+./target/release/table3 --jobs 4 > "$OBS_TMP/t3gold.txt" 2>/dev/null
+cmp "$OBS_TMP/t3gold.txt" results_table3.txt
+./target/release/walkcost > "$OBS_TMP/wcgold.txt" 2>/dev/null
+cmp "$OBS_TMP/wcgold.txt" results_walkcost.txt
+./target/release/ablation --buckets 48 > "$OBS_TMP/ablgold.txt" 2>/dev/null
+cmp "$OBS_TMP/ablgold.txt" results_ablation.txt
+
 echo "==> tenant determinism gate (tenants --jobs 1 vs --jobs 4, clean + faults)"
 TEN_FLAGS=(--tenants 16 --buckets 16 --steps 60000 --churn 10000 --loads 90,110)
 for jobs in 1 4; do
