@@ -13,8 +13,10 @@
 //!   from scratch in [`xxhash`] and validated against published vectors.
 //!
 //! The crate also provides [`splitmix::SplitMix64`], the deterministic seed
-//! stream used everywhere in the workspace (no global RNG state), and the
-//! [`family::HashFamily`] abstraction that the Iceberg allocator consumes.
+//! stream used everywhere in the workspace (no global RNG state), the
+//! [`family::HashFamily`] abstraction that the Iceberg allocator consumes,
+//! and [`fast::FastHasher`], the one fast hasher behind every page- and
+//! tag-keyed `HashMap` in the simulator.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod family;
+pub mod fast;
 pub mod splitmix;
 pub mod tabulation;
 pub mod xxhash;
@@ -42,12 +45,14 @@ pub mod xxhash;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::family::{HashFamily, TabulationFamily, XxFamily};
+    pub use crate::fast::{FastHashBuilder, FastHashMap, FastHashSet, FastHasher};
     pub use crate::splitmix::SplitMix64;
     pub use crate::tabulation::TabulationHasher;
     pub use crate::xxhash::xxh64;
 }
 
 pub use family::{HashFamily, TabulationFamily, XxFamily};
+pub use fast::{FastHashBuilder, FastHashMap, FastHashSet, FastHasher};
 pub use splitmix::SplitMix64;
 pub use tabulation::TabulationHasher;
 pub use xxhash::xxh64;

@@ -18,8 +18,9 @@ use crate::layout::MemoryLayout;
 use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
 use crate::obs::MemObs;
 use crate::stats::{PagingStats, UtilizationTracker};
+use mosaic_hash::{FastHashMap, FastHashSet};
 use mosaic_obs::ObsHandle;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-page reclaim state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,9 +54,9 @@ struct PageLru {
 pub struct ClockMemory {
     frames: FrameTable,
     free: Vec<Pfn>,
-    resident: HashMap<PageKey, Pfn>,
-    swapped: HashSet<PageKey>,
-    lru_state: HashMap<PageKey, PageLru>,
+    resident: FastHashMap<PageKey, Pfn>,
+    swapped: FastHashSet<PageKey>,
+    lru_state: FastHashMap<PageKey, PageLru>,
     active: VecDeque<PageKey>,
     inactive: VecDeque<PageKey>,
     low_watermark: usize,
@@ -77,9 +78,9 @@ impl ClockMemory {
         Self {
             free: (0..total as u64).rev().map(Pfn).collect(),
             frames: FrameTable::new(layout),
-            resident: HashMap::new(),
-            swapped: HashSet::new(),
-            lru_state: HashMap::new(),
+            resident: FastHashMap::default(),
+            swapped: FastHashSet::default(),
+            lru_state: FastHashMap::default(),
             active: VecDeque::new(),
             inactive: VecDeque::new(),
             low_watermark: low,

@@ -11,15 +11,16 @@
 use crate::addr::{PageKey, Pfn};
 use crate::error::{MosaicError, MosaicResult};
 use crate::frame::FrameTable;
+use crate::lru::FrameLru;
 use crate::quota::QuotaTable;
-use std::collections::{HashMap, HashSet};
+use mosaic_hash::{FastHashMap, FastHashSet};
 
 /// Invariant: the frame table and the residency map describe the same
 /// bijection. Every occupied frame is named by exactly one `resident` entry
 /// and vice versa, and the occupancy counter agrees with the walk.
 pub(crate) fn check_frame_bijection(
     frames: &FrameTable,
-    resident: &HashMap<PageKey, Pfn>,
+    resident: &FastHashMap<PageKey, Pfn>,
 ) -> MosaicResult<()> {
     let mut walked = 0usize;
     for (pfn, entry) in frames.iter_resident() {
@@ -65,8 +66,8 @@ pub(crate) fn check_frame_bijection(
 /// page *may* additionally have a still-valid swap copy, but that is tracked
 /// on the frame entry, never in the swapped set.
 pub(crate) fn check_swap_disjoint(
-    resident: &HashMap<PageKey, Pfn>,
-    swapped: &HashSet<PageKey>,
+    resident: &FastHashMap<PageKey, Pfn>,
+    swapped: &FastHashSet<PageKey>,
 ) -> MosaicResult<()> {
     if let Some(key) = resident.keys().find(|k| swapped.contains(k)) {
         return Err(MosaicError::invariant(
@@ -95,23 +96,78 @@ pub(crate) fn check_ghost_census(frames: &FrameTable, horizon: u64) -> MosaicRes
     Ok(())
 }
 
-/// Invariant: an auxiliary LRU index (the `ReservedCapacity` policy's global
-/// LRU) tracks exactly the resident pages.
+/// Invariant: a manager's global LRU tracks exactly the resident pages,
+/// each under the frame that holds it.
 pub(crate) fn check_lru_tracks_resident(
-    lru_len: usize,
-    lru_contains: impl Fn(&PageKey) -> bool,
-    resident: &HashMap<PageKey, Pfn>,
+    lru: &FrameLru,
+    resident: &FastHashMap<PageKey, Pfn>,
 ) -> MosaicResult<()> {
-    if lru_len != resident.len() {
+    if lru.len() != resident.len() {
         return Err(MosaicError::invariant(
             "lru-coverage",
-            format!("LRU tracks {lru_len} pages, {} are resident", resident.len()),
+            format!(
+                "LRU tracks {} pages, {} are resident",
+                lru.len(),
+                resident.len()
+            ),
         ));
     }
-    if let Some(key) = resident.keys().find(|k| !lru_contains(k)) {
+    if let Some((key, pfn)) = resident.iter().find(|(_, &pfn)| !lru.contains(pfn)) {
         return Err(MosaicError::invariant(
             "lru-coverage",
-            format!("resident {key:?} missing from the global LRU index"),
+            format!("resident {key:?} at {pfn:?} missing from the global LRU"),
+        ));
+    }
+    Ok(())
+}
+
+/// Invariant: a manager's global LRU is one well-formed list. Walking it
+/// from the oldest end, every `prev` link mirrors the `next` link that
+/// led there, timestamps never decrease, every linked frame is occupied,
+/// and the walk visits exactly as many frames as are resident.
+pub(crate) fn check_lru_order(
+    lru: &FrameLru,
+    frames: &FrameTable,
+    resident: usize,
+) -> MosaicResult<()> {
+    let fail = |detail: String| Err(MosaicError::invariant("lru-order", detail));
+    let links = &lru.links;
+    let sentinel = links.len() - 1;
+    let (mut prev, mut at) = (sentinel, links[sentinel].next as usize);
+    let mut walked = 0usize;
+    while at != sentinel {
+        if at > sentinel {
+            return fail(format!("link after node {prev} leaves the frame range"));
+        }
+        let link = links[at];
+        if link.prev as usize != prev {
+            return fail(format!("frame {at} links back to {} not {prev}", link.prev));
+        }
+        if prev != sentinel && link.ts < links[prev].ts {
+            return fail(format!(
+                "frame {at} (t={}) follows frame {prev} (t={})",
+                link.ts, links[prev].ts
+            ));
+        }
+        if frames.entry(Pfn(at as u64)).is_none() {
+            return fail(format!("frame {at} is linked but unoccupied"));
+        }
+        walked += 1;
+        if walked > sentinel {
+            return fail("the list does not return to its head".to_string());
+        }
+        (prev, at) = (at, link.next as usize);
+    }
+    if links[sentinel].prev as usize != prev {
+        return fail(format!(
+            "tail link names frame {} but the walk ends at {prev}",
+            links[sentinel].prev
+        ));
+    }
+    if walked != resident || walked != lru.len() {
+        return fail(format!(
+            "{walked} linked frames vs {resident} resident, length {}",
+            lru.len()
         ));
     }
     Ok(())
@@ -123,7 +179,7 @@ pub(crate) fn check_lru_tracks_resident(
 /// self-eviction always has the true LRU victim available).
 pub(crate) fn check_quota_accounting(
     table: &QuotaTable,
-    resident: &HashMap<PageKey, Pfn>,
+    resident: &FastHashMap<PageKey, Pfn>,
 ) -> MosaicResult<()> {
     for asid in table.quota_asids() {
         let actual = resident.keys().filter(|k| k.asid == asid).count();
@@ -192,7 +248,7 @@ mod tests {
     #[test]
     fn bijection_accepts_consistent_state() {
         let mut frames = small_table();
-        let mut resident = HashMap::new();
+        let mut resident = FastHashMap::default();
         for n in 0..4u64 {
             let pfn = Pfn(n);
             frames.install(
@@ -212,7 +268,7 @@ mod tests {
     #[test]
     fn bijection_rejects_dangling_and_mismatched() {
         let mut frames = small_table();
-        let mut resident = HashMap::new();
+        let mut resident = FastHashMap::default();
         frames.install(
             Pfn(0),
             FrameEntry {
@@ -242,8 +298,8 @@ mod tests {
 
     #[test]
     fn swap_disjointness() {
-        let mut resident = HashMap::new();
-        let mut swapped = HashSet::new();
+        let mut resident = FastHashMap::default();
+        let mut swapped = FastHashSet::default();
         resident.insert(key(1), Pfn(0));
         swapped.insert(key(2));
         assert!(check_swap_disjoint(&resident, &swapped).is_ok());
@@ -270,16 +326,89 @@ mod tests {
         assert_eq!(frames.ghost_count(25), 3);
     }
 
+    fn install(frames: &mut FrameTable, n: u64) {
+        frames.install(
+            Pfn(n),
+            FrameEntry {
+                key: key(n),
+                last_access: n,
+                dirty: false,
+                has_swap_copy: false,
+            },
+        );
+    }
+
     #[test]
     fn lru_coverage() {
-        let mut resident = HashMap::new();
+        let mut resident = FastHashMap::default();
         resident.insert(key(1), Pfn(0));
         resident.insert(key(2), Pfn(1));
-        let tracked: HashSet<PageKey> = [key(1), key(2)].into_iter().collect();
-        assert!(check_lru_tracks_resident(2, |k| tracked.contains(k), &resident).is_ok());
-        assert!(check_lru_tracks_resident(1, |k| tracked.contains(k), &resident).is_err());
-        let partial: HashSet<PageKey> = [key(1), key(9)].into_iter().collect();
-        assert!(check_lru_tracks_resident(2, |k| partial.contains(k), &resident).is_err());
+        let mut lru = FrameLru::new(8);
+        lru.touch(Pfn(0), 1);
+        lru.touch(Pfn(1), 2);
+        assert!(check_lru_tracks_resident(&lru, &resident).is_ok());
+        // Length mismatch.
+        lru.touch(Pfn(5), 3);
+        assert!(check_lru_tracks_resident(&lru, &resident).is_err());
+        // Same length, but a resident page's frame is untracked.
+        lru.remove(Pfn(1));
+        let err = check_lru_tracks_resident(&lru, &resident).unwrap_err();
+        assert!(matches!(
+            err,
+            MosaicError::InvariantViolation {
+                invariant: "lru-coverage",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn lru_order_accepts_a_well_formed_list() {
+        let mut frames = small_table();
+        let mut lru = FrameLru::new(frames.num_frames());
+        for n in [4u64, 0, 7, 2] {
+            install(&mut frames, n);
+            lru.touch(Pfn(n), n);
+        }
+        lru.touch(Pfn(0), 9);
+        assert!(check_lru_order(&lru, &frames, 4).is_ok());
+        // The count must also match the residency map.
+        assert!(check_lru_order(&lru, &frames, 5).is_err());
+    }
+
+    #[test]
+    fn lru_order_reports_corrupted_links_by_name() {
+        let mut frames = small_table();
+        let mut lru = FrameLru::new(frames.num_frames());
+        for n in 0..4u64 {
+            install(&mut frames, n);
+            lru.touch(Pfn(n), 10 + n);
+        }
+        let is_lru_order = |r: MosaicResult<()>| {
+            matches!(
+                r,
+                Err(MosaicError::InvariantViolation {
+                    invariant: "lru-order",
+                    ..
+                })
+            )
+        };
+        // Timestamps out of order: frame 2 stamped older than frame 1.
+        let mut stale = lru.clone();
+        stale.links[2].ts = 0;
+        assert!(is_lru_order(check_lru_order(&stale, &frames, 4)));
+        // Asymmetric links: frame 2's back-link skips frame 1.
+        let mut skewed = lru.clone();
+        skewed.links[2].prev = 0;
+        assert!(is_lru_order(check_lru_order(&skewed, &frames, 4)));
+        // A linked frame whose page is gone.
+        let mut emptied = frames.clone();
+        emptied.evict(Pfn(3));
+        assert!(is_lru_order(check_lru_order(&lru, &emptied, 4)));
+        // A cycle that never returns to the head terminates and reports.
+        let mut cyclic = lru.clone();
+        cyclic.links[3].next = 2;
+        assert!(is_lru_order(check_lru_order(&cyclic, &frames, 4)));
     }
 
     #[test]
@@ -287,7 +416,7 @@ mod tests {
         use crate::quota::TenantQuota;
         let mut table = QuotaTable::new();
         table.set(Asid(1), TenantQuota { frames: 4, priority: 0 });
-        let mut resident = HashMap::new();
+        let mut resident = FastHashMap::default();
         resident.insert(key(1), Pfn(0));
         table.note_install(key(1), 1);
         assert!(check_quota_accounting(&table, &resident).is_ok());

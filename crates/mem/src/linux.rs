@@ -7,6 +7,10 @@
 //! at about 99.2 % memory utilization"), the manager evicts pages in strict
 //! LRU order until free memory recovers to the high watermark — the
 //! batched, kswapd-style reclaim that evicts ahead of demand.
+//!
+//! The LRU is a [`FrameLru`]: an intrusive list over frame numbers, so a
+//! hit re-links one node in O(1), and the victim's page comes from the
+//! frame table.
 
 use crate::addr::{PageKey, Pfn};
 use crate::error::{MosaicError, MosaicResult};
@@ -14,13 +18,13 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::frame::{FrameEntry, FrameTable};
 use crate::invariants;
 use crate::layout::MemoryLayout;
-use crate::lru::LruIndex;
+use crate::lru::FrameLru;
 use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
 use crate::obs::MemObs;
 use crate::quota::{QuotaStats, QuotaTable, TenantQuota};
 use crate::stats::{PagingStats, ResilienceStats, UtilizationTracker};
+use mosaic_hash::{FastHashBuilder, FastHashMap, FastHashSet};
 use mosaic_obs::ObsHandle;
-use std::collections::{HashMap, HashSet};
 
 /// Default low watermark: reclaim begins when free frames fall below
 /// 0.8 % of memory (per-zone watermarks in stock Linux; §4.2).
@@ -52,10 +56,12 @@ pub struct LinuxMemory {
     frames: FrameTable,
     /// Free-frame stack.
     free: Vec<Pfn>,
-    /// Exact LRU over resident pages.
-    lru: LruIndex<PageKey>,
-    resident: HashMap<PageKey, Pfn>,
-    swapped: HashSet<PageKey>,
+    /// Exact LRU over the frames of resident pages.
+    lru: FrameLru,
+    /// Residency map, sized for every frame when the manager is built
+    /// (like `lru`), so it never rehashes mid-run.
+    resident: FastHashMap<PageKey, Pfn>,
+    swapped: FastHashSet<PageKey>,
     low_watermark: usize,
     high_watermark: usize,
     /// Per-tenant working-set quotas; `None` keeps every path
@@ -97,9 +103,9 @@ impl LinuxMemory {
         Self {
             free: (0..total as u64).rev().map(Pfn).collect(),
             frames: FrameTable::new(layout),
-            lru: LruIndex::new(),
-            resident: HashMap::new(),
-            swapped: HashSet::new(),
+            lru: FrameLru::new(total),
+            resident: FastHashMap::with_capacity_and_hasher(total, FastHashBuilder),
+            swapped: FastHashSet::default(),
             low_watermark: low,
             high_watermark: high,
             quotas: None,
@@ -150,7 +156,7 @@ impl LinuxMemory {
         let Some(pfn) = self.resident.remove(&key) else {
             return false;
         };
-        self.lru.remove(&key);
+        self.lru.remove(pfn);
         if let Some(q) = self.quotas.as_mut() {
             q.note_evict(key);
         }
@@ -187,31 +193,26 @@ impl LinuxMemory {
         }
     }
 
-    /// Evicts `victim` with full displacement accounting (write-back
-    /// first, so an I/O error leaves it resident and the reclaim
-    /// retryable). `quota_self` marks quota-forced self-evictions for
-    /// the fault-attribution table.
-    fn evict_page(&mut self, victim: PageKey, quota_self: bool) -> MosaicResult<()> {
-        let pfn = self
-            .resident
-            .get(&victim)
-            .copied()
-            .ok_or(MosaicError::internal("LRU tracks only resident pages"))?;
+    /// Evicts the page in frame `pfn` with full displacement accounting
+    /// (write-back first, so an I/O error leaves it resident and the
+    /// reclaim retryable). `quota_self` marks quota-forced self-evictions
+    /// for the fault-attribution table.
+    fn evict_page(&mut self, pfn: Pfn, quota_self: bool) -> MosaicResult<()> {
         let needs_writeback = self
             .frames
             .entry(pfn)
-            .ok_or(MosaicError::internal("resident page has no frame entry"))?
+            .ok_or(MosaicError::internal("LRU tracks only occupied frames"))?
             .eviction_needs_writeback();
         if needs_writeback {
             self.swap_io(true)?;
         }
-        self.lru.remove(&victim);
+        let entry = self.frames.evict(pfn);
+        let victim = entry.key;
+        self.lru.remove(pfn);
         self.resident.remove(&victim);
         if let Some(q) = self.quotas.as_mut() {
             q.note_evict(victim);
         }
-        let entry = self.frames.evict(pfn);
-        debug_assert_eq!(entry.key, victim);
         self.obs
             .attrib_evicted(self.obs_requester, victim.asid.0, quota_self);
         self.stats.live_evictions += 1;
@@ -231,21 +232,24 @@ impl LinuxMemory {
         Ok(())
     }
 
-    /// The next reclaim victim. Without quotas this is the strict LRU
-    /// page. With quotas, a bounded scan from the LRU end prefers
-    /// over-quota owners, then low priority, then age; when nothing in
-    /// the window is distinguished, the oldest page wins — identical to
-    /// the quota-less choice.
-    fn reclaim_victim(&self) -> Option<PageKey> {
+    /// The frame of the next reclaim victim. Without quotas this is the
+    /// strict LRU page. With quotas, a bounded scan from the LRU end
+    /// prefers over-quota owners, then low priority, then age; when
+    /// nothing in the window is distinguished, the oldest page wins —
+    /// identical to the quota-less choice.
+    fn reclaim_victim(&self) -> Option<Pfn> {
         match self.quotas.as_ref() {
-            None => self.lru.peek_oldest().map(|(k, _)| k),
+            None => self.lru.oldest(),
             Some(q) => self
                 .lru
                 .iter_oldest()
                 .take(QUOTA_SCAN_WINDOW)
                 .enumerate()
-                .min_by_key(|&(idx, (k, _))| (q.victim_class(k.asid), idx))
-                .map(|(_, (k, _))| k),
+                .min_by_key(|&(idx, (pfn, _))| {
+                    let class = self.frames.entry(pfn).map(|e| q.victim_class(e.key.asid));
+                    (class, idx)
+                })
+                .map(|(_, (pfn, _))| pfn),
         }
     }
 
@@ -253,8 +257,7 @@ impl LinuxMemory {
         let victim = self
             .reclaim_victim()
             .ok_or(MosaicError::internal("reclaim with no resident pages"))?;
-        let was_quota_steered = self.quotas.is_some()
-            && self.lru.peek_oldest().map(|(k, _)| k) != Some(victim);
+        let was_quota_steered = self.quotas.is_some() && self.lru.oldest() != Some(victim);
         if was_quota_steered {
             if let Some(q) = self.quotas.as_mut() {
                 q.note_quota_eviction();
@@ -280,7 +283,12 @@ impl LinuxMemory {
                 .and_then(|q| q.own_lru_oldest(key.asid));
             match own {
                 Some(victim) => {
-                    self.evict_page(victim, true)?;
+                    let pfn = self
+                        .resident
+                        .get(&victim)
+                        .copied()
+                        .ok_or(MosaicError::internal("quota LRU tracks only resident pages"))?;
+                    self.evict_page(pfn, true)?;
                     if let Some(q) = self.quotas.as_mut() {
                         q.note_self_eviction();
                     }
@@ -351,7 +359,7 @@ impl MemoryManager for LinuxMemory {
 
         if let Some(&pfn) = self.resident.get(&key) {
             self.frames.touch(pfn, now, kind.is_write());
-            self.lru.touch(key, now);
+            self.lru.touch(pfn, now);
             if let Some(q) = self.quotas.as_mut() {
                 q.note_touch(key, now);
             }
@@ -393,7 +401,7 @@ impl MemoryManager for LinuxMemory {
             },
         );
         self.resident.insert(key, pfn);
-        self.lru.touch(key, now);
+        self.lru.touch(pfn, now);
         if let Some(q) = self.quotas.as_mut() {
             q.note_install(key, now);
         }
@@ -517,11 +525,8 @@ impl MemoryManager for LinuxMemory {
     fn verify(&self) -> MosaicResult<()> {
         invariants::check_frame_bijection(&self.frames, &self.resident)?;
         invariants::check_swap_disjoint(&self.resident, &self.swapped)?;
-        invariants::check_lru_tracks_resident(
-            self.lru.len(),
-            |k| self.lru.contains(k),
-            &self.resident,
-        )?;
+        invariants::check_lru_tracks_resident(&self.lru, &self.resident)?;
+        invariants::check_lru_order(&self.lru, &self.frames, self.resident.len())?;
         if let Some(q) = self.quotas.as_ref() {
             invariants::check_quota_accounting(q, &self.resident)?;
         }
@@ -760,6 +765,122 @@ mod tests {
         );
         assert!(mm.quota_stats().quota_evictions > 0);
         mm.verify().unwrap();
+    }
+
+    /// The naive exact-LRU reference for the reclaim oracle: resident
+    /// pages in a `Vec` kept sorted by (timestamp, touch sequence), with
+    /// the same watermark-driven batch reclaim.
+    struct NaiveLru {
+        total: usize,
+        low: usize,
+        high: usize,
+        /// `(timestamp, sequence, key, dirty, has_swap_copy)`, oldest first.
+        resident: Vec<(u64, u64, PageKey, bool, bool)>,
+        swapped: std::collections::BTreeSet<PageKey>,
+        seq: u64,
+    }
+
+    impl NaiveLru {
+        fn link(&mut self, now: u64, key: PageKey, dirty: bool, swap_copy: bool) {
+            self.seq += 1;
+            let at = self
+                .resident
+                .partition_point(|&(ts, seq, ..)| (ts, seq) < (now, self.seq));
+            self.resident.insert(at, (now, self.seq, key, dirty, swap_copy));
+        }
+
+        fn access(&mut self, key: PageKey, write: bool, now: u64) -> AccessOutcome {
+            if let Some(i) = self.resident.iter().position(|e| e.2 == key) {
+                let (_, _, _, dirty, swap_copy) = self.resident.remove(i);
+                self.link(now, key, dirty || write, swap_copy && !write);
+                return AccessOutcome::Hit;
+            }
+            if self.total - self.resident.len() < self.low {
+                while self.total - self.resident.len() < self.high && !self.resident.is_empty() {
+                    let (_, _, victim, dirty, swap_copy) = self.resident.remove(0);
+                    if dirty || swap_copy {
+                        self.swapped.insert(victim);
+                    }
+                }
+            }
+            let from_swap = self.swapped.remove(&key);
+            self.link(now, key, write, from_swap && !write);
+            if from_swap {
+                AccessOutcome::MajorFault
+            } else {
+                AccessOutcome::MinorFault
+            }
+        }
+
+        fn release_asid(&mut self, asid: Asid) -> u64 {
+            let before = self.resident.len();
+            self.resident.retain(|e| e.2.asid != asid);
+            self.swapped.retain(|k| k.asid != asid);
+            (before - self.resident.len()) as u64
+        }
+    }
+
+    #[test]
+    fn reclaim_matches_naive_exact_lru_oracle() {
+        use mosaic_hash::SplitMix64;
+        use std::collections::BTreeSet;
+        let (low, high) = (8, 24);
+        for seed in 1..=3u64 {
+            let layout = MemoryLayout::new(IcebergConfig::paper_default(8)); // 512 frames
+            let total = layout.num_frames();
+            let mut mm = LinuxMemory::with_watermarks(layout, low, high);
+            let mut oracle = NaiveLru {
+                total,
+                low,
+                high,
+                resident: Vec::new(),
+                swapped: BTreeSet::new(),
+                seq: 0,
+            };
+            let mut rng = SplitMix64::new(seed);
+            let mut clock = 1_000u64;
+            for step in 0..20_000u64 {
+                if step == 10_000 {
+                    assert_eq!(
+                        mm.release_asid(Asid(2)),
+                        oracle.release_asid(Asid(2)),
+                        "seed {seed}: release_asid freed counts differ"
+                    );
+                }
+                let r = rng.next_u64();
+                let asid = Asid(1 + (r % 3) as u16);
+                // A hot set of 64 pages per tenant and a cold tail of 400.
+                let vpn = if (r >> 8).is_multiple_of(4) {
+                    (r >> 16) % 400
+                } else {
+                    (r >> 16) % 64
+                };
+                let write = (r >> 40).is_multiple_of(3);
+                // Mostly advancing, sometimes repeating or rewinding, time.
+                clock = (clock + (r >> 48) % 4).saturating_sub(1);
+                let key = PageKey::new(asid, Vpn(vpn));
+                let kind = if write {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                };
+                assert_eq!(
+                    mm.access(key, kind, clock),
+                    oracle.access(key, write, clock),
+                    "seed {seed}, step {step}: outcome for {key}"
+                );
+            }
+            mm.verify().unwrap();
+            let resident: BTreeSet<PageKey> = mm.resident.keys().copied().collect();
+            let expect: BTreeSet<PageKey> = oracle.resident.iter().map(|e| e.2).collect();
+            assert_eq!(resident, expect, "seed {seed}: resident sets differ");
+            let swapped: BTreeSet<PageKey> = mm.swapped.iter().copied().collect();
+            assert_eq!(swapped, oracle.swapped, "seed {seed}: swapped sets differ");
+            assert!(
+                mm.stats().evictions() > 1_000,
+                "seed {seed}: too little reclaim"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,28 @@
-//! An exact least-recently-used index over page keys.
+//! Exact least-recently-used indexes.
 //!
-//! The Linux-baseline manager evicts in strict LRU order; this index keeps
-//! pages ordered by last-access timestamp with `O(log n)` updates. (Real
-//! Linux approximates LRU with active/inactive lists; the paper's own
-//! baseline measurements are against stock Linux reclaim, and exact LRU is
-//! the canonical idealisation — see DESIGN.md.)
+//! Two structures, one order: entries sorted by the timestamp of their
+//! most recent touch, ties broken by touch order (the earlier touch is
+//! older), so the order is total even when the caller reuses or rewinds
+//! timestamps.
+//!
+//! * [`FrameLru`] keys entries by dense frame number. It is an intrusive
+//!   doubly-linked list in one `Vec` indexed by [`Pfn`], allocated once
+//!   when a manager is built; the page in a frame is the frame table's
+//!   business, not the list's. A touch unlinks the frame and re-links it
+//!   after the newest entry whose timestamp is not later than its own, so
+//!   with a monotone clock (every manager's) each operation is O(1). Both
+//!   memory managers' global LRUs use it: the Linux baseline's exact-LRU
+//!   reclaim and Mosaic's `ReservedCapacity` policy.
+//! * [`LruIndex`] keys entries by any hashable key with `O(log n)`
+//!   updates (a `BTreeMap` ordered by age plus a back-pointer map). It
+//!   serves the sparse, per-tenant quota LRUs and the page-walk cache,
+//!   whose keys are not dense.
+//!
+//! (Real Linux approximates LRU with active/inactive lists; the paper's
+//! own baseline measurements are against stock Linux reclaim, and exact
+//! LRU is the canonical idealisation — see DESIGN.md.)
 
+use crate::addr::Pfn;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
@@ -88,8 +105,7 @@ impl<K: Copy + Eq + Hash> LruIndex<K> {
         self.by_age.iter().next().map(|(&(ts, _), &k)| (k, ts))
     }
 
-    /// Iterates keys oldest-first without removing them (the bounded
-    /// victim scan quota-aware reclaim uses).
+    /// Iterates keys oldest-first without removing them.
     pub fn iter_oldest(&self) -> impl Iterator<Item = (K, u64)> + '_ {
         self.by_age.iter().map(|(&(ts, _), &k)| (k, ts))
     }
@@ -105,9 +121,193 @@ impl<K: Copy + Eq + Hash> LruIndex<K> {
     }
 }
 
+/// The `prev`/`next` value of a frame that is not in the list.
+const UNLINKED: u32 = u32::MAX;
+
+/// One node of a [`FrameLru`]: the neighbour toward the oldest end
+/// (`prev`), the neighbour toward the newest end (`next`), and the frame's
+/// last-touch timestamp.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Link {
+    pub(crate) prev: u32,
+    pub(crate) next: u32,
+    pub(crate) ts: u64,
+}
+
+/// An exact LRU over the frames `0..num_frames`, in [`LruIndex`]'s order.
+/// See the [module docs](self).
+///
+/// # Example
+///
+/// ```
+/// use mosaic_mem::lru::FrameLru;
+/// use mosaic_mem::Pfn;
+///
+/// let mut lru = FrameLru::new(4);
+/// lru.touch(Pfn(0), 1);
+/// lru.touch(Pfn(1), 2);
+/// lru.touch(Pfn(0), 3); // frame 0 is now the most recent
+/// assert_eq!(lru.oldest(), Some(Pfn(1)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FrameLru {
+    /// `links[pfn]` for every frame, then a sentinel whose `next` is the
+    /// oldest frame and whose `prev` is the newest (itself when empty).
+    pub(crate) links: Vec<Link>,
+    len: usize,
+}
+
+impl FrameLru {
+    /// Creates an empty list over `num_frames` frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_frames` does not fit a 32-bit link.
+    pub fn new(num_frames: usize) -> Self {
+        let sentinel = u32::try_from(num_frames)
+            .ok()
+            .filter(|&s| s != UNLINKED)
+            .expect("frame count fits a 32-bit link");
+        let mut links = vec![
+            Link {
+                prev: UNLINKED,
+                next: UNLINKED,
+                ts: 0,
+            };
+            num_frames + 1
+        ];
+        links[num_frames] = Link {
+            prev: sentinel,
+            next: sentinel,
+            ts: 0,
+        };
+        Self { links, len: 0 }
+    }
+
+    fn sentinel(&self) -> u32 {
+        (self.links.len() - 1) as u32
+    }
+
+    /// Number of frames in the list.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether `pfn` is in the list.
+    pub fn contains(&self, pfn: Pfn) -> bool {
+        self.links[pfn.0 as usize].next != UNLINKED
+    }
+
+    /// Records an access to the page in `pfn` at time `now`, linking the
+    /// frame if absent. It goes after every frame touched at or before
+    /// `now`, which is O(1) when `now` is the newest timestamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pfn` is outside the list's frame range.
+    pub fn touch(&mut self, pfn: Pfn, now: u64) {
+        let sentinel = self.sentinel();
+        assert!(
+            pfn.0 < u64::from(sentinel),
+            "touch of {pfn} outside the LRU"
+        );
+        let node = pfn.0 as u32;
+        if self.contains(pfn) {
+            self.unlink(node);
+        } else {
+            self.len += 1;
+        }
+        let mut after = self.links[sentinel as usize].prev;
+        while after != sentinel && self.links[after as usize].ts > now {
+            after = self.links[after as usize].prev;
+        }
+        let next = self.links[after as usize].next;
+        self.links[node as usize] = Link {
+            prev: after,
+            next,
+            ts: now,
+        };
+        self.links[after as usize].next = node;
+        self.links[next as usize].prev = node;
+    }
+
+    /// Removes `pfn`, returning its last-touch timestamp if present.
+    pub fn remove(&mut self, pfn: Pfn) -> Option<u64> {
+        if !self.contains(pfn) {
+            return None;
+        }
+        let node = pfn.0 as u32;
+        self.unlink(node);
+        self.len -= 1;
+        let link = &mut self.links[node as usize];
+        link.prev = UNLINKED;
+        link.next = UNLINKED;
+        Some(link.ts)
+    }
+
+    fn unlink(&mut self, node: u32) {
+        let Link { prev, next, .. } = self.links[node as usize];
+        self.links[prev as usize].next = next;
+        self.links[next as usize].prev = prev;
+    }
+
+    /// The least-recently-touched frame.
+    pub fn oldest(&self) -> Option<Pfn> {
+        let head = self.links[self.sentinel() as usize].next;
+        (head != self.sentinel()).then_some(Pfn(u64::from(head)))
+    }
+
+    /// Iterates frames and their timestamps oldest-first (the bounded
+    /// victim scan quota-aware reclaim uses).
+    pub fn iter_oldest(&self) -> impl Iterator<Item = (Pfn, u64)> + '_ {
+        let sentinel = self.sentinel();
+        let mut at = self.links[sentinel as usize].next;
+        std::iter::from_fn(move || {
+            if at == sentinel {
+                return None;
+            }
+            let link = self.links[at as usize];
+            let item = (Pfn(u64::from(at)), link.ts);
+            at = link.next;
+            Some(item)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frame_lru_orders_by_timestamp_then_touch() {
+        let mut lru = FrameLru::new(8);
+        lru.touch(Pfn(3), 5);
+        lru.touch(Pfn(1), 5);
+        lru.touch(Pfn(2), 4); // an older timestamp goes ahead of both
+        lru.touch(Pfn(3), 5); // a re-touch at an equal time goes last
+        let order: Vec<(Pfn, u64)> = lru.iter_oldest().collect();
+        assert_eq!(order, vec![(Pfn(2), 4), (Pfn(1), 5), (Pfn(3), 5)]);
+        assert_eq!(lru.len(), 3);
+        assert_eq!(lru.remove(Pfn(1)), Some(5));
+        assert_eq!(lru.remove(Pfn(1)), None);
+        assert!(!lru.contains(Pfn(1)));
+        assert_eq!(lru.oldest(), Some(Pfn(2)));
+        lru.remove(Pfn(2));
+        lru.remove(Pfn(3));
+        assert!(lru.is_empty());
+        assert_eq!(lru.oldest(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the LRU")]
+    fn frame_lru_rejects_out_of_range_frames() {
+        FrameLru::new(4).touch(Pfn(4), 1);
+    }
 
     #[test]
     fn pop_order_is_lru() {

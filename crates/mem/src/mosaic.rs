@@ -16,7 +16,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::frame::{FrameEntry, FrameTable};
 use crate::invariants;
 use crate::layout::MemoryLayout;
-use crate::lru::LruIndex;
+use crate::lru::FrameLru;
 use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
 use crate::obs::MemObs;
 use crate::policy::MosaicPolicy;
@@ -24,9 +24,8 @@ use crate::quota::{QuotaStats, QuotaTable, TenantQuota};
 use crate::shadow::ConcurrentShadow;
 use crate::scanner::{AccessScanner, ScannerConfig};
 use crate::stats::{PagingStats, ResilienceStats, UtilizationTracker};
-use mosaic_hash::XxFamily;
+use mosaic_hash::{FastHashBuilder, FastHashMap, FastHashSet, XxFamily};
 use mosaic_iceberg::{CandidateSet, SlotRef, Yard};
-use std::collections::{HashMap, HashSet};
 
 /// The Mosaic memory system: constrained allocation with ghost-page
 /// swapping.
@@ -49,15 +48,17 @@ pub struct MosaicMemory {
     codec: CpfnCodec,
     family: XxFamily,
     frames: FrameTable,
-    /// Residency map: page -> backing frame.
-    resident: HashMap<PageKey, Pfn>,
+    /// Residency map: page -> backing frame, sized for every frame when
+    /// the manager is built so it never rehashes mid-run.
+    resident: FastHashMap<PageKey, Pfn>,
     /// Pages whose only valid copy is on the swap device.
-    swapped: HashSet<PageKey>,
+    swapped: FastHashSet<PageKey>,
     /// The Horizon LRU high-water mark of evicted pages' access times.
     horizon: u64,
     policy: MosaicPolicy,
-    /// Global LRU index, maintained only under `ReservedCapacity`.
-    global_lru: LruIndex<PageKey>,
+    /// Global LRU over the frames of resident pages; present only under
+    /// `ReservedCapacity`.
+    global_lru: Option<FrameLru>,
     /// Live-page cap (equals `num_frames` except under `ReservedCapacity`).
     live_budget: usize,
     /// When present, timestamps come from the §3.2 scanning daemon rather
@@ -95,16 +96,18 @@ impl MosaicMemory {
     /// Creates a manager with an explicit eviction policy (§2.4 ablation).
     pub fn with_policy(layout: MemoryLayout, seed: u64, policy: MosaicPolicy) -> Self {
         let cfg = *layout.config();
-        let live_budget = policy.live_budget(layout.num_frames());
+        let num_frames = layout.num_frames();
+        let live_budget = policy.live_budget(num_frames);
         Self {
             codec: CpfnCodec::new(cfg),
             family: XxFamily::new(cfg.hash_count(), seed),
             frames: FrameTable::new(layout),
-            resident: HashMap::new(),
-            swapped: HashSet::new(),
+            resident: FastHashMap::with_capacity_and_hasher(num_frames, FastHashBuilder),
+            swapped: FastHashSet::default(),
             horizon: 0,
             policy,
-            global_lru: LruIndex::new(),
+            global_lru: matches!(policy, MosaicPolicy::ReservedCapacity { .. })
+                .then(|| FrameLru::new(num_frames)),
             live_budget,
             scanner: None,
             quotas: None,
@@ -358,7 +361,9 @@ impl MosaicMemory {
         if let Some(sh) = self.shadow.as_mut() {
             sh.note_remove(entry.key);
         }
-        self.global_lru.remove(&entry.key);
+        if let Some(lru) = self.global_lru.as_mut() {
+            lru.remove(pfn);
+        }
         if let Some(q) = self.quotas.as_mut() {
             q.note_evict(entry.key);
         }
@@ -404,7 +409,9 @@ impl MosaicMemory {
         }
         let entry = self.frames.evict(pfn);
         debug_assert_eq!(entry.key, key);
-        self.global_lru.remove(&key);
+        if let Some(lru) = self.global_lru.as_mut() {
+            lru.remove(pfn);
+        }
         if let Some(q) = self.quotas.as_mut() {
             q.note_evict(key);
         }
@@ -433,19 +440,13 @@ impl MosaicMemory {
         // Prior-work policy: hold live pages below (1 - δ)p by evicting
         // the *global* LRU page at capacity, so candidate slots are
         // (w.h.p.) never all full.
-        if matches!(self.policy, MosaicPolicy::ReservedCapacity { .. })
-            && self.frames.resident() >= self.live_budget
-        {
-            let (victim, _) = self
-                .global_lru
-                .peek_oldest()
-                .ok_or(MosaicError::internal("resident pages are LRU-tracked"))?;
-            let pfn = self
-                .resident
-                .get(&victim)
-                .copied()
-                .ok_or(MosaicError::internal("LRU victim is not resident"))?;
-            self.evict_frame(pfn, false)?;
+        if let Some(lru) = self.global_lru.as_ref() {
+            if self.frames.resident() >= self.live_budget {
+                let pfn = lru
+                    .oldest()
+                    .ok_or(MosaicError::internal("resident pages are LRU-tracked"))?;
+                self.evict_frame(pfn, false)?;
+            }
         }
 
         let cands = self.candidates(key);
@@ -700,8 +701,8 @@ impl MemoryManager for MosaicMemory {
                 }
                 None => self.frames.touch(pfn, now, kind.is_write()),
             }
-            if matches!(self.policy, MosaicPolicy::ReservedCapacity { .. }) {
-                self.global_lru.touch(key, now);
+            if let Some(lru) = self.global_lru.as_mut() {
+                lru.touch(pfn, now);
             }
             if let Some(q) = self.quotas.as_mut() {
                 q.note_touch(key, now);
@@ -747,8 +748,8 @@ impl MemoryManager for MosaicMemory {
             sc.reset(pfn);
             sc.mark(pfn);
         }
-        if matches!(self.policy, MosaicPolicy::ReservedCapacity { .. }) {
-            self.global_lru.touch(key, now);
+        if let Some(lru) = self.global_lru.as_mut() {
+            lru.touch(pfn, now);
         }
         self.run_scanner_if_due(now);
         let outcome = if from_swap {
@@ -877,12 +878,9 @@ impl MemoryManager for MosaicMemory {
         invariants::check_frame_bijection(&self.frames, &self.resident)?;
         invariants::check_swap_disjoint(&self.resident, &self.swapped)?;
         invariants::check_ghost_census(&self.frames, self.horizon)?;
-        if matches!(self.policy, MosaicPolicy::ReservedCapacity { .. }) {
-            invariants::check_lru_tracks_resident(
-                self.global_lru.len(),
-                |k| self.global_lru.contains(k),
-                &self.resident,
-            )?;
+        if let Some(lru) = self.global_lru.as_ref() {
+            invariants::check_lru_tracks_resident(lru, &self.resident)?;
+            invariants::check_lru_order(lru, &self.frames, self.resident.len())?;
         }
         if let Some(q) = self.quotas.as_ref() {
             invariants::check_quota_accounting(q, &self.resident)?;
@@ -1387,6 +1385,8 @@ mod policy_tests {
         ] {
             let mut mm = memory_with(policy);
             overcommit(&mut mm, 1);
+            mm.verify()
+                .unwrap_or_else(|e| panic!("{policy}: {e}"));
             let cfg = *mm.layout().config();
             for n in 0..mm.num_frames() as u64 / 2 {
                 if let Some(pfn) = mm.resident_pfn(key(n)) {

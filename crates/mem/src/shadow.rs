@@ -18,9 +18,8 @@
 
 use crate::addr::{PageKey, Pfn};
 use crate::error::{MosaicError, MosaicResult};
-use mosaic_hash::XxFamily;
+use mosaic_hash::{FastHashMap, XxFamily};
 use mosaic_iceberg::{ConcurrentIcebergTable, IcebergConfig};
-use std::collections::HashMap;
 
 /// A concurrent mirror of the residency map. See the [module docs](self).
 #[derive(Debug)]
@@ -83,7 +82,7 @@ impl ConcurrentShadow {
     /// Cross-checks the mirror against the manager's residency map: the
     /// shadow must contain exactly `resident`, with matching frames, and
     /// its own structural invariants must hold.
-    pub fn verify_against(&self, resident: &HashMap<PageKey, Pfn>) -> MosaicResult<()> {
+    pub fn verify_against(&self, resident: &FastHashMap<PageKey, Pfn>) -> MosaicResult<()> {
         if self.conflicts > 0 {
             return Err(MosaicError::invariant(
                 "concurrent-shadow",
@@ -161,7 +160,7 @@ mod tests {
     #[test]
     fn mirrors_installs_and_removes() {
         let mut sh = shadow();
-        let mut resident = HashMap::new();
+        let mut resident = FastHashMap::default();
         for v in 0..200u64 {
             sh.note_install(key(1, v), Pfn(v));
             resident.insert(key(1, v), Pfn(v));
@@ -178,7 +177,7 @@ mod tests {
     #[test]
     fn verify_catches_divergence() {
         let mut sh = shadow();
-        let mut resident = HashMap::new();
+        let mut resident = FastHashMap::default();
         sh.note_install(key(1, 1), Pfn(1));
         resident.insert(key(1, 1), Pfn(1));
         resident.insert(key(1, 2), Pfn(2)); // not mirrored
@@ -194,7 +193,7 @@ mod tests {
     #[test]
     fn clone_rebuilds_same_membership() {
         let mut sh = shadow();
-        let mut resident = HashMap::new();
+        let mut resident = FastHashMap::default();
         for v in 0..100u64 {
             sh.note_install(key(2, v), Pfn(v));
             resident.insert(key(2, v), Pfn(v));

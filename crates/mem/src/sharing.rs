@@ -18,8 +18,7 @@ use crate::layout::MemoryLayout;
 use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
 use crate::mosaic::MosaicMemory;
 use crate::stats::PagingStats;
-use mosaic_hash::SplitMix64;
-use std::collections::{HashMap, HashSet};
+use mosaic_hash::{FastHashMap, FastHashSet, SplitMix64};
 
 /// An identifier naming one ToC's worth of physical placements,
 /// independent of any address space.
@@ -85,9 +84,9 @@ pub struct SharedMosaicMemory {
     /// Base pages per mosaic page.
     arity: usize,
     /// `(asid, mosaic-page index) -> location`.
-    bindings: HashMap<(Asid, u64), LocationId>,
+    bindings: FastHashMap<(Asid, u64), LocationId>,
     /// Issued location IDs.
-    locations: HashSet<LocationId>,
+    locations: FastHashSet<LocationId>,
     rng: SplitMix64,
 }
 
@@ -109,8 +108,8 @@ impl SharedMosaicMemory {
         Self {
             inner: MosaicMemory::new(layout, seed),
             arity,
-            bindings: HashMap::new(),
-            locations: HashSet::new(),
+            bindings: FastHashMap::default(),
+            locations: FastHashSet::default(),
             rng: SplitMix64::new(seed ^ 0x10CA_7104),
         }
     }

@@ -1,9 +1,9 @@
 //! Property tests for the memory managers: conservation laws that must
 //! hold for every manager under every access pattern, and model-based
-//! checks of the LRU index.
+//! checks of the LRU indexes.
 
 use mosaic_mem::clock::ClockMemory;
-use mosaic_mem::lru::LruIndex;
+use mosaic_mem::lru::{FrameLru, LruIndex};
 use mosaic_mem::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -122,6 +122,38 @@ proptest! {
                 lru.peek_oldest(),
                 model.iter().next().map(|(&(t, _), &k)| (k, t))
             );
+        }
+    }
+
+    /// FrameLru keeps exactly LruIndex's order — (timestamp, touch
+    /// order) — under a clock that repeats, advances and rewinds: the
+    /// oldest entry and the whole oldest-first order agree after every
+    /// touch and remove, over at most 64 frames.
+    #[test]
+    fn frame_lru_matches_lru_index(
+        frames in 1usize..=64,
+        ops in prop::collection::vec((0usize..64, -3i64..=3, 0u8..4), 1..400)
+    ) {
+        let mut lru = FrameLru::new(frames);
+        let mut reference: LruIndex<u64> = LruIndex::new();
+        let mut now = 100i64;
+        for (frame, step, action) in ops {
+            let pfn = Pfn::new((frame % frames) as u64);
+            now = (now + step).max(0);
+            if action == 0 {
+                prop_assert_eq!(lru.remove(pfn), reference.remove(&pfn.0));
+            } else {
+                lru.touch(pfn, now as u64);
+                reference.touch(pfn.0, now as u64);
+            }
+            prop_assert_eq!(lru.len(), reference.len());
+            prop_assert_eq!(
+                lru.oldest().map(|p| p.0),
+                reference.peek_oldest().map(|(k, _)| k)
+            );
+            let order: Vec<(u64, u64)> = lru.iter_oldest().map(|(p, t)| (p.0, t)).collect();
+            let expect: Vec<(u64, u64)> = reference.iter_oldest().collect();
+            prop_assert_eq!(order, expect);
         }
     }
 

@@ -32,16 +32,16 @@
 //! so post-shootdown re-misses classify as capacity rather than a
 //! dedicated coherence class.
 
-use super::cache::{Associativity, SetAssocCache, TagHashBuilder, TlbConfig};
+use super::cache::{Associativity, SetAssocCache, TlbConfig};
 use crate::arity::Arity;
+use mosaic_hash::FastHashSet;
 use mosaic_mem::{Asid, Vpn};
 use mosaic_obs::{AttribCategory, AttribHandle};
-use std::collections::HashSet;
 
 /// First-touch set: every `(asid, vpn)` ever referenced. Never trimmed —
 /// compulsory means first-ever in the run, surviving flushes and
 /// shootdowns.
-type SeenSet = HashSet<(Asid, u64), TagHashBuilder>;
+type SeenSet = FastHashSet<(Asid, u64)>;
 
 /// A tags-only fully-associative LRU TLB of a fixed entry count.
 #[derive(Debug, Clone)]

@@ -15,7 +15,8 @@
 //! cheaper than the per-set `HashMap` + ordered-index pair it replaces.
 //! Wide sets (beyond [`LINEAR_WAYS_MAX`] ways, i.e. the fully-associative
 //! configuration) keep O(1) lookups through a `(set, tag) → slot` hash
-//! index using a cheap multiply-fold hasher (the std SipHash default
+//! index keyed with the workspace's multiply-fold
+//! [`FastHasher`](mosaic_hash::FastHasher) (the std SipHash default
 //! dominated whole-grid profiles; tags are small VPN-derived keys, not
 //! attacker-controlled).
 //!
@@ -27,8 +28,9 @@
 //! min-tick victim), so eviction decisions are bit-identical — without
 //! the O(ways) victim scan that dominated insert at 1024 ways.
 
+use mosaic_hash::FastHashMap;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::Hash;
 
 /// TLB set associativity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,67 +133,6 @@ const LINEAR_WAYS_MAX: usize = 16;
 /// Null slot link.
 const NIL: u32 = u32::MAX;
 
-/// Multiply-fold hasher for the wide-stripe slot index: one mix per
-/// written word, splitmix-style finish. TLB tags are small fixed-size
-/// keys derived from VPNs/ASIDs, so DoS-resistant hashing buys nothing
-/// here and the default SipHash showed up as the hottest function in
-/// whole-grid profiles.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct TagHasher(u64);
-
-impl TagHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-impl Hasher for TagHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut z = self.0;
-        z ^= z >> 31;
-        z = z.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        z ^ (z >> 32)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.mix(u64::from(i));
-    }
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.mix(u64::from(i));
-    }
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.mix(u64::from(i));
-    }
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
-}
-
-/// [`BuildHasher`] for [`TagHasher`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct TagHashBuilder;
-
-impl BuildHasher for TagHashBuilder {
-    type Hasher = TagHasher;
-    fn build_hasher(&self) -> TagHasher {
-        TagHasher::default()
-    }
-}
-
 /// A set-associative cache mapping tags to entries, true LRU per set.
 ///
 /// The caller supplies the set index (computed from whatever address bits
@@ -223,7 +164,7 @@ pub struct SetAssocCache<T, E> {
     /// reciprocal-multiply stride that replaces the modulo fallback.
     recip: u64,
     /// `(set, tag) → slot` for stripes too wide to scan linearly.
-    index: Option<HashMap<(usize, T), u32, TagHashBuilder>>,
+    index: Option<FastHashMap<(usize, T), u32>>,
 }
 
 impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
@@ -249,7 +190,7 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
             } else {
                 0
             },
-            index: (ways > LINEAR_WAYS_MAX).then(HashMap::default),
+            index: (ways > LINEAR_WAYS_MAX).then(FastHashMap::default),
         };
         cache.chain_free_slots();
         cache

@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p mosaic-bench
+cargo build --release --offline -q -p mosaic-bench
 BIN=target/release
 HOST_CORES=$(nproc)
 GIT_REV=$(git describe --always --dirty --abbrev=12 2>/dev/null || echo unknown)

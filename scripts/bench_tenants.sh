@@ -4,13 +4,15 @@
 #
 # The sweep's *output* is a pure function of the flags (byte-identical
 # at any --jobs; gated in scripts/check.sh); only the wall times here
-# depend on the host. host_cores records which regime a run came from.
+# depend on the host. host_cores and git_rev in the JSON say where a
+# record came from.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p mosaic-bench
+cargo build --release --offline -q -p mosaic-bench
 BIN=target/release
 HOST_CORES=$(nproc)
+GIT_REV=$(git describe --always --dirty --abbrev=12 2>/dev/null || echo unknown)
 LOADS=(90 105 120)
 TEN_FLAGS=(--tenants 64 --buckets 64 --steps 400000 --churn 20000)
 
@@ -54,6 +56,7 @@ records() {
 cat > BENCH_tenants.json <<EOF
 {
   "host_cores": ${HOST_CORES},
+  "git_rev": "${GIT_REV}",
   "config": "tenants 64, buckets 64, Zipf theta 0.99, steps 400000, churn 20000",
   "load_points": [
 $(records)
@@ -62,4 +65,4 @@ $(records)
   "note": "Per-tenant p99 fault rates (ppm) from the fairness percentile line of each load point; byte-identical at any --jobs (gated in scripts/check.sh). Wall times are host-dependent; on a single-core container the parallel sweep records engine overhead, not speedup."
 }
 EOF
-echo "[bench_tenants] wrote BENCH_tenants.json (host_cores=${HOST_CORES})" >&2
+echo "[bench_tenants] wrote BENCH_tenants.json (host_cores=${HOST_CORES}, git_rev=${GIT_REV})" >&2
