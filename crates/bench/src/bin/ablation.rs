@@ -9,6 +9,8 @@
 //!    (the power-of-d-choices knob).
 //! 4. **Front/back split**: how dividing each 64-frame bucket between the
 //!    yards trades first-conflict load against CPFN width.
+//! 5. **Timestamp fidelity** (§3.2): exact timestamps vs the access-bit
+//!    scanning daemon — swap I/O, bits cleared, pages assumed accessed.
 //!
 //! ```text
 //! ablation [--buckets N] [--obs-out F] [--obs-interval R] [--jobs N]
@@ -23,7 +25,7 @@ use mosaic_bench::{Args, JOBS_HELP};
 use mosaic_core::iceberg::{experiments, IcebergConfig};
 use mosaic_core::mem::clock::ClockMemory;
 use mosaic_core::prelude::*;
-use mosaic_core::sim::pressure::PressureWorkload;
+use mosaic_core::sim::pressure::{MemDrive, PressureWorkload};
 use mosaic_core::sim::run_cells;
 use mosaic_core::mem::scanner::ScannerConfig;
 use mosaic_core::sim::report::Table;
@@ -50,42 +52,31 @@ fn slug(s: &str) -> String {
     out.trim_end_matches('-').to_string()
 }
 
-fn drive(
-    manager: &mut dyn MemoryManager,
-    workload: PressureWorkload,
-    target: u64,
-    seed: u64,
-    label: &str,
-    obs: &ObsHandle,
-    obs_interval: u64,
-) {
+/// Every managed run replays XSBench (seed 7) at `target` bytes.
+const WORKLOAD: PressureWorkload = PressureWorkload::XsBench;
+
+fn drive(mgr: &mut dyn MemoryManager, target: u64, label: &str, obs: &ObsHandle, interval: u64) {
     if obs.is_enabled() {
-        manager.set_obs(obs, &slug(label));
+        mgr.set_obs(obs, &slug(label));
         obs.event(
             0,
             "drive.begin",
             &[
                 ("mgr", Value::from(slug(label))),
-                ("workload", Value::from(workload.name())),
+                ("workload", Value::from(WORKLOAD.name())),
             ],
         );
     }
-    let mut w = workload.build(target, seed);
-    let mut now = 0u64;
+    let mut w = WORKLOAD.build(target, 7);
+    // Warmup 0: steady-state samples start at access 1.
+    let mut d = MemDrive::new(mgr, None, obs, interval, 0, 0, 0);
     w.run(&mut |a| {
-        now += 1;
-        manager.access(PageKey::new(Asid::new(1), a.addr.vpn()), a.kind, now);
-        if now.is_multiple_of(65_536) {
-            manager.sample_utilization();
-        }
-        if obs_interval > 0 && now.is_multiple_of(obs_interval) {
-            manager.publish_obs();
-            obs.snapshot(now);
-        }
+        d.step(PageKey::new(Asid::new(1), a.addr.vpn()), a.kind).expect("no interval verify");
     });
-    manager.sample_utilization();
+    d.finish().expect("structural invariants must hold");
+    let now = d.now();
     if obs.is_enabled() {
-        manager.publish_obs();
+        mgr.publish_obs();
         obs.snapshot(now);
     }
 }
@@ -103,7 +94,6 @@ fn main() {
     let obs_interval = sink.interval();
     let layout = MemoryLayout::new(IcebergConfig::paper_default(buckets));
     let target = layout.bytes() * 5 / 4; // 125 % footprint
-    let workload = PressureWorkload::XsBench;
 
     // ── 1. Eviction-policy ablation ────────────────────────────────────
     let mut t1 = Table::new(vec![
@@ -127,15 +117,7 @@ fn main() {
     eprintln!("[ablation] {} policy cells on {jobs} thread(s) ...", policies.len());
     for row in run_cells(jobs, sink.handle(), policies, |_, policy, child| {
         let mut mm = MosaicMemory::with_policy(layout, 7, policy);
-        drive(
-            &mut mm,
-            workload,
-            target,
-            7,
-            &format!("policy {policy}"),
-            child,
-            obs_interval,
-        );
+        drive(&mut mm, target, &format!("policy {policy}"), child, obs_interval);
         vec![
             policy.to_string(),
             mm.stats().swap_ops().to_string(),
@@ -185,7 +167,7 @@ fn main() {
                 &mut clock
             }
         };
-        drive(mgr, workload, target, 7, name, child, obs_interval);
+        drive(mgr, target, name, child, obs_interval);
         vec![
             name.to_string(),
             mgr.stats().swap_ops().to_string(),
@@ -284,7 +266,7 @@ fn main() {
                     ..Default::default()
                 },
             );
-            drive(&mut scanned, workload, target, 7, "ts scanned", child, obs_interval);
+            drive(&mut scanned, target, "ts scanned", child, obs_interval);
             let st = *scanned.scanner().expect("scanner mode").stats();
             vec![
                 "Scanned (access bits + 20% hot sampling)".into(),
@@ -294,7 +276,7 @@ fn main() {
             ]
         } else {
             let mut exact = MosaicMemory::new(layout, 7);
-            drive(&mut exact, workload, target, 7, "ts exact", child, obs_interval);
+            drive(&mut exact, target, "ts exact", child, obs_interval);
             vec![
                 "Exact (ideal hardware)".into(),
                 exact.stats().swap_ops().to_string(),

@@ -1,14 +1,8 @@
-//! Shared plumbing for the experiment-regenerator binaries.
-//!
-//! Each binary reproduces one paper artifact:
-//!
-//! | Binary | Paper artifact | Usage |
-//! |--------|----------------|-------|
-//! | `fig6` | Figure 6 (TLB misses) | `fig6 [graph500\|btree\|gups\|xsbench\|all] [--scale N] [--entries N]` |
-//! | `table2` | Table 2 (workloads) | `table2 [--scale N]` |
-//! | `table3` | Table 3 (utilization) | `table3 [--buckets N]` |
-//! | `table4` | Table 4 (swap I/O) | `table4 [--buckets N]` |
-//! | `table5` | Table 5 + §4.4 (hardware) | `table5` |
+//! Shared plumbing for the experiment-regenerator binaries: flag
+//! parsing ([`Args`]) and the `--obs-*` sink ([`obs`]). The 13 binaries
+//! in `src/bin/` and what each reproduces are listed in the repository
+//! README ("Reproducing the paper's evaluation" and "Looking inside a
+//! run"); each prints its flags with `--help`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +29,15 @@ pub enum ArgsError {
     /// `--buckets N` below the paper geometry's backyard choices: `d`
     /// distinct buckets must exist to choose among.
     TooFewBuckets(u64),
+    /// `--obs-format` other than `jsonl` or `trace`.
+    ObsFormat(String),
+    /// `--obs-out` names a file that cannot be created.
+    ObsOut {
+        /// The path as given.
+        path: String,
+        /// Why creating it failed.
+        error: String,
+    },
 }
 
 impl std::fmt::Display for ArgsError {
@@ -50,6 +53,10 @@ impl std::fmt::Display for ArgsError {
                 f,
                 "--buckets must be at least {PAPER_D_CHOICES} (one per backyard choice), got {n}"
             ),
+            ArgsError::ObsFormat(value) => {
+                write!(f, "--obs-format expects jsonl|trace, got {value:?}")
+            }
+            ArgsError::ObsOut { path, error } => write!(f, "--obs-out {path}: {error}"),
         }
     }
 }

@@ -20,7 +20,7 @@
 //!   `{"t":"attrib",...}` records only under this flag, keeping
 //!   `--obs-out`-only outputs byte-identical to earlier releases.
 
-use crate::Args;
+use crate::{exit_usage, Args, ArgsError};
 use mosaic_obs::{ObsHandle, Value};
 
 /// Export format of the collected stream.
@@ -44,19 +44,25 @@ pub struct ObsSink {
 
 impl ObsSink {
     /// Builds the sink from the parsed command line; `bin` is stamped
-    /// into the stream's leading `meta` record.
+    /// into the stream's leading `meta` record. The `--obs-out` file is
+    /// created here, so an unwritable path fails before any work runs.
     ///
-    /// # Panics
-    ///
-    /// Panics if `--obs-format` is neither `jsonl` nor `trace`.
+    /// An `--obs-format` other than `jsonl`/`trace`, or an `--obs-out`
+    /// that cannot be created, prints `error: …` and exits 2.
     pub fn from_args(args: &Args, bin: &str) -> Self {
-        let out = args.get_str("obs-out").map(str::to_string);
         let interval = args.get_u64("obs-interval", 0);
         let format = match args.get_str("obs-format") {
             None | Some("jsonl") => ObsFormat::Jsonl,
             Some("trace") => ObsFormat::Trace,
-            Some(other) => panic!("--obs-format expects jsonl|trace, got {other:?}"),
+            Some(other) => exit_usage(&ArgsError::ObsFormat(other.to_string())),
         };
+        let out = args.get_str("obs-out").map(str::to_string);
+        if let Some(path) = &out {
+            if let Err(e) = std::fs::File::create(path) {
+                let error = e.to_string();
+                exit_usage(&ArgsError::ObsOut { path: path.clone(), error });
+            }
+        }
         let attrib = args.has("attrib");
         let handle = if out.is_some() || attrib {
             let h = ObsHandle::enabled();
@@ -129,22 +135,27 @@ mod tests {
         s.finish(); // no-op, must not panic
     }
 
+    /// A fresh `--obs-out` path in the temp dir; the sink creates it.
+    fn scratch_path(name: &str) -> String {
+        let p = std::env::temp_dir().join(format!("obs-sink-{}-{name}", std::process::id()));
+        p.to_string_lossy().into_owned()
+    }
+
     #[test]
     fn enabled_with_flag() {
+        let path = scratch_path("x.jsonl");
         let s = ObsSink::from_args(
-            &parse(&["bin", "--obs-out", "/tmp/x.jsonl", "--obs-interval", "512"]),
+            &parse(&["bin", "--obs-out", &path, "--obs-interval", "512"]),
             "t",
         );
         assert!(s.is_enabled());
         assert_eq!(s.interval(), 512);
         // The meta record is already queued.
         assert!(s.handle().render_jsonl().contains("\"bin\":\"t\""));
-    }
-
-    #[test]
-    #[should_panic(expected = "jsonl|trace")]
-    fn bad_format_panics() {
-        ObsSink::from_args(&parse(&["bin", "--obs-out", "x", "--obs-format", "xml"]), "t");
+        s.finish();
+        let written = std::fs::read_to_string(&path).expect("sink wrote its stream");
+        assert_eq!(written, s.handle().render_jsonl());
+        std::fs::remove_file(&path).expect("remove scratch stream");
     }
 
     #[test]
@@ -157,8 +168,10 @@ mod tests {
 
     #[test]
     fn obs_out_alone_keeps_attribution_off() {
-        let s = ObsSink::from_args(&parse(&["bin", "--obs-out", "/tmp/y.jsonl"]), "t");
+        let path = scratch_path("y.jsonl");
+        let s = ObsSink::from_args(&parse(&["bin", "--obs-out", &path]), "t");
         assert!(s.is_enabled());
         assert!(!s.handle().attrib_enabled());
+        std::fs::remove_file(&path).expect("remove scratch stream");
     }
 }

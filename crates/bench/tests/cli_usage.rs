@@ -75,3 +75,32 @@ fn zero_buckets_is_a_usage_error() {
         assert!(stderr.starts_with("error: --buckets"), "{bin}: {stderr}");
     }
 }
+
+#[test]
+fn unknown_obs_format_is_a_usage_error() {
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_table2"),
+        &["--scale", "0", "--obs-format", "xml"],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: --obs-format expects jsonl|trace, got \"xml\""
+    );
+}
+
+#[test]
+fn unwritable_obs_out_is_a_usage_error_before_any_output() {
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/no-such-dir/x.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+        .args(["--scale", "0", "--obs-out", path])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("error: --obs-out {path}: ")),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "the table ran before the error");
+}

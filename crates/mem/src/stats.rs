@@ -228,6 +228,11 @@ impl UtilizationTracker {
     pub fn peak(&self) -> f64 {
         self.peak
     }
+
+    /// Steady-state samples taken so far.
+    pub fn samples(&self) -> u64 {
+        self.samples
+    }
 }
 
 #[cfg(test)]

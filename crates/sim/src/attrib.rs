@@ -40,7 +40,7 @@
 use crate::dual::instance_label;
 use crate::fig6::{run_grid, Fig6Config, TlbKind, DEFAULT_BATCH};
 use crate::parallel::run_cells;
-use crate::pressure::ResilienceConfig;
+use crate::pressure::{MemDrive, ResilienceConfig};
 use crate::report::{group_digits, Table};
 use crate::trace_buffer::TraceBuffer;
 use mosaic_mem::{
@@ -406,26 +406,21 @@ fn run_mem_cell(
     // The drive runs un-quota'd: at >100 % load the two tenants churn
     // under pure global pressure, producing capacity (self) and
     // cross-tenant evictions.
-    let mut now = 0u64;
-    let mut dropped = 0u64;
     let mut max_vpn = 0u64;
+    let mut d = MemDrive::new(mgr, None, child, obs_interval, 0, 0, 0);
     trace
         .replay(&mut |a| {
-            now += 1;
             let vpn = a.addr.vpn();
             max_vpn = max_vpn.max(vpn.0);
             let tenant = Asid(TENANT_EVEN.0 + (vpn.0 & 1) as u16);
-            if mgr.try_access(PageKey::new(tenant, vpn), a.kind, now).is_err() {
-                // Graceful degradation under injected faults: drop the
-                // access, keep the manager consistent.
-                dropped += 1;
-            }
-            if obs_interval > 0 && now.is_multiple_of(obs_interval) && child.is_enabled() {
-                mgr.publish_obs();
-                child.snapshot(now);
-            }
+            d.step(PageKey::new(tenant, vpn), a.kind).expect("no interval verify");
         })
         .expect("reference trace replay failed");
+    d.finish().expect("structural invariants must hold");
+    // Every typed error the drive absorbed drops its access.
+    let mut dropped = d.dropped + d.deferred;
+    // The epilogue's probe is the reference after the trace's last.
+    let now = d.now() + 1;
 
     // Epilogue: clamp the odd tenant to an eighth of memory, then touch
     // one fresh odd page — quotas are enforced on the tenant's next
@@ -439,7 +434,6 @@ fn run_mem_cell(
         },
     );
     let probe = max_vpn + 1 + ((max_vpn + 1) & 1 ^ 1);
-    now += 1;
     if mgr
         .try_access(
             PageKey::new(TENANT_ODD, mosaic_mem::Vpn(probe)),

@@ -15,11 +15,11 @@ use crate::parallel::{derive_seed, run_cells};
 use crate::report::{group_digits, Table};
 use crate::trace_buffer::TraceBuffer;
 use mosaic_mem::{
-    Asid, FaultPlan, IcebergConfig, LinuxMemory, MemoryLayout, MemoryManager, MosaicError,
-    MosaicMemory, MosaicResult, PageKey, ResilienceStats, PAGE_SIZE,
+    AccessKind, AccessOutcome, Asid, FaultPlan, IcebergConfig, LinuxMemory, MemoryLayout,
+    MemoryManager, MosaicError, MosaicMemory, MosaicResult, PageKey, ResilienceStats, PAGE_SIZE,
 };
 use mosaic_obs::{ObsHandle, Value};
-use mosaic_workloads::{Access, BTreeWorkload, Graph500, Workload, XsBench};
+use mosaic_workloads::{BTreeWorkload, Graph500, Workload, XsBench};
 
 /// The workloads the swapping experiments use (the paper's Tables 3–4
 /// run Graph500, XSBench, and BTree; GUPS is Figure-6-only).
@@ -141,27 +141,6 @@ pub struct PressureRow {
 }
 
 impl PressureRow {
-    /// The row describing `workload` at `footprint_bytes` once both
-    /// managers have been driven: their swap I/O and the utilization
-    /// milestones of their trackers.
-    pub fn measure(
-        workload: &'static str,
-        footprint_bytes: u64,
-        mosaic: &MosaicMemory,
-        linux: &LinuxMemory,
-    ) -> Self {
-        let pct = |u: f64| u * 100.0;
-        Self {
-            workload,
-            footprint_bytes,
-            linux_swaps: linux.stats().swap_ops(),
-            mosaic_swaps: mosaic.stats().swap_ops(),
-            first_conflict_pct: mosaic.utilization_tracker().first_conflict().map(pct),
-            steady_state_pct: mosaic.utilization_tracker().steady_state_mean().map(pct),
-            linux_steady_pct: linux.utilization_tracker().steady_state_mean().map(pct),
-        }
-    }
-
     /// Table 4's "Difference (%)" column: the percent reduction in swap
     /// I/O Mosaic achieves (positive = Mosaic swaps less).
     pub fn difference_pct(&self) -> f64 {
@@ -293,17 +272,6 @@ pub struct ResilienceReport {
 }
 
 impl ResilienceReport {
-    /// The report before anything ran: every counter zero.
-    pub const ZERO: ResilienceReport = ResilienceReport {
-        mosaic: ResilienceStats::ZERO,
-        linux: ResilienceStats::ZERO,
-        mosaic_dropped: 0,
-        linux_dropped: 0,
-        verify_passes: 0,
-        accesses_driven: 0,
-        last_error: None,
-    };
-
     /// Merged counters of both managers.
     pub fn combined(&self) -> ResilienceStats {
         let mut all = self.mosaic;
@@ -315,6 +283,239 @@ impl ResilienceReport {
     pub fn dropped(&self) -> u64 {
         self.mosaic_dropped + self.linux_dropped
     }
+}
+
+/// What [`MemDrive::step`] made of one access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driven {
+    /// The manager served the access.
+    Served(AccessOutcome),
+    /// Quota backpressure deferred it ([`MosaicError::QuotaExceeded`]):
+    /// the policy working, not a fault — the tenant retries from its own
+    /// schedule position and nothing is lost.
+    Deferred,
+    /// A typed error abandoned it (an injected fault outlasted its retry
+    /// budget); the manager stays consistent and the run keeps going.
+    Dropped,
+}
+
+/// The one memory replay loop: the utilization and swap experiments
+/// (Tables 3–4, tenants, attribution's memory cells, the ablations)
+/// feed their reference streams to a [`MemoryManager`] through
+/// [`MemDrive::step`], one access at a time, and end with
+/// [`MemDrive::finish`].
+///
+/// Per access: the reference clock advances and the access is tried;
+/// typed errors are absorbed ([`Driven`]); after `warmup` accesses,
+/// steady-state utilization is sampled every 64 Ki accesses; every
+/// `obs_interval` accesses the manager (and its idle `peer`, so each
+/// snapshot shows both managers current) publishes and the registry is
+/// snapshotted; every `verify_every` accesses the structural invariants
+/// are checked. The cadence counts accesses only, so it is independent
+/// of how callers chunk the stream.
+pub struct MemDrive<'a> {
+    /// The manager being driven; the ops between accesses (tenant
+    /// exits, quota changes) go to it directly.
+    pub manager: &'a mut dyn MemoryManager,
+    peer: Option<&'a dyn MemoryManager>,
+    obs: &'a ObsHandle,
+    obs_interval: u64,
+    verify_every: u64,
+    warmup: u64,
+    start: u64,
+    now: u64,
+    /// Accesses abandoned with a typed error.
+    pub dropped: u64,
+    /// Accesses deferred by quota backpressure.
+    pub deferred: u64,
+    /// Structural `verify()` passes that ran (each succeeded).
+    pub verify_passes: u64,
+    /// The last typed error that dropped an access.
+    pub last_error: Option<MosaicError>,
+}
+
+impl<'a> MemDrive<'a> {
+    /// A drive of `manager` whose clock starts at `start_now`; `0` for
+    /// `obs_interval` or `verify_every` turns that cadence off.
+    pub fn new(
+        manager: &'a mut dyn MemoryManager,
+        peer: Option<&'a dyn MemoryManager>,
+        obs: &'a ObsHandle,
+        obs_interval: u64,
+        verify_every: u64,
+        warmup: u64,
+        start_now: u64,
+    ) -> Self {
+        Self {
+            manager,
+            peer,
+            obs,
+            obs_interval,
+            verify_every,
+            warmup,
+            start: start_now,
+            now: start_now,
+            dropped: 0,
+            deferred: 0,
+            verify_passes: 0,
+            last_error: None,
+        }
+    }
+
+    /// Drives one access.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation if this access's interval `verify()` fails
+    /// — a bug, which ends the run. Access errors never surface here.
+    #[inline]
+    pub fn step(&mut self, key: PageKey, kind: AccessKind) -> MosaicResult<Driven> {
+        self.now += 1;
+        let driven = match self.manager.try_access(key, kind, self.now) {
+            Ok(outcome) => Driven::Served(outcome),
+            Err(MosaicError::QuotaExceeded { .. }) => {
+                self.deferred += 1;
+                Driven::Deferred
+            }
+            Err(e) => {
+                self.dropped += 1;
+                self.last_error = Some(e);
+                Driven::Dropped
+            }
+        };
+        let accesses = self.now - self.start;
+        if accesses > self.warmup && accesses.is_multiple_of(65_536) {
+            self.manager.sample_utilization();
+        }
+        if self.obs_interval > 0 && accesses.is_multiple_of(self.obs_interval) {
+            self.manager.publish_obs();
+            if let Some(peer) = self.peer {
+                peer.publish_obs();
+            }
+            self.obs.snapshot(self.now);
+        }
+        if self.verify_every > 0 && accesses.is_multiple_of(self.verify_every) {
+            self.manager.verify()?;
+            self.verify_passes += 1;
+        }
+        Ok(driven)
+    }
+
+    /// Ends the drive: a last utilization sample and a full structural
+    /// check.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation if the final `verify()` fails.
+    pub fn finish(&mut self) -> MosaicResult<()> {
+        self.manager.sample_utilization();
+        self.manager.verify()?;
+        self.verify_passes += 1;
+        Ok(())
+    }
+
+    /// The reference clock: `start_now` plus the accesses driven.
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Accesses driven so far.
+    pub fn accesses(&self) -> u64 {
+        self.now - self.start
+    }
+}
+
+/// One Mosaic-then-Linux run over a shared reference stream, as
+/// [`drive_pair`] needs it.
+pub struct PairRun<'a> {
+    /// The row's workload name.
+    pub workload: &'static str,
+    /// The row's footprint: the actual footprint of the driven stream.
+    pub footprint_bytes: u64,
+    /// Accesses before steady-state sampling starts.
+    pub warmup: u64,
+    /// Fields of each manager's `drive.begin` event, after `mgr`.
+    pub begin: &'a [(&'a str, Value)],
+    /// Accesses between structural `verify()` passes (`0`: final only).
+    pub verify_every: u64,
+    /// Where both managers export.
+    pub obs: &'a ObsHandle,
+    /// Accesses between registry snapshots (`0`: final snapshot only).
+    pub obs_interval: u64,
+}
+
+/// Drives `mosaic`, then `linux`, each through `drive` on its own
+/// [`MemDrive`] (finished here), and measures the pair.
+///
+/// When exporting, the reference timeline is continuous across the two
+/// managers — the baseline resumes at the reference after Mosaic's last
+/// — so snapshot and event timestamps are strictly increasing; `close`
+/// then adds its own exports before the final snapshot of both managers.
+/// Without export both clocks start at 0.
+///
+/// # Errors
+///
+/// The first error `drive` or a structural `verify()` returns.
+pub fn drive_pair<T>(
+    mosaic: &mut MosaicMemory,
+    linux: &mut LinuxMemory,
+    run: &PairRun<'_>,
+    mut drive: impl FnMut(&mut MemDrive<'_>) -> MosaicResult<T>,
+    close: impl FnOnce(&T, &T),
+) -> MosaicResult<(PressureRow, ResilienceReport, [T; 2])> {
+    let obs = run.obs;
+    let (mut verify_passes, mut last_error) = (0, None);
+    let mut one =
+        |mgr: &str, manager: &mut dyn MemoryManager, peer: &dyn MemoryManager, start: u64| {
+            if obs.is_enabled() {
+                let mut fields = vec![("mgr", Value::from(mgr))];
+                fields.extend_from_slice(run.begin);
+                obs.event(start, "drive.begin", &fields);
+            }
+            let mut d = MemDrive::new(
+                manager,
+                Some(peer),
+                obs,
+                run.obs_interval,
+                run.verify_every,
+                run.warmup,
+                start,
+            );
+            let out = drive(&mut d)?;
+            d.finish()?;
+            verify_passes += d.verify_passes;
+            last_error = d.last_error.take().or(last_error.take());
+            MosaicResult::Ok((out, d.dropped, d.now()))
+        };
+    let (m, mosaic_dropped, end) = one("mosaic", mosaic, linux, 0)?;
+    let start = if obs.is_enabled() { end } else { 0 };
+    let (l, linux_dropped, end) = one("linux", linux, mosaic, start)?;
+    if obs.is_enabled() {
+        mosaic.publish_obs();
+        linux.publish_obs();
+        close(&m, &l);
+        obs.snapshot(end);
+    }
+    let pct = |u: f64| u * 100.0;
+    let row = PressureRow {
+        workload: run.workload,
+        footprint_bytes: run.footprint_bytes,
+        linux_swaps: linux.stats().swap_ops(),
+        mosaic_swaps: mosaic.stats().swap_ops(),
+        first_conflict_pct: mosaic.utilization_tracker().first_conflict().map(pct),
+        steady_state_pct: mosaic.utilization_tracker().steady_state_mean().map(pct),
+        linux_steady_pct: linux.utilization_tracker().steady_state_mean().map(pct),
+    };
+    let report = ResilienceReport {
+        mosaic: *mosaic.resilience(),
+        linux: *linux.resilience(),
+        mosaic_dropped,
+        linux_dropped,
+        verify_passes,
+        accesses_driven: 0, // counted by callers that replay one trace twice
+        last_error,
+    };
+    Ok((row, report, [m, l]))
 }
 
 /// Runs one workload at one footprint through both managers.
@@ -356,9 +557,9 @@ pub fn run_pressure_resilient(
 /// `obs_report` renders. With a [`ObsHandle::noop`] handle this is
 /// exactly [`run_pressure_resilient`].
 ///
-/// The reference timeline is continuous across the two managers (Mosaic
-/// drives first, then the baseline resumes at the next reference), so
-/// snapshot and event timestamps in the export are strictly increasing.
+/// The workload is recorded once and replayed read-only for each manager
+/// ([`drive_pair`]), in `cfg.batch`-sized chunks; warmup is one target
+/// footprint's worth of touches.
 ///
 /// # Errors
 ///
@@ -375,141 +576,48 @@ pub fn run_pressure_observed(
     let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
     let mut mosaic = res.mosaic_memory(layout, cfg.seed, obs);
     let mut linux = res.linux_memory(layout, obs);
-    let mut report = ResilienceReport::ZERO;
-
-    // Identical reference streams for both managers: the workload is
-    // built and recorded once, then replayed read-only for each drive —
-    // the stream each manager sees is the same *object*, not merely the
-    // same seed, and the generation cost is paid once instead of twice.
     let mut source = workload.build(target, cfg.seed);
     let trace = TraceBuffer::record(source.as_mut()).map_err(MosaicError::from)?;
     drop(source);
-    // One drive per manager over the shared trace.
-    report.accesses_driven = trace.len() * 2;
-    if obs.is_enabled() {
-        obs.event(
-            0,
-            "drive.begin",
-            &[
-                ("mgr", Value::from("mosaic")),
-                ("workload", Value::from(workload.name())),
-                ("ratio", Value::from(footprint_ratio)),
-            ],
-        );
-    }
-    let mut replay = trace.replayer();
-    let (footprint, m_dropped, end) = drive(
-        &mut mosaic, &mut replay, target, cfg.batch, res, &mut report, 0, obs, obs_interval,
-    )?;
-    if let Some(e) = replay.into_error() {
-        return Err(e.into());
-    }
-    // The baseline's timeline resumes where Mosaic's stopped (only when
-    // exporting; `now` offsets never change manager behavior, but the
-    // default path stays untouched for bit-identity with the seed).
-    let start2 = if obs.is_enabled() { end } else { 0 };
-    if obs.is_enabled() {
-        obs.event(
-            start2,
-            "drive.begin",
-            &[
-                ("mgr", Value::from("linux")),
-                ("workload", Value::from(workload.name())),
-                ("ratio", Value::from(footprint_ratio)),
-            ],
-        );
-    }
-    let mut replay = trace.replayer();
-    let (footprint2, l_dropped, end2) = drive(
-        &mut linux, &mut replay, target, cfg.batch, res, &mut report, start2, obs, obs_interval,
-    )?;
-    if let Some(e) = replay.into_error() {
-        return Err(e.into());
-    }
-    debug_assert_eq!(footprint, footprint2);
-    report.mosaic = *mosaic.resilience();
-    report.linux = *linux.resilience();
-    report.mosaic_dropped = m_dropped;
-    report.linux_dropped = l_dropped;
-    if obs.is_enabled() {
-        mosaic.publish_obs();
-        linux.publish_obs();
-        obs.snapshot(end2);
-    }
-    let row = PressureRow::measure(workload.name(), footprint, &mosaic, &linux);
-    Ok((row, report))
-}
-
-/// Drives one manager with `w`'s page-reference stream (callers build —
-/// or replay — the workload; `footprint_bytes` is the *target* footprint
-/// and only sizes the warmup window). Returns the workload's actual
-/// footprint in bytes, the number of accesses dropped to typed errors,
-/// and the final reference count; propagates only invariant violations.
-///
-/// The stream is pulled through [`Workload::run_chunks`] in `batch`-sized
-/// chunks — for a trace replayer that's a slice-at-a-time feed straight
-/// from the recorded chunks — while the per-access body (and so every
-/// counter, sample, snapshot, and verify cadence) is independent of the
-/// chunk size.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    manager: &mut dyn MemoryManager,
-    w: &mut dyn Workload,
-    footprint_bytes: u64,
-    batch: usize,
-    res: &ResilienceConfig,
-    report: &mut ResilienceReport,
-    start_now: u64,
-    obs: &ObsHandle,
-    obs_interval: u64,
-) -> MosaicResult<(u64, u64, u64)> {
-    let mut now = start_now;
-    // Steady-state sampling every ~64 Ki accesses, after a warmup of one
-    // footprint's worth of touches.
-    let warmup = footprint_bytes / PAGE_SIZE;
-    let mut counter = 0u64;
-    let mut dropped = 0u64;
-    let mut violation: Option<MosaicError> = None;
-    let mut step = |a: Access| {
-        if violation.is_some() {
-            return;
-        }
-        now += 1;
-        let key = PageKey::new(PRESSURE_ASID, a.addr.vpn());
-        if let Err(e) = manager.try_access(key, a.kind, now) {
-            // Graceful degradation: the access is dropped, the manager
-            // stays consistent, and the experiment keeps running.
-            dropped += 1;
-            report.last_error = Some(e);
-        }
-        counter += 1;
-        if counter > warmup && counter.is_multiple_of(65_536) {
-            manager.sample_utilization();
-        }
-        if obs_interval > 0 && counter.is_multiple_of(obs_interval) {
-            manager.publish_obs();
-            obs.snapshot(now);
-        }
-        if res.verify_every > 0 && counter.is_multiple_of(res.verify_every) {
-            match manager.verify() {
-                Ok(()) => report.verify_passes += 1,
-                Err(e) => violation = Some(e),
-            }
-        }
+    let begin = [
+        ("workload", Value::from(workload.name())),
+        ("ratio", Value::from(footprint_ratio)),
+    ];
+    let run = PairRun {
+        workload: workload.name(),
+        footprint_bytes: trace.meta().footprint_bytes,
+        warmup: target / PAGE_SIZE,
+        begin: &begin,
+        verify_every: res.verify_every,
+        obs,
+        obs_interval,
     };
-    w.run_chunks(batch, &mut |chunk| {
-        for &a in chunk {
-            step(a);
-        }
-    });
-    if let Some(e) = violation {
-        return Err(e);
-    }
-    manager.sample_utilization();
-    // Always end on a full structural check.
-    manager.verify()?;
-    report.verify_passes += 1;
-    Ok((w.meta().footprint_bytes, dropped, now))
+    let (row, mut report, _) = drive_pair(
+        &mut mosaic,
+        &mut linux,
+        &run,
+        |d| {
+            let mut replay = trace.replayer();
+            let mut violation = None;
+            replay.run_chunks(cfg.batch, &mut |chunk| {
+                for &a in chunk {
+                    if violation.is_none() {
+                        let key = PageKey::new(PRESSURE_ASID, a.addr.vpn());
+                        if let Err(e) = d.step(key, a.kind) {
+                            violation = Some(e);
+                        }
+                    }
+                }
+            });
+            match violation {
+                Some(e) => Err(e),
+                None => replay.into_error().map_or(Ok(()), |e| Err(e.into())),
+            }
+        },
+        |_, _| {},
+    )?;
+    report.accesses_driven = trace.len() * 2;
+    Ok((row, report))
 }
 
 /// Extracts Table 3 rows (runs that conflicted) from pressure results.
@@ -641,6 +749,65 @@ mod tests {
             mem_buckets: 16, // 1024 frames = 4 MiB
             seed: 5,
             batch: crate::fig6::DEFAULT_BATCH,
+        }
+    }
+
+    #[test]
+    fn mem_drive_cadence() {
+        // Three 64 Ki sampling points, ending off every interval.
+        const REFS: u64 = 3 * 65_536 + 1_000;
+        const OBS_INTERVAL: u64 = 20_000;
+        let layout = MemoryLayout::new(IcebergConfig::paper_default(8));
+        let res = ResilienceConfig {
+            verify_every: 30_000,
+            ..ResilienceConfig::none()
+        };
+        // Warmup 0 samples from access 1 (ablation's cadence); a warmup
+        // past the first sampling point skips it. Both end on a sample.
+        for (warmup, samples) in [(0, 4), (100_000, 3)] {
+            for prefix in ["mosaic", "linux"] {
+                let obs = ObsHandle::enabled();
+                let mut mgr: Box<dyn MemoryManager> = if prefix == "mosaic" {
+                    Box::new(res.mosaic_memory(layout, 1, &obs))
+                } else {
+                    Box::new(res.linux_memory(layout, &obs))
+                };
+                // Tenant 2 may hold no frame: each of its accesses defers.
+                mgr.set_quota(Asid(2), mosaic_mem::TenantQuota { frames: 0, priority: 0 });
+                let mut d = MemDrive::new(
+                    mgr.as_mut(),
+                    None,
+                    &obs,
+                    OBS_INTERVAL,
+                    res.verify_every,
+                    warmup,
+                    0,
+                );
+                let mut quota_refs = 0;
+                for i in 0..REFS {
+                    let asid = if i % 97 == 0 { Asid(2) } else { Asid(1) };
+                    let key = PageKey::new(asid, mosaic_mem::Vpn(i % 2_048));
+                    let driven = d.step(key, AccessKind::Load).unwrap();
+                    if asid == Asid(2) {
+                        quota_refs += 1;
+                        assert_eq!(driven, Driven::Deferred, "{prefix} ref {i}");
+                    }
+                }
+                d.finish().unwrap();
+                assert_eq!((d.deferred, d.dropped), (quota_refs, 0), "{prefix}");
+                assert_eq!(d.last_error, None, "{prefix}");
+                assert_eq!(d.verify_passes, REFS / res.verify_every + 1, "{prefix}");
+                assert_eq!((d.accesses(), d.now()), (REFS, REFS), "{prefix}");
+                let accesses = format!("\"name\":\"{prefix}.accesses\"");
+                let jsonl = obs.render_jsonl();
+                let snapshots = jsonl.lines().filter(|l| l.contains(&accesses)).count();
+                assert_eq!(snapshots as u64, REFS / OBS_INTERVAL, "{prefix}");
+                assert_eq!(
+                    mgr.utilization_tracker().samples(),
+                    samples,
+                    "{prefix} warmup {warmup}"
+                );
+            }
         }
     }
 

@@ -6,9 +6,9 @@
 //! single schedule of [`TenantOp`]s — accesses tagged with the issuing
 //! tenant's ASID, plus exit/respawn churn events. The schedule is built
 //! **once** and replayed against both managers (Mosaic, then the Linux
-//! baseline), exactly like the Table 3/4 pressure driver replays its
-//! recorded trace: both managers see the same object, and the whole run
-//! is a pure function of the config.
+//! baseline) through the same loop and pair skeleton as the Table 3/4
+//! runs ([`MemDrive`], [`drive_pair`]): both managers see the same
+//! object, and the whole run is a pure function of the config.
 //!
 //! A one-tenant, churn-free schedule degenerates to the slot's trace in
 //! recording order with `Asid(1)` — bit-identical to
@@ -20,12 +20,15 @@ use crate::registry::TenantRegistry;
 use mosaic_hash::{SplitMix64, XxFamily};
 use mosaic_iceberg::{ConcurrentIcebergTable, IcebergTable};
 use mosaic_mem::{
-    AccessKind, Asid, IcebergConfig, LinuxMemory, MemoryLayout, MemoryManager, MosaicError,
-    MosaicMemory, MosaicResult, PageKey, Pfn, QuotaStats, TenantQuota, VirtAddr, Vpn, PAGE_SIZE,
+    AccessKind, AccessOutcome, Asid, IcebergConfig, MemoryLayout, MemoryManager, MosaicResult,
+    PageKey, Pfn, QuotaStats, TenantQuota, VirtAddr, Vpn, PAGE_SIZE,
 };
 use mosaic_obs::{ObsHandle, Value};
 use mosaic_sim::parallel::{derive_seed, run_cells};
-use mosaic_sim::pressure::{PressureRow, PressureWorkload, ResilienceConfig, ResilienceReport};
+use mosaic_sim::pressure::{
+    drive_pair, Driven, MemDrive, PairRun, PressureRow, PressureWorkload, ResilienceConfig,
+    ResilienceReport,
+};
 use mosaic_sim::PressureConfig;
 use mosaic_workloads::{record, Access, ZipfSampler};
 
@@ -586,21 +589,13 @@ pub fn quota_plan(cfg: &TenantsConfig) -> Option<QuotaPlan> {
     Some(QuotaPlan { frames, priorities })
 }
 
-/// Everything one manager's replay of a schedule produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriveOutcome {
-    /// Per-slot (rank) fault and conflict accounting.
-    pub slots: Vec<TenantSlotStats>,
-    /// Accesses dropped to typed errors (fault injection only).
-    pub dropped: u64,
-    /// Accesses deferred by quota backpressure
-    /// ([`MosaicError::QuotaExceeded`]) — counted separately from
-    /// `dropped` because deferral is the policy working, not a fault.
-    pub deferred: u64,
+/// What one manager's replay of a schedule adds to [`MemDrive`]'s
+/// counters.
+struct DriveOutcome {
+    /// Per-slot (rank) fault, deferral and conflict accounting.
+    slots: Vec<TenantSlotStats>,
     /// Frames reclaimed by tenant exits.
-    pub frames_reclaimed: u64,
-    /// Final reference count (`now` after the last access).
-    pub end_now: u64,
+    frames_reclaimed: u64,
 }
 
 /// The measured outcome of one multi-tenant run: the aggregate pressure
@@ -633,35 +628,16 @@ pub struct TenantsRow {
     pub linux_quota: QuotaStats,
 }
 
-/// Replays `schedule` into `manager`, mirroring the pressure driver's
-/// cadence exactly: `now` advances once per access, steady-state
-/// utilization samples every 64 Ki accesses after one warmup footprint,
-/// `verify()` at the configured interval, and a final sample + verify.
-/// Exits release the retiring ASID's frames (no swap I/O) and do not
-/// advance the reference clock.
-///
-/// `peer` is the *other* manager sharing the registry: each
-/// `--obs-interval` tick publishes it too, so every snapshot carries a
-/// consistent view of BOTH managers (counters and, with `--attrib`,
-/// attribution tables) rather than leaving the idle one stale.
-#[allow(clippy::too_many_arguments)]
-fn drive_schedule(
-    manager: &mut dyn MemoryManager,
-    peer: Option<&dyn MemoryManager>,
+/// Replays `schedule` through the shared loop `d`: accesses go through
+/// [`MemDrive::step`] and are charged to their slot; exits release the
+/// retiring ASID's frames (no swap I/O) without advancing the reference
+/// clock; spawns install the slot's quota when a plan is given.
+fn replay_schedule(
+    d: &mut MemDrive<'_>,
     schedule: &Schedule,
     quotas: Option<&QuotaPlan>,
-    warmup_bytes: u64,
-    res: &ResilienceConfig,
-    report: &mut ResilienceReport,
-    start_now: u64,
     obs: &ObsHandle,
-    obs_interval: u64,
 ) -> MosaicResult<DriveOutcome> {
-    let mut now = start_now;
-    let warmup = warmup_bytes / PAGE_SIZE;
-    let mut counter = 0u64;
-    let mut dropped = 0u64;
-    let mut deferred = 0u64;
     let mut frames_reclaimed = 0u64;
     let mut slots = vec![TenantSlotStats::default(); schedule.slots];
     for (rank, s) in slots.iter_mut().enumerate() {
@@ -670,65 +646,37 @@ fn drive_schedule(
     for op in &schedule.ops {
         match *op {
             TenantOp::Access { slot, asid, vpn, kind } => {
-                now += 1;
-                let key = PageKey::new(asid, vpn);
-                let conflicts_before = manager.stats().conflicts;
+                let step = d.accesses();
+                let conflicts_before = d.manager.stats().conflicts;
                 let stats = &mut slots[slot as usize];
                 stats.accesses += 1;
-                match manager.try_access(key, kind, now) {
-                    Ok(outcome) => {
+                match d.step(PageKey::new(asid, vpn), kind)? {
+                    Driven::Served(outcome) => {
                         if outcome.faulted() {
                             stats.faults += 1;
                         }
-                        if outcome == mosaic_mem::AccessOutcome::MajorFault {
+                        if outcome == AccessOutcome::MajorFault {
                             stats.major_faults += 1;
                         }
                     }
-                    Err(MosaicError::QuotaExceeded { .. }) => {
-                        // The admission was deferred with counted
-                        // backoff — the tenant retries from its own
-                        // schedule position; nothing is lost.
-                        deferred += 1;
-                        stats.deferred += 1;
-                    }
-                    Err(e) => {
-                        dropped += 1;
-                        stats.dropped += 1;
-                        report.last_error = Some(e);
-                    }
+                    Driven::Deferred => stats.deferred += 1,
+                    Driven::Dropped => stats.dropped += 1,
                 }
-                let conflict_delta = manager.stats().conflicts - conflicts_before;
+                let conflict_delta = d.manager.stats().conflicts - conflicts_before;
                 if conflict_delta > 0 {
                     stats.conflicts += conflict_delta;
                     if stats.first_conflict_step.is_none() {
-                        stats.first_conflict_step = Some(counter);
-                    }
-                }
-                counter += 1;
-                if counter > warmup && counter.is_multiple_of(65_536) {
-                    manager.sample_utilization();
-                }
-                if obs_interval > 0 && counter.is_multiple_of(obs_interval) {
-                    manager.publish_obs();
-                    if let Some(p) = peer {
-                        p.publish_obs();
-                    }
-                    obs.snapshot(now);
-                }
-                if res.verify_every > 0 && counter.is_multiple_of(res.verify_every) {
-                    match manager.verify() {
-                        Ok(()) => report.verify_passes += 1,
-                        Err(e) => return Err(e),
+                        stats.first_conflict_step = Some(step);
                     }
                 }
             }
             TenantOp::Exit { slot, asid } => {
-                let freed = manager.release_asid(asid);
+                let freed = d.manager.release_asid(asid);
                 frames_reclaimed += freed;
                 slots[slot as usize].generations += 1;
                 if obs.is_enabled() {
                     obs.event(
-                        now,
+                        d.now(),
                         "tenant.exit",
                         &[
                             ("slot", Value::from(u64::from(slot))),
@@ -740,7 +688,7 @@ fn drive_schedule(
             }
             TenantOp::Spawn { slot, asid } => {
                 if let Some(plan) = quotas {
-                    manager.set_quota(
+                    d.manager.set_quota(
                         asid,
                         TenantQuota {
                             frames: plan.frames,
@@ -751,15 +699,9 @@ fn drive_schedule(
             }
         }
     }
-    manager.sample_utilization();
-    manager.verify()?;
-    report.verify_passes += 1;
     Ok(DriveOutcome {
         slots,
-        dropped,
-        deferred,
         frames_reclaimed,
-        end_now: now,
     })
 }
 
@@ -773,8 +715,8 @@ pub fn run_tenants(cfg: &TenantsConfig) -> TenantsRow {
 /// [`run_tenants`] under a fault plan, with metric/event export.
 ///
 /// The schedule is built once; Mosaic replays it first, then the Linux
-/// baseline (resuming the reference timeline only when exporting, like
-/// the pressure driver). Per-slot fairness metrics are published to
+/// baseline ([`drive_pair`], whose timeline resumes across the two only
+/// when exporting). Per-slot fairness metrics are published to
 /// `obs` as `mosaic.tenants.*` / `linux.tenants.*` histograms.
 ///
 /// # Errors
@@ -814,93 +756,62 @@ pub fn run_schedule_observed(
     if cfg.concurrent_alloc {
         mosaic.enable_concurrent_shadow();
     }
-    let mut report = ResilienceReport::ZERO;
-
-    let warmup_bytes = cfg.target_bytes();
-    if obs.is_enabled() {
-        obs.event(
-            0,
-            "drive.begin",
-            &[
-                ("mgr", Value::from("mosaic")),
-                ("tenants", Value::from(cfg.tenants as u64)),
-                ("load", Value::from(cfg.load)),
-            ],
-        );
-    }
-    let m = drive_schedule(
-        &mut mosaic, Some(&linux), schedule, plan, warmup_bytes, res, &mut report, 0, obs,
+    let begin = [
+        ("tenants", Value::from(cfg.tenants as u64)),
+        ("load", Value::from(cfg.load)),
+    ];
+    let run = PairRun {
+        workload: match cfg.mix {
+            TenantMix::Single(w) => w.name(),
+            TenantMix::Rotate => "Mixed",
+        },
+        footprint_bytes: schedule.footprint_bytes(),
+        warmup: cfg.target_bytes() / PAGE_SIZE,
+        begin: &begin,
+        verify_every: res.verify_every,
+        obs,
         obs_interval,
-    )?;
-    let start2 = if obs.is_enabled() { m.end_now } else { 0 };
-    if obs.is_enabled() {
-        obs.event(
-            start2,
-            "drive.begin",
-            &[
-                ("mgr", Value::from("linux")),
-                ("tenants", Value::from(cfg.tenants as u64)),
-                ("load", Value::from(cfg.load)),
-            ],
-        );
-    }
-    let l = drive_schedule(
-        &mut linux, Some(&mosaic), schedule, plan, warmup_bytes, res, &mut report, start2, obs,
-        obs_interval,
-    )?;
-    report.mosaic = *mosaic.resilience();
-    report.linux = *linux.resilience();
-    report.mosaic_dropped = m.dropped;
-    report.linux_dropped = l.dropped;
-    if obs.is_enabled() {
-        mosaic.publish_obs();
-        linux.publish_obs();
-        publish_fairness(obs, "mosaic", &m.slots);
-        publish_fairness(obs, "linux", &l.slots);
-        obs.counter("tenants.exits").add(schedule.exits());
-        obs.counter("tenants.frames_reclaimed.mosaic")
-            .add(m.frames_reclaimed);
-        obs.counter("tenants.frames_reclaimed.linux")
-            .add(l.frames_reclaimed);
-        obs.snapshot(l.end_now);
-    }
-
-    let workload = match cfg.mix {
-        TenantMix::Single(w) => w.name(),
-        TenantMix::Rotate => "Mixed",
     };
-    let pressure = PressureRow::measure(workload, schedule.footprint_bytes(), &mosaic, &linux);
+    let (pressure, report, [m, l]) = drive_pair(
+        &mut mosaic,
+        &mut linux,
+        &run,
+        |d| replay_schedule(d, schedule, plan, obs),
+        |m, l| {
+            // Per-tenant fairness distributions: one fault-rate sample
+            // per slot, and the conflict onsets of the slots that conflicted.
+            for (prefix, out) in [("mosaic", m), ("linux", l)] {
+                let ppm = obs.histogram(&format!("{prefix}.tenants.fault_ppm"));
+                let onset = obs.histogram(&format!("{prefix}.tenants.conflict_onset"));
+                for s in &out.slots {
+                    ppm.record(s.fault_ppm());
+                    if let Some(step) = s.first_conflict_step {
+                        onset.record(step);
+                    }
+                }
+                obs.counter(&format!("tenants.frames_reclaimed.{prefix}"))
+                    .add(out.frames_reclaimed);
+            }
+            obs.counter("tenants.exits").add(schedule.exits());
+        },
+    )?;
     Ok((
         TenantsRow {
             tenants: cfg.tenants,
             load: cfg.load,
             pressure,
+            mosaic_deferred: m.slots.iter().map(|s| s.deferred).sum(),
+            linux_deferred: l.slots.iter().map(|s| s.deferred).sum(),
             mosaic_slots: m.slots,
             linux_slots: l.slots,
             exits: schedule.exits(),
             mosaic_frames_reclaimed: m.frames_reclaimed,
             linux_frames_reclaimed: l.frames_reclaimed,
-            mosaic_deferred: m.deferred,
-            linux_deferred: l.deferred,
             mosaic_quota: mosaic.quota_stats(),
             linux_quota: linux.quota_stats(),
         },
         report,
     ))
-}
-
-/// Publishes per-tenant fairness distributions under
-/// `<prefix>.tenants.*`: one fault-rate histogram sample per slot, and
-/// conflict-onset steps for the slots that conflicted.
-fn publish_fairness(obs: &ObsHandle, prefix: &str, slots: &[TenantSlotStats]) {
-    let ppm = obs.histogram(&format!("{prefix}.tenants.fault_ppm"));
-    let onset = obs.histogram(&format!("{prefix}.tenants.conflict_onset"));
-    for s in slots {
-        ppm.record(s.fault_ppm());
-        if let Some(step) = s.first_conflict_step {
-            onset.record(step);
-        }
-    }
 }
 
 /// Projects `schedule` onto one slot: every op that slot issued, in
@@ -953,26 +864,6 @@ pub struct IsolationOutcome {
     pub mosaic_solo_ppm: Vec<u64>,
     /// Per-slot solo fault rates (ppm) under the baseline.
     pub linux_solo_ppm: Vec<u64>,
-}
-
-/// Replays `schedule` alone into both managers, fault-free, quota-free,
-/// unobserved — the ground-truth cost of the ops themselves.
-fn run_solo(cfg: &TenantsConfig, schedule: &Schedule) -> MosaicResult<(DriveOutcome, DriveOutcome)> {
-    let layout = MemoryLayout::new(IcebergConfig::paper_default(cfg.mem_buckets));
-    let mut mosaic = MosaicMemory::new(layout, cfg.seed);
-    let mut linux = LinuxMemory::new(layout);
-    if cfg.concurrent_alloc {
-        mosaic.enable_concurrent_shadow();
-    }
-    let none = ResilienceConfig::none();
-    let mut report = ResilienceReport::ZERO;
-    let obs = ObsHandle::noop();
-    let warmup = cfg.target_bytes();
-    let m =
-        drive_schedule(&mut mosaic, None, schedule, None, warmup, &none, &mut report, 0, &obs, 0)?;
-    let l =
-        drive_schedule(&mut linux, None, schedule, None, warmup, &none, &mut report, 0, &obs, 0)?;
-    Ok((m, l))
 }
 
 /// Outcome of [`contention_exercise`]: the lock-free allocator raced by
@@ -1145,10 +1036,13 @@ pub fn run_isolation(
     let mut mosaic_solo_ppm = Vec::with_capacity(cfg.tenants);
     let mut linux_solo_ppm = Vec::with_capacity(cfg.tenants);
     for slot in 0..cfg.tenants {
+        // The slot alone, fault-free, quota-free, unobserved: the
+        // ground-truth cost of its ops.
         let solo = solo_schedule(&schedule, slot as u32);
-        let (m, l) = run_solo(cfg, &solo)?;
-        mosaic_solo_ppm.push(m.slots[slot].fault_ppm());
-        linux_solo_ppm.push(l.slots[slot].fault_ppm());
+        let none = ResilienceConfig::none();
+        let (solo, _) = run_schedule_observed(cfg, &solo, None, &none, &ObsHandle::noop(), 0)?;
+        mosaic_solo_ppm.push(solo.mosaic_slots[slot].fault_ppm());
+        linux_solo_ppm.push(solo.linux_slots[slot].fault_ppm());
     }
     let (on, _) = run_schedule_observed(cfg, &schedule, plan.as_ref(), res, obs, obs_interval)?;
     let (off, _) =

@@ -1,8 +1,10 @@
 //! Oracle equivalence: the multi-tenant driver, collapsed to one tenant
 //! with no churn, must be *bit-identical* to the single-process pressure
-//! driver it generalizes — same workload build, same ASID, same warmup
-//! and sampling cadence, same managers. Any drift here means the
-//! multi-tenant results are measuring the driver, not the tenancy.
+//! run — same workload build, same ASID, same managers. Both feed the
+//! one memory replay loop (`MemDrive`), so what this pins is the
+//! schedule construction and the per-slot accounting around it against
+//! the recorded-trace path. Any drift here means the multi-tenant
+//! results are measuring the driver, not the tenancy.
 
 use mosaic_sim::pressure::{run_pressure, PressureWorkload, ResilienceConfig};
 use mosaic_tenants::driver::as_pressure_config;

@@ -123,6 +123,13 @@ cmp "$OBS_TMP/wcgold.txt" results_walkcost.txt
 ./target/release/ablation --buckets 48 > "$OBS_TMP/ablgold.txt" 2>/dev/null
 cmp "$OBS_TMP/ablgold.txt" results_ablation.txt
 
+echo "==> ablation obs determinism gate (JSONL --jobs 1 vs --jobs 4)"
+for jobs in 1 4; do
+  ./target/release/ablation --buckets 48 --jobs "$jobs" \
+    --obs-out "$OBS_TMP/ablobs-$jobs.jsonl" --obs-interval 50000 > /dev/null 2>&1
+done
+cmp "$OBS_TMP/ablobs-1.jsonl" "$OBS_TMP/ablobs-4.jsonl"
+
 echo "==> tenant determinism gate (tenants --jobs 1 vs --jobs 4, clean + faults)"
 TEN_FLAGS=(--tenants 16 --buckets 16 --steps 60000 --churn 10000 --loads 90,110)
 for jobs in 1 4; do
@@ -134,6 +141,16 @@ done
 cmp "$OBS_TMP/ten1.txt" "$OBS_TMP/ten4.txt"
 cmp "$OBS_TMP/tenf1.txt" "$OBS_TMP/tenf4.txt"
 grep -q "per-tenant fault ppm" "$OBS_TMP/ten1.txt"
+
+echo "==> tenant obs determinism gate (JSONL --jobs 1 vs --jobs 4, clean + faults)"
+for fault_ppm in 0 200; do
+  for jobs in 1 4; do
+    ./target/release/tenants "${TEN_FLAGS[@]}" --fault-ppm "$fault_ppm" --jobs "$jobs" \
+      --obs-out "$OBS_TMP/tenobs-$fault_ppm-$jobs.jsonl" --obs-interval 20000 \
+      > /dev/null 2>&1
+  done
+  cmp "$OBS_TMP/tenobs-$fault_ppm-1.jsonl" "$OBS_TMP/tenobs-$fault_ppm-4.jsonl"
+done
 
 echo "==> tenants golden gate (default sweep must reproduce results_tenants.txt)"
 ./target/release/tenants --jobs 4 > "$OBS_TMP/tengold.txt" 2>/dev/null
