@@ -27,6 +27,7 @@ fig6/table3/table4 --jobs N.
 fn main() {
     let args = Args::from_env();
     args.maybe_help(USAGE);
+    args.only_or_exit(&["cache-kib", "ways"]);
     let cache_bytes = args.get_u64("cache-kib", 512) << 10;
     let ways = args.get_u64("ways", 8) as usize;
 

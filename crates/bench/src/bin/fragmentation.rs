@@ -27,6 +27,7 @@ fragmentation levels replay it as independent cells on --jobs threads.";
 fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
+    args.only_or_exit(&["keys", "lookups", "csv", "jobs"]);
     let jobs = args.jobs_or_exit();
     let keys = args.get_u64("keys", 600_000);
     let lookups = args.get_u64("lookups", 60_000);

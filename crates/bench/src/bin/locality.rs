@@ -38,6 +38,7 @@ sweeps live in fig6/table3/table4 --jobs N.
 fn main() {
     let args = Args::from_env();
     args.maybe_help(USAGE);
+    args.only_or_exit(&["entries", "updates"]);
     let entries = args.get_u64("entries", 256) as usize;
     let updates = args.get_u64("updates", 2_000_000);
     let table_bytes = 64u64 << 20; // 16 Ki pages >> TLB reach

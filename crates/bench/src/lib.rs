@@ -38,6 +38,14 @@ pub enum ArgsError {
         /// Why creating it failed.
         error: String,
     },
+    /// A flag the binary does not read (it would otherwise be ignored
+    /// silently).
+    UnknownFlag {
+        /// Flag name, without the leading `--`.
+        flag: String,
+        /// The flags the binary reads, without `--`.
+        accepted: Vec<String>,
+    },
 }
 
 impl std::fmt::Display for ArgsError {
@@ -57,6 +65,13 @@ impl std::fmt::Display for ArgsError {
                 write!(f, "--obs-format expects jsonl|trace, got {value:?}")
             }
             ArgsError::ObsOut { path, error } => write!(f, "--obs-out {path}: {error}"),
+            ArgsError::UnknownFlag { flag, accepted } => {
+                write!(f, "unknown flag --{flag}; this binary takes")?;
+                for name in accepted {
+                    write!(f, " --{name}")?;
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -213,6 +228,31 @@ impl Args {
     pub fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
+
+    /// Checks that every flag passed is one of `accepted` (names without
+    /// `--`; `help` is always accepted).
+    ///
+    /// # Errors
+    ///
+    /// [`ArgsError::UnknownFlag`] for the first flag not in `accepted`.
+    pub fn only(&self, accepted: &[&str]) -> Result<(), ArgsError> {
+        match self
+            .flags
+            .iter()
+            .find(|(n, _)| n != "help" && !accepted.contains(&n.as_str()))
+        {
+            Some((flag, _)) => Err(ArgsError::UnknownFlag {
+                flag: flag.clone(),
+                accepted: accepted.iter().map(|a| a.to_string()).collect(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Args::only`] for binaries: prints the error and exits 2.
+    pub fn only_or_exit(&self, accepted: &[&str]) {
+        self.only(accepted).unwrap_or_else(|e| exit_usage(&e));
+    }
 }
 
 #[cfg(test)]
@@ -287,6 +327,24 @@ mod tests {
         let a = parse(&["bin", "--scale", "abc"]);
         assert!(a.try_get_u64("scale", 0).is_err());
         assert_eq!(a.try_get_u64("missing", 7), Ok(7));
+    }
+
+    #[test]
+    fn only_rejects_flags_outside_the_accepted_set() {
+        let a = parse(&["bin", "--ways", "4", "--help", "--obs-out", "f.jsonl"]);
+        assert_eq!(a.only(&["ways", "obs-out"]), Ok(()));
+        let err = a.only(&["ways", "cache-kib"]).unwrap_err();
+        assert_eq!(
+            err,
+            ArgsError::UnknownFlag {
+                flag: "obs-out".into(),
+                accepted: vec!["ways".into(), "cache-kib".into()],
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "unknown flag --obs-out; this binary takes --ways --cache-kib"
+        );
     }
 
     #[test]

@@ -104,3 +104,26 @@ fn unwritable_obs_out_is_a_usage_error_before_any_output() {
     );
     assert!(out.stdout.is_empty(), "the table ran before the error");
 }
+
+#[test]
+fn flags_a_serial_bin_does_not_read_are_usage_errors() {
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/unread-flag.jsonl");
+    for bin in [
+        env!("CARGO_BIN_EXE_coloring"),
+        env!("CARGO_BIN_EXE_locality"),
+        env!("CARGO_BIN_EXE_fragmentation"),
+    ] {
+        let out = Command::new(bin)
+            .args(["--obs-out", path])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert!(
+            stderr.starts_with("error: unknown flag --obs-out; this binary takes --"),
+            "{bin}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} ran before the error");
+        assert!(!std::path::Path::new(path).exists(), "{bin} wrote {path}");
+    }
+}

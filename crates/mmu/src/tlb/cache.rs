@@ -9,10 +9,19 @@
 //!
 //! Storage is struct-of-arrays: flat `Vec`s (`tags`, `entries`, and the
 //! recency links) indexed by `set * ways + way`, with no per-set
-//! allocation. A lookup is a linear tag scan over one contiguous stripe
-//! of at most `ways` slots — for the narrow associativities of the
-//! Figure 6 sweep (1–8 ways) that is a handful of adjacent compares, far
-//! cheaper than the per-set `HashMap` + ordered-index pair it replaces.
+//! allocation. Tags are stored plain — every tag value is representable,
+//! none is reserved as a sentinel — and a slot is live exactly when its
+//! `entries` payload is `Some`. A linear lookup compares the probe
+//! against the whole stripe of at most `ways` slots without an early
+//! exit, folding `tag == probe` into a hit bitmask that the set's
+//! occupancy mask clears of free slots' stale tags; the lowest remaining
+//! bit is the slot. For the narrow associativities of the Figure 6 sweep
+//! (1–8 ways) that is a handful of adjacent compares and no
+//! data-dependent branch. Callers that keep payloads of their own
+//! (the mosaic TLB's inline ToC arena) use the slot-index API
+//! ([`SetAssocCache::lookup_slot`], [`SetAssocCache::insert_slot`]) and
+//! index their storage by the slot handed back.
+//!
 //! Wide sets (beyond [`LINEAR_WAYS_MAX`] ways, i.e. the fully-associative
 //! configuration) keep O(1) lookups through a `(set, tag) → slot` hash
 //! index keyed with the workspace's multiply-fold
@@ -128,6 +137,7 @@ impl TlbConfig {
 
 /// Widest stripe still probed by linear tag scan; wider sets (the
 /// fully-associative sweep point) get a hash index so lookups stay O(1).
+/// At most 32, the width of the scan's hit and occupancy bitmasks.
 const LINEAR_WAYS_MAX: usize = 16;
 
 /// Null slot link.
@@ -139,9 +149,10 @@ const NIL: u32 = u32::MAX;
 /// its design uses), keeping this structure agnostic of tag semantics.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T, E> {
-    /// Slot tags, indexed `set * ways + way`; `None` is a free slot.
-    tags: Vec<Option<T>>,
-    /// Slot payloads (same indexing).
+    /// Slot tags, indexed `set * ways + way`. A free slot keeps a stale
+    /// tag (or `T::default()`).
+    tags: Vec<T>,
+    /// Slot payloads (same indexing); `None` is a free slot.
     entries: Vec<Option<E>>,
     /// Recency link toward the set's head (more recent); [`NIL`] at head.
     prev: Vec<u32>,
@@ -154,6 +165,9 @@ pub struct SetAssocCache<T, E> {
     tail: Vec<u32>,
     /// Per-set head of the free-slot chain (through `next`).
     free: Vec<u32>,
+    /// Per-set occupancy bitmask (bit `w` set when way `w` is live) for
+    /// linearly scanned stripes; empty when the hash `index` is used.
+    occupied: Vec<u32>,
     num_sets: usize,
     ways: usize,
     len: usize,
@@ -167,20 +181,25 @@ pub struct SetAssocCache<T, E> {
     index: Option<FastHashMap<(usize, T), u32>>,
 }
 
-impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
+impl<T: Copy + Eq + Hash + Default, E> SetAssocCache<T, E> {
     /// Creates an empty cache from a TLB configuration.
     pub fn new(cfg: TlbConfig) -> Self {
         let num_sets = cfg.num_sets();
         let ways = cfg.ways();
         let capacity = num_sets * ways;
         let mut cache = Self {
-            tags: (0..capacity).map(|_| None).collect(),
+            tags: vec![T::default(); capacity],
             entries: (0..capacity).map(|_| None).collect(),
             prev: vec![NIL; capacity],
             next: vec![NIL; capacity],
             head: vec![NIL; num_sets],
             tail: vec![NIL; num_sets],
             free: vec![NIL; num_sets],
+            occupied: if ways > LINEAR_WAYS_MAX {
+                Vec::new()
+            } else {
+                vec![0; num_sets]
+            },
             num_sets,
             ways,
             len: 0,
@@ -284,28 +303,76 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
     }
 
     /// The slot holding `tag` within set `s`, if resident.
+    ///
+    /// The linear path compares every slot of the stripe (no early
+    /// exit) into a hit bitmask and masks out free slots; at most one
+    /// live slot per set holds a given tag (fills happen only on a
+    /// miss), so at most one bit survives.
     #[inline]
     fn slot_of(&self, s: usize, tag: T) -> Option<usize> {
         if let Some(ix) = &self.index {
             return ix.get(&(s, tag)).map(|&i| i as usize);
         }
         let base = s * self.ways;
-        let probe = Some(tag);
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|t| *t == probe)
-            .map(|w| base + w)
+        let stripe = &self.tags[base..base + self.ways];
+        // Fixed-width stripes compile to straight-line compares.
+        let hits = match self.ways {
+            1 => hit_mask::<T, 1>(stripe, tag),
+            2 => hit_mask::<T, 2>(stripe, tag),
+            4 => hit_mask::<T, 4>(stripe, tag),
+            8 => hit_mask::<T, 8>(stripe, tag),
+            16 => hit_mask::<T, 16>(stripe, tag),
+            _ => stripe
+                .iter()
+                .enumerate()
+                .fold(0, |m, (w, t)| m | u32::from(*t == tag) << w),
+        } & self.occupied[s];
+        (hits != 0).then(|| base + hits.trailing_zeros() as usize)
     }
 
-    /// Looks up `tag` in `set`, refreshing its LRU position on a hit.
-    pub fn lookup(&mut self, set: usize, tag: T) -> Option<&mut E> {
-        let s = self.set_of(set);
-        let slot = self.slot_of(s, tag)?;
+    /// Moves `slot` to the head (MRU position) of set `s`.
+    #[inline]
+    fn promote(&mut self, s: usize, slot: usize) {
         if self.head[s] != slot as u32 {
             self.unlink(s, slot);
             self.push_front(s, slot);
         }
+    }
+
+    /// Looks up `tag` in `set`, refreshing its LRU position on a hit.
+    pub fn lookup(&mut self, set: usize, tag: T) -> Option<&mut E> {
+        let slot = self.lookup_slot(set, tag)?;
         self.entries[slot].as_mut()
+    }
+
+    /// [`SetAssocCache::lookup`] that hands back the hit's slot index
+    /// (`set * ways + way`, below [`SetAssocCache::capacity`]) instead
+    /// of its payload, for callers that keep per-slot storage of their
+    /// own. A slot keeps its index until its entry is evicted or
+    /// invalidated.
+    #[inline]
+    pub fn lookup_slot(&mut self, set: usize, tag: T) -> Option<usize> {
+        let s = self.set_of(set);
+        let slot = self.slot_of(s, tag)?;
+        self.promote(s, slot);
+        Some(slot)
+    }
+
+    /// [`SetAssocCache::lookup_slot`] with a guess: when slot `hint`
+    /// still holds `tag` in `set`, it is refreshed without a tag scan
+    /// (the same LRU effect as a lookup); otherwise this is a plain
+    /// lookup.
+    #[inline]
+    pub fn lookup_slot_hinted(&mut self, set: usize, tag: T, hint: usize) -> Option<usize> {
+        let s = self.set_of(set);
+        let in_set = hint.wrapping_sub(s * self.ways) < self.ways;
+        let slot = if in_set && self.entries[hint].is_some() && self.tags[hint] == tag {
+            hint
+        } else {
+            self.slot_of(s, tag)?
+        };
+        self.promote(s, slot);
+        Some(slot)
     }
 
     /// Looks up without disturbing LRU state (diagnostics).
@@ -322,6 +389,17 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
     /// Panics if `tag` is already present in the set (callers fill only on
     /// a miss).
     pub fn insert(&mut self, set: usize, tag: T, entry: E) -> Option<(T, E)> {
+        self.insert_slot(set, tag, entry).1
+    }
+
+    /// [`SetAssocCache::insert`] that also hands back the slot index the
+    /// entry now occupies (the evicted entry's slot, on an eviction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is already present in the set (callers fill only on
+    /// a miss).
+    pub fn insert_slot(&mut self, set: usize, tag: T, entry: E) -> (usize, Option<(T, E)>) {
         let s = self.set_of(set);
         // Fill-only-on-miss contract: the indexed path asks its map, the
         // linear path rescans the (short) stripe.
@@ -346,7 +424,7 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
             // Evict the tail — the least-recently-used slot.
             let victim = self.tail[s] as usize;
             self.unlink(s, victim);
-            let old_tag = self.tags[victim].take().expect("full set is non-empty");
+            let old_tag = self.tags[victim];
             let old_entry = self.entries[victim]
                 .take()
                 .expect("resident slot has a payload");
@@ -355,13 +433,16 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
             }
             (victim, Some((old_tag, old_entry)))
         };
-        self.tags[slot] = Some(tag);
+        self.tags[slot] = tag;
         self.entries[slot] = Some(entry);
         self.push_front(s, slot);
-        if let Some(ix) = &mut self.index {
-            ix.insert((s, tag), slot as u32);
+        match &mut self.index {
+            Some(ix) => {
+                ix.insert((s, tag), slot as u32);
+            }
+            None => self.occupied[s] |= 1 << (slot - s * self.ways),
         }
-        evicted
+        (slot, evicted)
     }
 
     /// Removes `tag` from `set`, returning its entry.
@@ -369,13 +450,15 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
         let s = self.set_of(set);
         let slot = self.slot_of(s, tag)?;
         self.unlink(s, slot);
-        self.tags[slot] = None;
         let entry = self.entries[slot].take();
         // Push onto the free chain for O(1) reuse.
         self.next[slot] = self.free[s];
         self.free[s] = slot as u32;
-        if let Some(ix) = &mut self.index {
-            ix.remove(&(s, tag));
+        match &mut self.index {
+            Some(ix) => {
+                ix.remove(&(s, tag));
+            }
+            None => self.occupied[s] &= !(1 << (slot - s * self.ways)),
         }
         self.len -= 1;
         entry
@@ -383,8 +466,8 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
 
     /// Removes every entry (a full TLB flush).
     pub fn flush(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = None);
         self.entries.iter_mut().for_each(|e| *e = None);
+        self.occupied.iter_mut().for_each(|o| *o = 0);
         self.head.iter_mut().for_each(|h| *h = NIL);
         self.tail.iter_mut().for_each(|t| *t = NIL);
         self.chain_free_slots();
@@ -398,8 +481,8 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
     pub fn iter(&self) -> impl Iterator<Item = (&T, &E)> {
         self.tags
             .iter()
-            .zip(self.entries.iter())
-            .filter_map(|(t, e)| Some((t.as_ref()?, e.as_ref()?)))
+            .zip(&self.entries)
+            .filter_map(|(t, e)| Some((t, e.as_ref()?)))
     }
 
     /// Per-set occupancy histogram (diagnostics).
@@ -407,14 +490,26 @@ impl<T: Copy + Eq + Hash, E> SetAssocCache<T, E> {
         (0..self.num_sets)
             .map(|s| {
                 let base = s * self.ways;
-                let occ = self.tags[base..base + self.ways]
+                let occ = self.entries[base..base + self.ways]
                     .iter()
-                    .filter(|t| t.is_some())
+                    .filter(|e| e.is_some())
                     .count();
                 (s, occ)
             })
             .collect()
     }
+}
+
+/// Bit `w` set where `stripe[w] == tag`, over a stripe of exactly `W`
+/// slots (no early exit).
+#[inline(always)]
+fn hit_mask<T: Eq, const W: usize>(stripe: &[T], tag: T) -> u32 {
+    let stripe: &[T; W] = stripe.try_into().expect("stripe of W slots");
+    let mut hits = 0;
+    for (w, t) in stripe.iter().enumerate() {
+        hits |= u32::from(*t == tag) << w;
+    }
+    hits
 }
 
 #[cfg(test)]

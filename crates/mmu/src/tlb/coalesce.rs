@@ -15,7 +15,7 @@ use super::stats::TlbStats;
 use mosaic_mem::{Asid, Pfn, Vpn};
 
 /// Tag for a coalesced entry: the aligned virtual window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 struct ColtTag {
     asid: Asid,
     window: u64,

@@ -5,6 +5,12 @@
 //! valid; a present entry with an invalid sub-entry is a **sub-entry
 //! miss** — the walker refills just that CPFN, leaving the rest of the ToC
 //! intact. Whole entries are evicted LRU on capacity misses.
+//!
+//! The ToCs live inline: one flat CPFN arena indexed
+//! `slot * arity + offset`, where `slot` is the entry's index in the
+//! tag cache ([`SetAssocCache::lookup_slot`]). A fill copies the walked
+//! ToC into its slot's stripe, overwriting every sub-entry of an evicted
+//! predecessor, so fills never allocate and no entry owns a heap buffer.
 
 use super::cache::{SetAssocCache, TlbConfig};
 use super::obs::TlbObs;
@@ -15,7 +21,7 @@ use crate::toc::Toc;
 use mosaic_mem::{Asid, Cpfn, Vpn};
 
 /// Tag for a mosaic TLB entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 struct MosaicTag {
     asid: Asid,
     mvpn: Mvpn,
@@ -58,7 +64,14 @@ impl MosaicLookup {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MosaicTlb {
-    cache: SetAssocCache<MosaicTag, Toc>,
+    /// Tags and LRU order; payloads live in `cpfns`.
+    cache: SetAssocCache<MosaicTag, ()>,
+    /// Inline ToCs: slot `i`'s sub-entries are
+    /// `cpfns[i * arity .. (i + 1) * arity]`, `unmapped` where invalid.
+    cpfns: Vec<Cpfn>,
+    /// Slot of the last lookup that found its entry: where
+    /// [`MosaicTlb::fill_sub`] looks first after a sub-entry miss.
+    last_slot: usize,
     cfg: TlbConfig,
     arity: Arity,
     unmapped: Cpfn,
@@ -66,10 +79,6 @@ pub struct MosaicTlb {
     obs: TlbObs,
     /// `stats` as of the last [`MosaicTlb::publish_obs`].
     published: TlbStats,
-    /// One-entry recycle pool: the last evicted ToC, whose buffer
-    /// [`MosaicTlb::fill_toc_ref`] reuses for the next fill (same
-    /// arity, so steady-state fills never touch the allocator).
-    recycled: Option<Toc>,
 }
 
 impl MosaicTlb {
@@ -83,13 +92,14 @@ impl MosaicTlb {
     pub fn with_sentinel(cfg: TlbConfig, arity: Arity, unmapped: Cpfn) -> Self {
         Self {
             cache: SetAssocCache::new(cfg),
+            cpfns: vec![unmapped; cfg.entries() * arity.get()],
+            last_slot: 0,
             cfg,
             arity,
             unmapped,
             stats: TlbStats::new(),
             obs: TlbObs::noop(),
             published: TlbStats::new(),
-            recycled: None,
         }
     }
 
@@ -137,22 +147,29 @@ impl MosaicTlb {
         (MosaicTag { asid, mvpn }, offset)
     }
 
+    /// Index of sub-entry `offset` of the entry in `slot`.
+    #[inline]
+    fn at(&self, slot: usize, offset: usize) -> usize {
+        slot * self.arity.get() + offset
+    }
+
     /// Looks up the translation for `(asid, vpn)`, counting hit/miss.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> MosaicLookup {
         self.stats.accesses += 1;
         let (tag, offset) = self.tag(asid, vpn);
-        match self.cache.lookup(tag.mvpn.0 as usize, tag) {
-            Some(toc) => match toc.get(offset) {
-                Some(cpfn) => {
+        match self.cache.lookup_slot(tag.mvpn.0 as usize, tag) {
+            Some(slot) => {
+                self.last_slot = slot;
+                let cpfn = self.cpfns[self.at(slot, offset)];
+                if cpfn != self.unmapped {
                     self.stats.hits += 1;
                     MosaicLookup::Hit(cpfn)
-                }
-                None => {
+                } else {
                     self.stats.misses += 1;
                     self.stats.sub_entry_misses += 1;
                     MosaicLookup::SubMiss
                 }
-            },
+            }
             None => {
                 self.stats.misses += 1;
                 MosaicLookup::Miss
@@ -165,51 +182,51 @@ impl MosaicTlb {
     ///
     /// # Panics
     ///
-    /// Panics if the ToC's arity differs from the TLB's, or if the entry is
-    /// already present (fill only on [`MosaicLookup::Miss`]).
+    /// Panics if the ToC's arity or unmapped sentinel differs from the
+    /// TLB's, or if the entry is already present (fill only on
+    /// [`MosaicLookup::Miss`]).
     pub fn fill_toc(&mut self, asid: Asid, vpn: Vpn, toc: Toc) {
-        assert_eq!(toc.len(), self.arity.get(), "ToC arity mismatch");
-        let (tag, _) = self.tag(asid, vpn);
-        let evicted = self.cache.insert(tag.mvpn.0 as usize, tag, toc);
-        if let Some((_, old)) = evicted {
-            self.stats.evictions += 1;
-            self.recycled = Some(old);
-        }
+        self.fill_toc_ref(asid, vpn, &toc);
     }
 
-    /// [`MosaicTlb::fill_toc`] from a borrowed ToC: the entry is copied
-    /// into the last evicted entry's buffer when one is available
-    /// ([`Toc::copy_from`]), so steady-state fills are allocation-free.
-    /// The walk-memo paths hand out `&Toc`, making this the hot fill
-    /// path of the batched replay.
+    /// [`MosaicTlb::fill_toc`] from a borrowed ToC, copied into the
+    /// entry's inline slot. The walk-memo paths hand out `&Toc`, making
+    /// this the hot fill path of the batched replay.
     ///
     /// # Panics
     ///
-    /// Panics if the ToC's arity differs from the TLB's, or if the entry
-    /// is already present (fill only on [`MosaicLookup::Miss`]).
+    /// Panics if the ToC's arity or unmapped sentinel differs from the
+    /// TLB's, or if the entry is already present (fill only on
+    /// [`MosaicLookup::Miss`]).
     pub fn fill_toc_ref(&mut self, asid: Asid, vpn: Vpn, toc: &Toc) {
-        let entry = match self.recycled.take() {
-            Some(mut old) => {
-                old.copy_from(toc);
-                old
-            }
-            None => toc.clone(),
-        };
-        self.fill_toc(asid, vpn, entry);
+        assert_eq!(toc.len(), self.arity.get(), "ToC arity mismatch");
+        assert_eq!(toc.unmapped(), self.unmapped, "ToC sentinel mismatch");
+        let (tag, _) = self.tag(asid, vpn);
+        let (slot, evicted) = self.cache.insert_slot(tag.mvpn.0 as usize, tag, ());
+        if evicted.is_some() {
+            self.stats.evictions += 1;
+        }
+        let start = self.at(slot, 0);
+        self.cpfns[start..start + toc.len()].copy_from_slice(toc.as_slice());
     }
 
-    /// Fills one sub-entry after a [`MosaicLookup::SubMiss`].
+    /// Fills one sub-entry after a [`MosaicLookup::SubMiss`]. The entry
+    /// is found through the slot that lookup left behind, so the usual
+    /// lookup-then-fill pair scans the set once.
     ///
     /// # Panics
     ///
-    /// Panics if no entry for the MVPN is present.
+    /// Panics if no entry for the MVPN is present, or if `cpfn` is the
+    /// unmapped sentinel.
     pub fn fill_sub(&mut self, asid: Asid, vpn: Vpn, cpfn: Cpfn) {
+        assert_ne!(cpfn, self.unmapped, "use invalidate_sub() to unmap");
         let (tag, offset) = self.tag(asid, vpn);
-        let toc = self
+        let slot = self
             .cache
-            .lookup(tag.mvpn.0 as usize, tag)
+            .lookup_slot_hinted(tag.mvpn.0 as usize, tag, self.last_slot)
             .expect("fill_sub without a resident MVPN entry");
-        toc.set(offset, cpfn);
+        let i = self.at(slot, offset);
+        self.cpfns[i] = cpfn;
     }
 
     /// Invalidates a single sub-page's CPFN, leaving the rest of the
@@ -217,8 +234,9 @@ impl MosaicTlb {
     /// page's entry").
     pub fn invalidate_sub(&mut self, asid: Asid, vpn: Vpn) {
         let (tag, offset) = self.tag(asid, vpn);
-        if let Some(toc) = self.cache.lookup(tag.mvpn.0 as usize, tag) {
-            toc.invalidate(offset);
+        if let Some(slot) = self.cache.lookup_slot(tag.mvpn.0 as usize, tag) {
+            let i = self.at(slot, offset);
+            self.cpfns[i] = self.unmapped;
         }
     }
 

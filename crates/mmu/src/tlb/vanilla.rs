@@ -14,7 +14,7 @@ use crate::arity::{huge_index, HUGE_PAGE_SPAN};
 use mosaic_mem::{Asid, Pfn, Vpn};
 
 /// Tag for a unified vanilla TLB entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 struct VanillaTag {
     asid: Asid,
     /// Page number in units of the entry's own page size.

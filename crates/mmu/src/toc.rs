@@ -100,11 +100,21 @@ impl Toc {
             .map(move |(i, &c)| (i, (c != self.unmapped).then_some(c)))
     }
 
+    /// The raw sub-entries in offset order, unmapped ones holding the
+    /// [`unmapped`](Self::unmapped) sentinel (what a TLB fill copies).
+    pub(crate) fn as_slice(&self) -> &[Cpfn] {
+        &self.cpfns
+    }
+
+    /// The unmapped sentinel this ToC was created with.
+    pub(crate) fn unmapped(&self) -> Cpfn {
+        self.unmapped
+    }
+
     /// Overwrites `self` with `other`'s contents, reusing the existing
     /// buffer when it is large enough — two ToCs of the same arity
-    /// never reallocate. The TLB fill paths use this to recycle
-    /// evicted entries' buffers, keeping steady-state fills
-    /// allocation-free.
+    /// never reallocate (the batched replay's walk memo refills its
+    /// slots this way).
     pub fn copy_from(&mut self, other: &Toc) {
         self.cpfns.clone_from(&other.cpfns);
         self.unmapped = other.unmapped;

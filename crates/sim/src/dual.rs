@@ -16,7 +16,7 @@
 
 use crate::os::{frames_for_footprint, OsModel, TocMemoSlot, VanillaTranslation, KERNEL_VPN_BASE};
 use mosaic_hash::SplitMix64;
-use mosaic_mem::{AccessKind, Asid, MemoryLayout, Vpn};
+use mosaic_mem::{AccessKind, Asid, Cpfn, MemoryLayout, Vpn};
 use mosaic_mmu::tlb::{ClassPass, ClassTally, MissClass};
 use mosaic_mmu::{
     Arity, Associativity, MosaicLookup, MosaicTlb, TlbConfig, TlbStats, VanillaTlb,
@@ -122,12 +122,13 @@ pub struct DualSim {
     user_accesses: u64,
     /// Batch scratch (reused allocation): the expanded reference stream.
     batch_refs: Vec<Vpn>,
-    /// Batch scratch: first-touch growth events as `(position, vpn)`.
-    batch_growth: Vec<(u32, Vpn)>,
+    /// Batch scratch: first-touch growth events as `(position, vpn,
+    /// cpfn)`, the CPFN recorded once by the pre-pass for every rewind.
+    batch_growth: Vec<(u32, Vpn, Cpfn)>,
     /// Batch scratch: per-position 3C class (attribution on only).
     batch_class: Vec<MissClass>,
     /// Batch scratch: per-position CPFN memo shared across instances.
-    batch_cpfn: Vec<Option<mosaic_mem::Cpfn>>,
+    batch_cpfn: Vec<Option<Cpfn>>,
     /// Batch scratch: per-position vanilla-translation memo (result plus
     /// walk depth, so reuses can recount the walk exactly).
     batch_vwalk: Vec<Option<(VanillaTranslation, u32)>>,
@@ -229,17 +230,21 @@ impl DualSim {
     /// * an OS pre-pass touches every reference (expanding kernel
     ///   injections inline) in stream order, so allocator clocks and
     ///   walk tables advance in stream order;
-    /// * first-touch **growth events** recorded by the pre-pass are
-    ///   unmirrored from the shared ToC leaves before each mosaic
-    ///   instance's replay and remirrored as the replay cursor passes
-    ///   them, so a mid-batch `mosaic_walk` copies the point-in-time ToC
-    ///   of its position (vanilla translations never change after first
-    ///   touch, so vanilla instances replay without rewinding).
+    /// * first-touch **growth events** recorded by the pre-pass, each
+    ///   with its CPFN read once, are unmirrored from the instance's
+    ///   own arity's ToC leaves (`mosaic_pts[ai]`, no other arity's)
+    ///   before each mosaic instance's replay and remirrored from the
+    ///   recorded CPFN as the replay cursor passes them, so a mid-batch
+    ///   `mosaic_walk` copies the point-in-time ToC of its position
+    ///   (vanilla translations never change after first touch, so
+    ///   vanilla instances replay without rewinding).
     ///
     /// Per-position memos are shared across all instances: the sub-page
     /// CPFN, the vanilla translation, and the per-arity leaf ToC.
     /// Results are resolved once per position; every consuming instance
     /// still *counts* its own page walk (it models a per-TLB walker).
+    /// A whole-ToC fill copies the memoized leaf into the TLB's inline
+    /// ToC arena, so replay allocates nothing.
     ///
     /// Exported obs (TLB counters, walker walks and depths, 3C tables)
     /// counts locally during the batch and is published when it returns.
@@ -250,8 +255,9 @@ impl DualSim {
         for access in accesses {
             self.user_accesses += 1;
             let vpn = access.addr.vpn();
-            if self.os.touch(vpn, access.kind) {
-                self.batch_growth.push((self.batch_refs.len() as u32, vpn));
+            if let Some(cpfn) = self.os.touch_cpfn(vpn, access.kind) {
+                self.batch_growth
+                    .push((self.batch_refs.len() as u32, vpn, cpfn));
             }
             self.batch_refs.push(vpn);
             if let Some(k) = &self.kernel {
@@ -259,8 +265,9 @@ impl DualSim {
                 if self.kernel_due >= k.period {
                     self.kernel_due = 0;
                     let kvpn = Vpn(KERNEL_VPN_BASE + k.next_page(&mut self.kernel_rng));
-                    if self.os.touch(kvpn, AccessKind::Load) {
-                        self.batch_growth.push((self.batch_refs.len() as u32, kvpn));
+                    if let Some(cpfn) = self.os.touch_cpfn(kvpn, AccessKind::Load) {
+                        self.batch_growth
+                            .push((self.batch_refs.len() as u32, kvpn, cpfn));
                     }
                     self.batch_refs.push(kvpn);
                 }
@@ -324,14 +331,17 @@ impl DualSim {
                     }
                 }
                 Instance::Mosaic(ai, tlb) => {
+                    // Rewind and replay only this instance's own arity
+                    // table, from the CPFNs the pre-pass recorded.
                     let ai = *ai;
-                    for &(_, vpn) in growth {
-                        os.unmirror(vpn);
+                    for &(_, vpn, _) in growth {
+                        os.unmirror(ai, vpn);
                     }
                     let mut cursor = 0;
                     for (j, &vpn) in refs.iter().enumerate() {
                         while cursor < growth.len() && growth[cursor].0 as usize == j {
-                            os.remirror(growth[cursor].1);
+                            let (_, gvpn, cpfn) = growth[cursor];
+                            os.remirror(ai, gvpn, cpfn);
                             cursor += 1;
                         }
                         match tlb.lookup(asid, vpn) {

@@ -153,6 +153,20 @@ impl OsModel {
     /// evicted a page — Figure 6 runs must be sized with headroom (use
     /// [`frames_for_footprint`]).
     pub fn touch(&mut self, vpn: Vpn, kind: AccessKind) -> bool {
+        self.touch_cpfn(vpn, kind).is_some()
+    }
+
+    /// [`OsModel::touch`] that returns the CPFN mirrored into every
+    /// arity's leaf on a first touch (`None` on a repeat touch). Iceberg
+    /// placement never relocates a resident page and a Figure 6 pool
+    /// never evicts, so this stays the page's CPFN for the whole run:
+    /// the batched pipeline records it once per growth event and
+    /// remirrors from the record.
+    ///
+    /// # Panics
+    ///
+    /// As [`OsModel::touch`].
+    pub(crate) fn touch_cpfn(&mut self, vpn: Vpn, kind: AccessKind) -> Option<mosaic_mem::Cpfn> {
         self.now += 1;
         let key = PageKey::new(self.asid, vpn);
         let newly_mapped = self.mosaic.resident_pfn(key).is_none();
@@ -190,49 +204,47 @@ impl OsModel {
                 self.vanilla_next_pfn += 1;
                 self.vanilla_pt.table_mut().insert(vpn.0, pfn);
             }
+            return Some(cpfn);
         }
-        newly_mapped
+        None
     }
 
-    /// Temporarily clears `vpn`'s sub-entry from every arity's mirrored
-    /// leaf, rewinding the ToCs to their pre-touch contents. The batched
-    /// pipeline pre-touches a whole chunk, then unmirrors the chunk's
-    /// growth events before replaying each instance so a mid-batch
-    /// `mosaic_walk` sees exactly the point-in-time ToC of its stream
-    /// position — [`remirror`](Self::remirror) reapplies the event when
-    /// the replay cursor passes it. Leaf *nodes* allocated by the pre-touch
-    /// stay allocated, which is invisible: walk depth is fixed per table
-    /// and an all-sentinel ToC is never walked (the triggering access
+    /// Temporarily clears `vpn`'s sub-entry from arity slot
+    /// `arity_idx`'s mirrored leaf, rewinding that ToC to its pre-touch
+    /// contents. The batched pipeline pre-touches a whole chunk, then
+    /// unmirrors the chunk's growth events from a mosaic instance's own
+    /// arity table before replaying it, so a mid-batch `mosaic_walk`
+    /// sees exactly the point-in-time ToC of its stream position —
+    /// [`remirror`](Self::remirror) reapplies the event when the replay
+    /// cursor passes it. Leaf *nodes* allocated by the pre-touch stay
+    /// allocated, which is invisible: walk depth is fixed per table and
+    /// an all-sentinel ToC is never walked (the triggering access
     /// remirrors before it walks).
     ///
-    /// Reads the radix tables directly (no [`PageWalker`] accounting).
-    pub(crate) fn unmirror(&mut self, vpn: Vpn) {
-        for (arity, pt) in &mut self.mosaic_pts {
-            let (mvpn, offset) = arity.split(vpn);
-            if let Some(toc) = pt.table_mut().get_mut(mvpn.0) {
-                toc.invalidate(offset);
-            }
+    /// Reads the radix table directly (no [`PageWalker`] accounting).
+    pub(crate) fn unmirror(&mut self, arity_idx: usize, vpn: Vpn) {
+        let (arity, pt) = &mut self.mosaic_pts[arity_idx];
+        let (mvpn, offset) = arity.split(vpn);
+        if let Some(toc) = pt.table_mut().get_mut(mvpn.0) {
+            toc.invalidate(offset);
         }
     }
 
     /// Reapplies a growth event cleared by [`unmirror`](Self::unmirror):
-    /// writes `vpn`'s current CPFN back into every arity's leaf.
+    /// writes `cpfn` — the page's CPFN as recorded by
+    /// [`OsModel::touch_cpfn`] — back into arity slot `arity_idx`'s leaf.
     ///
     /// # Panics
     ///
-    /// Panics if `vpn` is not resident (only previously-touched pages are
-    /// ever unmirrored).
-    pub(crate) fn remirror(&mut self, vpn: Vpn) {
-        let key = PageKey::new(self.asid, vpn);
-        let cpfn = self.mosaic.cpfn_of(key).expect("remirror of unmapped vpn");
-        for (arity, pt) in &mut self.mosaic_pts {
-            let (mvpn, offset) = arity.split(vpn);
-            let toc = pt
-                .table_mut()
-                .get_mut(mvpn.0)
-                .expect("unmirrored leaf exists");
-            toc.set(offset, cpfn);
-        }
+    /// Panics if `vpn`'s leaf was never allocated (only previously
+    /// touched pages are ever unmirrored).
+    pub(crate) fn remirror(&mut self, arity_idx: usize, vpn: Vpn, cpfn: mosaic_mem::Cpfn) {
+        let (arity, pt) = &mut self.mosaic_pts[arity_idx];
+        let (mvpn, offset) = arity.split(vpn);
+        pt.table_mut()
+            .get_mut(mvpn.0)
+            .expect("unmirrored leaf exists")
+            .set(offset, cpfn);
     }
 
     /// A counted vanilla page-table walk (invoked on a vanilla TLB miss).
@@ -274,7 +286,7 @@ impl OsModel {
 
     /// [`OsModel::mosaic_walk`] without the copy: a counted walk that
     /// hands back the leaf ToC by reference, for fill paths that copy
-    /// into a recycled buffer ([`mosaic_mmu::MosaicTlb::fill_toc_ref`]).
+    /// it into TLB storage ([`mosaic_mmu::MosaicTlb::fill_toc_ref`]).
     ///
     /// # Panics
     ///
@@ -320,11 +332,11 @@ impl OsModel {
     /// [`OsModel::mosaic_walk`] with a per-(position, arity) memo slot:
     /// the leaf ToC is copied out of the radix table once per batch
     /// position, and reuses count a full walk and borrow the memoized
-    /// copy (the fill path copies it into a recycled buffer, so no
+    /// copy (the fill path copies it into the TLB's inline arena, so no
     /// allocation happens per consuming instance). Sound because every
-    /// mosaic instance replays the identical unmirror/remirror
-    /// sequence, so the ToC state at a given batch position is the
-    /// same for all of them.
+    /// mosaic instance of arity slot `arity_idx` replays the identical
+    /// unmirror/remirror sequence on that slot's table, so the ToC state
+    /// at a given batch position is the same for all of them.
     ///
     /// `gen` is the current batch generation: a slot stamped with an
     /// older generation is stale, and its retained buffer is

@@ -23,7 +23,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-const ARITIES: [usize; 2] = [4, 16];
+const ARITIES: [usize; 3] = [4, 16, 64];
 const FOOTPRINT_PAGES: u64 = 1024;
 const SEED: u64 = 0xBA7C;
 /// First VPN of the simulated kernel region.
@@ -297,11 +297,16 @@ proptest! {
         }
         for sizes in [&[1][..], &sizes] {
             let mut sim = sim(entries, kernel);
-            feed(&mut sim, &accesses, sizes, |_| Ok(()))?;
+            // Every batch leaves each arity's page table fully
+            // remirrored: the ToCs agree with the manager's CPFNs.
+            feed(&mut sim, &accesses, sizes, |sim| {
+                let verified = sim.os().verify();
+                prop_assert!(verified.is_ok(), "after a batch: {:?}", verified);
+                Ok(())
+            })?;
             prop_assert_eq!(sim.user_accesses(), accesses.len() as u64);
             prop_assert_eq!(sim.results(), model.results(), "chunk sizes {:?}", sizes);
             prop_assert_eq!(sim.os().walk_counts(), model.walks, "chunk sizes {:?}", sizes);
-            sim.os().verify().expect("OS state is structurally sound");
         }
     }
 

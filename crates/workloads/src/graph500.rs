@@ -64,8 +64,10 @@ impl Graph500Config {
 struct Csr {
     /// Offsets: `xoff[v] .. xoff[v + 1]` index `xadj`.
     xoff: Vec<u64>,
-    /// Concatenated adjacency lists.
-    xadj: Vec<u64>,
+    /// Concatenated adjacency lists. Vertex ids are below `2^28` (the
+    /// scale cap), so the host keeps them as `u32`; the simulated array
+    /// (`xadj_region`) still has 8-byte elements.
+    xadj: Vec<u32>,
     /// Virtual placement of `xoff`.
     xoff_region: ArrayRegion,
     /// Virtual placement of `xadj`.
@@ -107,8 +109,9 @@ impl Graph500 {
         let n = cfg.num_vertices();
         let m = cfg.num_edges();
 
-        // Kronecker / R-MAT edge sampling.
-        let mut edges: Vec<(u64, u64)> = Vec::with_capacity(m as usize);
+        // Kronecker / R-MAT edge sampling (vertex ids fit in u32: scale
+        // <= 28).
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m as usize);
         for _ in 0..m {
             let (mut i, mut j) = (0u64, 0u64);
             for bit in (0..cfg.scale).rev() {
@@ -125,11 +128,11 @@ impl Graph500 {
                 i |= bi << bit;
                 j |= bj << bit;
             }
-            edges.push((i, j));
+            edges.push((i as u32, j as u32));
         }
 
         // Random vertex permutation (the spec's label shuffle).
-        let mut perm: Vec<u64> = (0..n).collect();
+        let mut perm: Vec<u32> = (0..n).map(|v| v as u32).collect();
         rng.shuffle(&mut perm);
         for e in &mut edges {
             *e = (perm[e.0 as usize], perm[e.1 as usize]);
@@ -151,7 +154,7 @@ impl Graph500 {
             xoff.push(acc);
         }
         let mut cursor = xoff.clone();
-        let mut xadj = vec![0u64; acc as usize];
+        let mut xadj = vec![0u32; acc as usize];
         for &(u, v) in &edges {
             if u != v {
                 xadj[cursor[u as usize] as usize] = v;
@@ -290,7 +293,7 @@ impl Graph500 {
             let end = self.csr.xoff[u as usize + 1];
 
             for k in start..end {
-                let v = self.csr.xadj[k as usize];
+                let v = u64::from(self.csr.xadj[k as usize]);
                 sink(Access::load(self.csr.xadj_region.at(k)));
                 // The parent probe is the locality-free access.
                 sink(Access::load(self.parent_region.at(v)));
@@ -375,7 +378,7 @@ mod tests {
         let mut counts = std::collections::HashMap::new();
         for u in 0..g.cfg.num_vertices() {
             for k in g.csr.xoff[u as usize]..g.csr.xoff[u as usize + 1] {
-                let v = g.csr.xadj[k as usize];
+                let v = u64::from(g.csr.xadj[k as usize]);
                 let key = (u.min(v), u.max(v));
                 *counts.entry(key).or_insert(0u64) += 1;
             }

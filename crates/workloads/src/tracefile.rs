@@ -377,8 +377,14 @@ pub fn save_trace(path: &Path, workload: &mut dyn Workload) -> Result<u64, Trace
 /// ends early, and [`TraceError::Io`] for other filesystem errors — all
 /// carrying the file name and byte offset.
 pub fn load_trace(path: &Path) -> Result<Vec<Access>, TraceError> {
+    // Reserve no more records than the file can hold: the header count
+    // is untrusted until the records are read.
+    let len = std::fs::metadata(path)
+        .map_err(|e| io_err(path, 0, e))?
+        .len();
     let mut r = TraceReader::open(path)?;
-    let mut out = Vec::with_capacity(r.count().min(1 << 28) as usize);
+    let room = len.saturating_sub(HEADER_LEN) / 8;
+    let mut out = Vec::with_capacity(r.count().min(room) as usize);
     while let Some(a) = r.next_access()? {
         out.push(a);
     }
@@ -519,6 +525,27 @@ mod tests {
         }
         assert_eq!(got, expect);
         assert!(r.next_access().unwrap().is_none(), "stays exhausted");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn huge_header_count_is_truncated_not_reserved() {
+        // A bare header promising u64::MAX records: loading must reserve
+        // by the file's length (no records) and report the truncation.
+        let path = temp_path("huge-count");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(bytes.len() as u64, HEADER_LEN);
+        std::fs::write(&path, &bytes).unwrap();
+        match load_trace(&path) {
+            Err(TraceError::Truncated { expected, got, offset, .. }) => {
+                assert_eq!(expected, u64::MAX);
+                assert_eq!(got, 0);
+                assert_eq!(offset, HEADER_LEN);
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -86,6 +86,21 @@ for kernel in no-kernel kernel; do
   grep -q '"t":"attrib"' "$OBS_TMP/at-$kernel-batch.jsonl"
 done
 
+echo "==> paper-geometry batch-size gate (fig6 gups at 1024 entries, kernel on, five arities: --batch 1 vs 33 vs default)"
+# The gates above run a 64-entry, kernel-off grid; this one replays the
+# Figure 6 geometry itself, where every mosaic instance rewinds its own
+# arity's page table and fills its TLB's inline ToC arena.
+for batch in 1 33 default; do
+  BATCH_FLAGS=()
+  if [[ "$batch" != default ]]; then BATCH_FLAGS=(--batch "$batch"); fi
+  ./target/release/fig6 gups --scale 0 "${BATCH_FLAGS[@]}" \
+    --obs-out "$OBS_TMP/geo-$batch.jsonl" > "$OBS_TMP/geo-$batch.txt" 2>/dev/null
+done
+for batch in 33 default; do
+  cmp "$OBS_TMP/geo-1.txt" "$OBS_TMP/geo-$batch.txt"
+  cmp "$OBS_TMP/geo-1.jsonl" "$OBS_TMP/geo-$batch.jsonl"
+done
+
 echo "==> batch-size gate (table4: batches of one vs the default batch across --jobs 1/4/8)"
 ./target/release/table4 --buckets 16 --batch 1 --jobs 1 \
   > "$OBS_TMP/t4scalar.txt" 2>/dev/null
@@ -205,6 +220,12 @@ grep -q "per-tenant blame" "$OBS_TMP/atreport.txt"
 echo "==> attribution golden gate (must reproduce results_attrib.txt)"
 ./target/release/attrib --jobs 4 > "$OBS_TMP/atgold.txt" 2>/dev/null
 cmp "$OBS_TMP/atgold.txt" results_attrib.txt
+
+echo "==> unread-flag gate (coloring --obs-out is a usage error: exit 2, no file)"
+code=0
+./target/release/coloring --obs-out "$OBS_TMP/coloring.jsonl" > /dev/null 2>&1 || code=$?
+[[ "$code" == 2 ]]
+[[ ! -e "$OBS_TMP/coloring.jsonl" ]]
 
 echo "==> bench-delta (warn-only) vs BENCH_*.json baselines committed at HEAD"
 for s in obs parallel tenants isolation step iceberg; do
