@@ -62,6 +62,9 @@ pub struct ClockMemory {
     low_watermark: usize,
     high_watermark: usize,
     stats: PagingStats,
+    /// Resident hits, which [`PagingStats`] does not count: published
+    /// as `<prefix>.hits`.
+    hits: u64,
     util: UtilizationTracker,
     obs: MemObs,
     /// ASID of the in-flight access, for blaming reclaim on the tenant
@@ -86,6 +89,7 @@ impl ClockMemory {
             low_watermark: low,
             high_watermark: high,
             stats: PagingStats::new(),
+            hits: 0,
             util: UtilizationTracker::new(),
             obs: MemObs::noop(),
             obs_requester: 0,
@@ -117,14 +121,11 @@ impl ClockMemory {
             .attrib_evicted(self.obs_requester, victim.asid.0, false);
         self.lru_state.remove(&victim);
         self.stats.live_evictions += 1;
-        self.obs.live_evictions.inc();
         if entry.eviction_needs_writeback() {
             self.stats.swapped_out += 1;
-            self.obs.swapped_out.inc();
             self.swapped.insert(victim);
         } else {
             self.stats.clean_drops += 1;
-            self.obs.clean_drops.inc();
             if entry.has_swap_copy {
                 self.swapped.insert(victim);
             }
@@ -203,7 +204,6 @@ impl MemoryManager for ClockMemory {
         now: u64,
     ) -> MosaicResult<AccessOutcome> {
         self.stats.accesses += 1;
-        self.obs.accesses.inc();
         self.obs_requester = key.asid.0;
 
         if let Some(&pfn) = self.resident.get(&key) {
@@ -213,7 +213,7 @@ impl MemoryManager for ClockMemory {
                 .get_mut(&key)
                 .ok_or(MosaicError::internal("resident pages have state"))?
                 .referenced = true;
-            self.obs.hits.inc();
+            self.hits += 1;
             return Ok(AccessOutcome::Hit);
         }
 
@@ -246,12 +246,9 @@ impl MemoryManager for ClockMemory {
         Ok(if from_swap {
             self.stats.major_faults += 1;
             self.stats.swapped_in += 1;
-            self.obs.major_faults.inc();
-            self.obs.swapped_in.inc();
             AccessOutcome::MajorFault
         } else {
             self.stats.minor_faults += 1;
-            self.obs.minor_faults.inc();
             self.obs.attrib_cold(key.asid.0);
             AccessOutcome::MinorFault
         })
@@ -284,9 +281,11 @@ impl MemoryManager for ClockMemory {
 
     fn set_obs(&mut self, obs: &ObsHandle, prefix: &str) {
         self.obs = MemObs::register(obs, prefix);
+        self.obs.mark_published(&self.stats, self.hits, 0);
     }
 
     fn publish_obs(&self) {
+        self.obs.publish_counts(&self.stats, self.hits, 0);
         self.obs.util.set(self.utilization());
     }
 

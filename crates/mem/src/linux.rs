@@ -72,6 +72,9 @@ pub struct LinuxMemory {
     fault: Option<FaultInjector>,
     resilience: ResilienceStats,
     stats: PagingStats,
+    /// Resident hits, which [`PagingStats`] does not count: published
+    /// as `<prefix>.hits`.
+    hits: u64,
     util: UtilizationTracker,
     obs: MemObs,
     /// Reference count of the in-flight access, for event timestamps.
@@ -112,6 +115,7 @@ impl LinuxMemory {
             fault: None,
             resilience: ResilienceStats::new(),
             stats: PagingStats::new(),
+            hits: 0,
             util: UtilizationTracker::new(),
             obs: MemObs::noop(),
             obs_now: 0,
@@ -216,14 +220,11 @@ impl LinuxMemory {
         self.obs
             .attrib_evicted(self.obs_requester, victim.asid.0, quota_self);
         self.stats.live_evictions += 1;
-        self.obs.live_evictions.inc();
         if entry.eviction_needs_writeback() {
             self.stats.swapped_out += 1;
-            self.obs.swapped_out.inc();
             self.swapped.insert(victim);
         } else {
             self.stats.clean_drops += 1;
-            self.obs.clean_drops.inc();
             if entry.has_swap_copy {
                 self.swapped.insert(victim);
             }
@@ -353,7 +354,6 @@ impl MemoryManager for LinuxMemory {
         now: u64,
     ) -> MosaicResult<AccessOutcome> {
         self.stats.accesses += 1;
-        self.obs.accesses.inc();
         self.obs_now = now;
         self.obs_requester = key.asid.0;
 
@@ -363,7 +363,7 @@ impl MemoryManager for LinuxMemory {
             if let Some(q) = self.quotas.as_mut() {
                 q.note_touch(key, now);
             }
-            self.obs.hits.inc();
+            self.hits += 1;
             return Ok(AccessOutcome::Hit);
         }
 
@@ -408,12 +408,9 @@ impl MemoryManager for LinuxMemory {
         Ok(if from_swap {
             self.stats.major_faults += 1;
             self.stats.swapped_in += 1;
-            self.obs.major_faults.inc();
-            self.obs.swapped_in.inc();
             AccessOutcome::MajorFault
         } else {
             self.stats.minor_faults += 1;
-            self.obs.minor_faults.inc();
             self.obs.attrib_cold(key.asid.0);
             AccessOutcome::MinorFault
         })
@@ -505,9 +502,11 @@ impl MemoryManager for LinuxMemory {
 
     fn set_obs(&mut self, obs: &ObsHandle, prefix: &str) {
         self.obs = MemObs::register(obs, prefix);
+        self.obs.mark_published(&self.stats, self.hits, 0);
     }
 
     fn publish_obs(&self) {
+        self.obs.publish_counts(&self.stats, self.hits, 0);
         self.obs.util.set(self.utilization());
         if let Some(inj) = self.fault.as_ref() {
             self.obs

@@ -140,9 +140,11 @@ pub trait MemoryManager {
     /// keep behavior identical whether or not tracing is attached.
     fn set_obs(&mut self, _obs: &ObsHandle, _prefix: &str) {}
 
-    /// Publishes slow-moving gauges (utilization, horizon, ghost count)
-    /// to the attached registry. The experiment driver calls this just
-    /// before each interval snapshot; the default does nothing.
+    /// Publishes to the attached registry: the movement of the paging
+    /// counters since the last publish, and the slow-moving gauges
+    /// (utilization, horizon, ghost count). Accesses count only into
+    /// the manager's own fields, so the driver calls this just before
+    /// every snapshot; the default does nothing.
     fn publish_obs(&self) {}
 
     /// Utilization milestones (first conflict, steady-state samples).

@@ -75,6 +75,10 @@ pub struct MosaicMemory {
     fault: Option<FaultInjector>,
     resilience: ResilienceStats,
     stats: PagingStats,
+    /// Live and ghost resident hits, which [`PagingStats`] does not
+    /// count: published as `<prefix>.hits` / `<prefix>.ghost_hits`.
+    hits: u64,
+    ghost_hits: u64,
     util: UtilizationTracker,
     /// Exported metric handles (no-ops unless `set_obs` binds them).
     obs: MemObs,
@@ -115,6 +119,8 @@ impl MosaicMemory {
             fault: None,
             resilience: ResilienceStats::new(),
             stats: PagingStats::new(),
+            hits: 0,
+            ghost_hits: 0,
             util: UtilizationTracker::new(),
             obs: MemObs::noop(),
             obs_now: 0,
@@ -372,18 +378,14 @@ impl MosaicMemory {
         }
         if entry.is_ghost(self.horizon) {
             self.stats.ghost_evictions += 1;
-            self.obs.ghost_evictions.inc();
         } else {
             self.stats.live_evictions += 1;
-            self.obs.live_evictions.inc();
         }
         if entry.eviction_needs_writeback() {
             self.stats.swapped_out += 1;
-            self.obs.swapped_out.inc();
             self.swapped.insert(entry.key);
         } else {
             self.stats.clean_drops += 1;
-            self.obs.clean_drops.inc();
             if entry.has_swap_copy {
                 // The swap copy is still the page's contents.
                 self.swapped.insert(entry.key);
@@ -470,7 +472,6 @@ impl MosaicMemory {
         // 4. Associativity conflict: every candidate slot is live. Fall
         // back to evicting the LRU candidate instead of aborting.
         self.stats.conflicts += 1;
-        self.obs.conflicts.inc();
         if self.stats.conflicts == 1 {
             self.util.record_first_conflict(self.utilization());
             let load_pct = self.utilization() * 100.0;
@@ -678,7 +679,6 @@ impl MemoryManager for MosaicMemory {
         now: u64,
     ) -> MosaicResult<AccessOutcome> {
         self.stats.accesses += 1;
-        self.obs.accesses.inc();
         self.obs_now = now;
         self.obs_requester = key.asid.0;
 
@@ -712,10 +712,10 @@ impl MemoryManager for MosaicMemory {
                 self.maybe_corrupt_translation(key, pfn);
             }
             return Ok(if was_ghost {
-                self.obs.ghost_hits.inc();
+                self.ghost_hits += 1;
                 AccessOutcome::GhostHit
             } else {
-                self.obs.hits.inc();
+                self.hits += 1;
                 AccessOutcome::Hit
             });
         }
@@ -755,12 +755,9 @@ impl MemoryManager for MosaicMemory {
         let outcome = if from_swap {
             self.stats.major_faults += 1;
             self.stats.swapped_in += 1;
-            self.obs.major_faults.inc();
-            self.obs.swapped_in.inc();
             AccessOutcome::MajorFault
         } else {
             self.stats.minor_faults += 1;
-            self.obs.minor_faults.inc();
             self.obs.attrib_cold(key.asid.0);
             AccessOutcome::MinorFault
         };
@@ -772,9 +769,13 @@ impl MemoryManager for MosaicMemory {
 
     fn set_obs(&mut self, obs: &mosaic_obs::ObsHandle, prefix: &str) {
         self.obs = MemObs::register(obs, prefix);
+        self.obs
+            .mark_published(&self.stats, self.hits, self.ghost_hits);
     }
 
     fn publish_obs(&self) {
+        self.obs
+            .publish_counts(&self.stats, self.hits, self.ghost_hits);
         self.obs.util.set(self.utilization());
         self.obs.horizon.set(self.horizon as f64);
         self.obs.ghosts.set(self.ghost_count() as f64);

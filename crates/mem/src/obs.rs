@@ -1,10 +1,19 @@
 //! Observability handles for the memory managers.
 //!
-//! A [`MemObs`] bundle mirrors [`crate::stats::PagingStats`] as live
-//! counter handles plus the fault-injection outcome events the
-//! resilience harness (PR 1) produces. Managers own one bundle each,
-//! registered under a prefix (`mosaic.*`, `linux.*`, `clock.*`) so a
-//! dual-manager pressure run exports both sides in one stream.
+//! A [`MemObs`] bundle mirrors [`crate::stats::PagingStats`] (plus the
+//! manager's hit counts) as counter handles, and carries the
+//! fault-injection outcome events the resilience harness produces.
+//! Managers own one bundle each, registered under a prefix (`mosaic.*`,
+//! `linux.*`, `clock.*`) so a dual-manager pressure run exports both
+//! sides in one stream.
+//!
+//! The access path counts only into the manager's own plain fields: a
+//! manager's `publish_obs` hands its counts to
+//! [`MemObs::publish_counts`], which adds the movement since the last
+//! publish (one relaxed add per counter). Every snapshot site publishes
+//! first, so exported values are the same as with per-access counting.
+//! Rare events — injected faults and their outcomes, quota deferrals
+//! and quota-steered evictions — still count where they happen.
 //!
 //! Fault outcomes obey a conservation law the integration tests assert:
 //! every `fault.injected` event is followed by exactly one of
@@ -13,35 +22,48 @@
 //! undetectable benign ToC flip). So `injected == recovered +
 //! unrecovered`, both as events and as the `<prefix>.fault.*` counters.
 
+use crate::stats::PagingStats;
 use mosaic_obs::{AttribCategory, AttribHandle, Counter, Gauge, ObsHandle, Value};
+use std::cell::Cell;
+
+/// A manager's published counts: its paging stats plus the resident
+/// hits [`PagingStats`] does not count.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    stats: PagingStats,
+    hits: u64,
+    ghost_hits: u64,
+}
 
 /// Per-manager metric handles (all no-ops by default).
 #[derive(Debug, Clone, Default)]
 pub struct MemObs {
     handle: ObsHandle,
     prefix: String,
+    /// The counts as of the last publish: what the next one subtracts.
+    published: Cell<Counts>,
     /// `<prefix>.accesses`
-    pub accesses: Counter,
+    accesses: Counter,
     /// `<prefix>.hits`
-    pub hits: Counter,
+    hits: Counter,
     /// `<prefix>.ghost_hits`
-    pub ghost_hits: Counter,
+    ghost_hits: Counter,
     /// `<prefix>.minor_faults`
-    pub minor_faults: Counter,
+    minor_faults: Counter,
     /// `<prefix>.major_faults`
-    pub major_faults: Counter,
+    major_faults: Counter,
     /// `<prefix>.swapped_in`
-    pub swapped_in: Counter,
+    swapped_in: Counter,
     /// `<prefix>.swapped_out`
-    pub swapped_out: Counter,
+    swapped_out: Counter,
     /// `<prefix>.clean_drops`
-    pub clean_drops: Counter,
+    clean_drops: Counter,
     /// `<prefix>.ghost_evictions`
-    pub ghost_evictions: Counter,
+    ghost_evictions: Counter,
     /// `<prefix>.live_evictions`
-    pub live_evictions: Counter,
+    live_evictions: Counter,
     /// `<prefix>.conflicts`
-    pub conflicts: Counter,
+    conflicts: Counter,
     /// `<prefix>.fault.injected`
     pub fault_injected: Counter,
     /// `<prefix>.fault.recovered`
@@ -94,6 +116,7 @@ impl MemObs {
         Self {
             handle: obs.clone(),
             prefix: prefix.to_string(),
+            published: Cell::default(),
             accesses: c("accesses"),
             hits: c("hits"),
             ghost_hits: c("ghost_hits"),
@@ -125,6 +148,37 @@ impl MemObs {
     /// Whether the bundle is bound to a live registry.
     pub fn is_enabled(&self) -> bool {
         self.handle.is_enabled()
+    }
+
+    /// Takes a manager's current counts as the baseline of the next
+    /// [`MemObs::publish_counts`], so traffic from before a late
+    /// [`MemObs::register`] never reaches the registry.
+    pub fn mark_published(&self, stats: &PagingStats, hits: u64, ghost_hits: u64) {
+        self.published.set(Counts {
+            stats: *stats,
+            hits,
+            ghost_hits,
+        });
+    }
+
+    /// Adds the movement of a manager's counts since the last publish
+    /// (or [`MemObs::mark_published`]) to the `<prefix>.*` counters.
+    pub fn publish_counts(&self, stats: &PagingStats, hits: u64, ghost_hits: u64) {
+        let was = self.published.get();
+        self.mark_published(stats, hits, ghost_hits);
+        let (s, w) = (stats, &was.stats);
+        self.accesses.add(s.accesses - w.accesses);
+        self.hits.add(hits - was.hits);
+        self.ghost_hits.add(ghost_hits - was.ghost_hits);
+        self.minor_faults.add(s.minor_faults - w.minor_faults);
+        self.major_faults.add(s.major_faults - w.major_faults);
+        self.swapped_in.add(s.swapped_in - w.swapped_in);
+        self.swapped_out.add(s.swapped_out - w.swapped_out);
+        self.clean_drops.add(s.clean_drops - w.clean_drops);
+        self.ghost_evictions
+            .add(s.ghost_evictions - w.ghost_evictions);
+        self.live_evictions.add(s.live_evictions - w.live_evictions);
+        self.conflicts.add(s.conflicts - w.conflicts);
     }
 
     /// A fault was injected (`kind` ∈ `alloc`/`io`/`toc`). Emits the
@@ -249,7 +303,11 @@ mod tests {
     #[test]
     fn noop_bundle_records_nothing() {
         let o = MemObs::noop();
-        o.accesses.inc();
+        let stats = PagingStats {
+            accesses: 3,
+            ..PagingStats::new()
+        };
+        o.publish_counts(&stats, 2, 1);
         o.record_fault_injected(1, "io");
         o.record_fault_recovered(2, "io", "retry");
         assert_eq!(o.accesses.get(), 0);

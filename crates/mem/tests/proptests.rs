@@ -5,6 +5,7 @@
 use mosaic_mem::clock::ClockMemory;
 use mosaic_mem::lru::{FrameLru, LruIndex};
 use mosaic_mem::prelude::*;
+use mosaic_obs::ObsHandle;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -37,6 +38,44 @@ fn check_conservation(manager: &dyn MemoryManager, pattern: &[u64]) -> Result<()
     Ok(())
 }
 
+/// A manager's own counts: its paging stats plus the live and ghost
+/// hits its access outcomes reported.
+type Counts = (PagingStats, u64, u64);
+
+/// Every `<prefix>.*` paging counter on `obs` equals the movement of
+/// the manager's counts from `base` (taken when it was bound) to `now`.
+fn check_published(
+    obs: &ObsHandle,
+    prefix: &str,
+    now: &Counts,
+    base: &Counts,
+) -> Result<(), TestCaseError> {
+    type Field = (&'static str, fn(&Counts) -> u64);
+    const FIELDS: [Field; 11] = [
+        ("accesses", |c| c.0.accesses),
+        ("hits", |c| c.1),
+        ("ghost_hits", |c| c.2),
+        ("minor_faults", |c| c.0.minor_faults),
+        ("major_faults", |c| c.0.major_faults),
+        ("swapped_in", |c| c.0.swapped_in),
+        ("swapped_out", |c| c.0.swapped_out),
+        ("clean_drops", |c| c.0.clean_drops),
+        ("ghost_evictions", |c| c.0.ghost_evictions),
+        ("live_evictions", |c| c.0.live_evictions),
+        ("conflicts", |c| c.0.conflicts),
+    ];
+    for (name, get) in FIELDS {
+        prop_assert_eq!(
+            obs.counter_value(&format!("{prefix}.{name}")),
+            get(now) - get(base),
+            "{}.{}",
+            prefix,
+            name
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -50,6 +89,61 @@ proptest! {
         for m in [&mut mosaic as &mut dyn MemoryManager, &mut linux, &mut clock] {
             drive(m, &pattern);
             check_conservation(m, &pattern)?;
+        }
+    }
+
+    /// Managers count accesses into their own fields and publish per
+    /// interval. On one registry with a prefix per manager, every
+    /// `publish_obs` leaves each `<prefix>.*` paging counter equal to the
+    /// manager's own count since it was bound (traffic before a late
+    /// bind never reaches the registry), and a second publish adds
+    /// nothing.
+    #[test]
+    fn published_counters_equal_manager_counts(
+        // A page to access, or (about one op in eleven) `None`: publish.
+        ops in prop::collection::vec((0u64..1650).prop_map(|p| (p < 1500).then_some(p)), 1..2000),
+        bind_at in 0usize..64,
+    ) {
+        let layout = MemoryLayout::new(IcebergConfig::paper_default(8)); // 512 frames
+        let obs = ObsHandle::enabled();
+        let mut mosaic = MosaicMemory::new(layout, 3);
+        let mut linux = LinuxMemory::new(layout);
+        let mut clock = ClockMemory::new(layout);
+        let managers: [(&str, &mut dyn MemoryManager); 3] =
+            [("mosaic", &mut mosaic), ("linux", &mut linux), ("clock", &mut clock)];
+        for (prefix, m) in managers {
+            let (mut hits, mut ghost_hits, mut now) = (0, 0, 0);
+            let mut base = None;
+            for (i, op) in ops.iter().enumerate() {
+                if i == bind_at {
+                    m.set_obs(&obs, prefix);
+                    base = Some((*m.stats(), hits, ghost_hits));
+                }
+                match *op {
+                    Some(p) => {
+                        now += 1;
+                        let kind = if p % 3 == 0 { AccessKind::Load } else { AccessKind::Store };
+                        match m.access(PageKey::new(Asid::new(1), Vpn::new(p)), kind, now) {
+                            AccessOutcome::Hit => hits += 1,
+                            AccessOutcome::GhostHit => ghost_hits += 1,
+                            AccessOutcome::MinorFault | AccessOutcome::MajorFault => {}
+                        }
+                    }
+                    None => {
+                        m.publish_obs();
+                        if let Some(base) = &base {
+                            let counts = (*m.stats(), hits, ghost_hits);
+                            check_published(&obs, prefix, &counts, base)?;
+                            m.publish_obs();
+                            check_published(&obs, prefix, &counts, base)?;
+                        }
+                    }
+                }
+            }
+            if let Some(base) = &base {
+                m.publish_obs();
+                check_published(&obs, prefix, &(*m.stats(), hits, ghost_hits), base)?;
+            }
         }
     }
 

@@ -15,72 +15,217 @@
 //! (VPN, or the MVPN of one arity) and the entry count — never on the
 //! real TLB's associativity or contents. So a grid of TLB instances
 //! that share one entry count shares **one** [`ClassPass`]: a single
-//! first-touch set plus one shadow per granularity, turning each stream
+//! first-touch map plus one shadow per granularity, turning each stream
 //! position into a [`MissClass`] byte before any instance looks it up.
 //! An instance reads its class only on a real miss and tallies it
 //! locally in a [`ClassTally`], flushed into its attribution table in
 //! bulk. [`MissClassifier`] is the same classification for one
 //! standalone instance.
 //!
-//! Each shadow is a fully-associative [`SetAssocCache`] of the real
-//! entry count — literally a fully-associative TLB of the same size —
-//! touched on every access so its LRU order tracks the reference
-//! stream, not the fill stream. Caveats (documented in
-//! `docs/OBSERVABILITY.md`): sub-entry misses on a shadow-resident
-//! mosaic entry count as conflict (the fully-associative TLB would have
-//! retained the filled sub-entry), and invalidations drop shadow tags,
-//! so post-shootdown re-misses classify as capacity rather than a
-//! dedicated coherence class.
+//! # Dense ids
+//!
+//! Each shadow is an exact fully-associative LRU of the real entry
+//! count, touched on every access so its order tracks the reference
+//! stream, not the fill stream. It works on dense ids rather than
+//! tags: a `(asid, vpn)` key is hashed once, to a page id minted in
+//! first-seen order, and a freshly minted id *is* the first touch. The
+//! page id is also the page's tag id in the VPN shadow; the page caches
+//! its tag id in every MVPN shadow (hashed only on first touch). Each
+//! shadow keeps its recency list intrusively in a `Vec` indexed by tag
+//! id — a hit moves the id to the head, a miss pushes it there and, at
+//! `entries` resident tags, evicts the tail. So a position costs one
+//! hash lookup plus one O(1) list update per granularity.
+//! Invalidations look their tag id up by key; ASID shootdowns walk the
+//! resident list (at most `entries` ids) and drop the ids whose
+//! recorded ASID matches.
+//!
+//! The price is memory that grows with the footprint, as the first-touch
+//! set always did: per distinct page a page-map entry, a 12-byte node
+//! in the VPN shadow and 4 bytes per MVPN granularity, plus a key-map
+//! entry and a node per distinct MVPN tag. Nothing is freed before the
+//! pass is dropped.
+//!
+//! Caveats (documented in `docs/OBSERVABILITY.md`): sub-entry misses on
+//! a shadow-resident mosaic entry count as conflict (the
+//! fully-associative TLB would have retained the filled sub-entry), and
+//! invalidations drop shadow tags, so post-shootdown re-misses classify
+//! as capacity rather than a dedicated coherence class.
 
-use super::cache::{Associativity, SetAssocCache, TlbConfig};
 use crate::arity::Arity;
-use mosaic_hash::FastHashSet;
+use mosaic_hash::{FastHashMap, FastHashSet};
 use mosaic_mem::{Asid, Vpn};
 use mosaic_obs::{AttribCategory, AttribHandle};
+use std::collections::hash_map::Entry;
 
-/// First-touch set: every `(asid, vpn)` ever referenced. Never trimmed —
-/// compulsory means first-ever in the run, surviving flushes and
-/// shootdowns.
-type SeenSet = FastHashSet<(Asid, u64)>;
+/// Null recency link (list end).
+const NIL: u32 = u32::MAX;
 
-/// A tags-only fully-associative LRU TLB of a fixed entry count.
+/// The `prev` link of a tag that is not resident.
+const OUT: u32 = u32::MAX - 1;
+
+/// The next dense id after `len` minted ones.
+///
+/// # Panics
+///
+/// Panics when the ids would reach the link sentinels.
+fn next_id(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id < OUT)
+        .expect("more distinct tags than dense ids")
+}
+
+/// One tag id's recency links and the ASID its tag belongs to.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Toward the head (more recent); [`NIL`] at the head, [`OUT`] when
+    /// the tag is not resident.
+    prev: u32,
+    /// Toward the tail (less recent); [`NIL`] at the tail.
+    next: u32,
+    asid: Asid,
+}
+
+/// An exact fully-associative LRU tag store of `entries` tags over
+/// dense tag ids.
 #[derive(Debug, Clone)]
-struct Shadow(SetAssocCache<(Asid, u64), ()>);
+struct DenseLru {
+    entries: usize,
+    /// Resident tags.
+    len: usize,
+    /// Tag id per `(asid, tag)` ever interned.
+    ids: FastHashMap<(Asid, u64), u32>,
+    /// Per tag id, indexed by id.
+    nodes: Vec<Node>,
+    /// Most recently used resident id ([`NIL`] when empty).
+    head: u32,
+    /// Least recently used resident id — the eviction victim.
+    tail: u32,
+}
 
-impl Shadow {
+impl DenseLru {
+    /// An empty store of `entries` tags.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is zero.
     fn new(entries: usize) -> Self {
-        Self(SetAssocCache::new(TlbConfig::new(
+        assert!(entries > 0, "entries must be positive");
+        Self {
             entries,
-            Associativity::Full,
-        )))
+            len: 0,
+            ids: FastHashMap::default(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
     }
 
-    /// Touches `(asid, page)`, returning whether it was already
-    /// resident; inserts it (evicting the LRU tag if full) when not.
+    /// A new, non-resident tag id of `asid` that no key maps to: for
+    /// an owner that keeps its own key-to-id map.
+    fn mint(&mut self, asid: Asid) -> u32 {
+        let id = next_id(self.nodes.len());
+        self.nodes.push(Node {
+            prev: OUT,
+            next: NIL,
+            asid,
+        });
+        id
+    }
+
+    /// The id of `(asid, tag)`, minted (not resident) on first sight.
+    fn intern(&mut self, asid: Asid, tag: u64) -> u32 {
+        let next = next_id(self.nodes.len());
+        let id = *self.ids.entry((asid, tag)).or_insert(next);
+        if id == next {
+            self.mint(asid);
+        }
+        id
+    }
+
+    fn unlink(&mut self, id: u32) {
+        let Node { prev, next, .. } = self.nodes[id as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, id: u32) {
+        let head = self.head;
+        self.nodes[id as usize].prev = NIL;
+        self.nodes[id as usize].next = head;
+        match head {
+            NIL => self.tail = id,
+            h => self.nodes[h as usize].prev = id,
+        }
+        self.head = id;
+    }
+
+    /// Touches tag `id`, returning whether it was resident; makes it
+    /// the most recent either way, evicting the least recent tag when
+    /// a miss finds the store full.
     #[inline]
-    fn touch(&mut self, asid: Asid, page: u64) -> bool {
-        let tag = (asid, page);
-        if self.0.lookup(0, tag).is_some() {
+    fn touch(&mut self, id: u32) -> bool {
+        if self.nodes[id as usize].prev != OUT {
+            if self.head != id {
+                self.unlink(id);
+                self.push_front(id);
+            }
             return true;
         }
-        self.0.insert(0, tag, ());
+        if self.len == self.entries {
+            let victim = self.tail;
+            self.unlink(victim);
+            self.nodes[victim as usize].prev = OUT;
+        } else {
+            self.len += 1;
+        }
+        self.push_front(id);
         false
     }
 
-    fn invalidate(&mut self, asid: Asid, page: u64) {
-        self.0.invalidate(0, (asid, page));
+    /// Drops tag `id` if resident.
+    fn remove(&mut self, id: u32) {
+        if self.nodes[id as usize].prev != OUT {
+            self.unlink(id);
+            self.nodes[id as usize].prev = OUT;
+            self.len -= 1;
+        }
     }
 
-    fn flush_asid(&mut self, asid: Asid) {
-        let victims: Vec<(Asid, u64)> = self
-            .0
-            .iter()
-            .map(|(&t, _)| t)
-            .filter(|&(a, _)| a == asid)
-            .collect();
-        for tag in victims {
-            self.0.invalidate(0, tag);
+    /// Drops `(asid, tag)` if resident.
+    fn invalidate(&mut self, asid: Asid, tag: u64) {
+        if let Some(&id) = self.ids.get(&(asid, tag)) {
+            self.remove(id);
         }
+    }
+
+    /// Drops every resident tag of `asid`.
+    fn flush_asid(&mut self, asid: Asid) {
+        let mut id = self.head;
+        while id != NIL {
+            let node = self.nodes[id as usize];
+            if node.asid == asid {
+                self.remove(id);
+            }
+            id = node.next;
+        }
+    }
+
+    /// Drops every resident tag.
+    fn flush(&mut self) {
+        let mut id = self.head;
+        while id != NIL {
+            let node = &mut self.nodes[id as usize];
+            node.prev = OUT;
+            id = node.next;
+        }
+        (self.head, self.tail, self.len) = (NIL, NIL, 0);
     }
 }
 
@@ -126,9 +271,18 @@ impl MissClass {
 /// indexing.
 #[derive(Debug, Clone)]
 pub struct ClassPass {
-    seen: SeenSet,
-    /// `(arity, shadow)` per granularity; arity 1 splits to the VPN.
-    shadows: Vec<(Arity, Shadow)>,
+    /// Page id per `(asid, vpn)` ever referenced. Never trimmed —
+    /// compulsory means first-ever in the run, surviving flushes and
+    /// shootdowns. A page id is also the page's tag id in `vpns`.
+    pages: FastHashMap<(Asid, u64), u32>,
+    /// The VPN shadow, minting one tag id per page in lockstep with
+    /// `pages` (its own key map stays empty).
+    vpns: DenseLru,
+    /// Each page's tag id in every MVPN shadow, indexed
+    /// `page * mvpns.len() + i`.
+    page_tags: Vec<u32>,
+    /// `(arity, shadow)` per MVPN granularity.
+    mvpns: Vec<(Arity, DenseLru)>,
 }
 
 impl ClassPass {
@@ -137,8 +291,9 @@ impl ClassPass {
     ///
     /// # Panics
     ///
-    /// Panics on more than six arities: the VPN plus each arity must fit
-    /// the seven shadow-hit bits of a class byte.
+    /// Panics on zero `entries`, or on more than six arities: the VPN
+    /// plus each arity must fit the seven shadow-hit bits of a class
+    /// byte.
     pub fn new(entries: usize, arities: &[Arity]) -> Self {
         assert!(
             arities.len() < MissClass::MAX_GRANULARITIES,
@@ -146,13 +301,14 @@ impl ClassPass {
             arities.len(),
             MissClass::MAX_GRANULARITIES,
         );
-        let shadows = std::iter::once(Arity::new(1))
-            .chain(arities.iter().copied())
-            .map(|a| (a, Shadow::new(entries)))
-            .collect();
         Self {
-            seen: SeenSet::default(),
-            shadows,
+            pages: FastHashMap::default(),
+            vpns: DenseLru::new(entries),
+            page_tags: Vec::new(),
+            mvpns: arities
+                .iter()
+                .map(|&a| (a, DenseLru::new(entries)))
+                .collect(),
         }
     }
 
@@ -165,10 +321,23 @@ impl ClassPass {
     /// Classifies the next stream position, touching every shadow.
     #[inline]
     pub fn classify(&mut self, asid: Asid, vpn: Vpn) -> MissClass {
-        let mut bits = u8::from(self.seen.insert((asid, vpn.0)));
-        for (g, (arity, shadow)) in self.shadows.iter_mut().enumerate() {
-            if shadow.touch(asid, arity.mvpn_of(vpn).0) {
-                bits |= 2 << g;
+        let (page, first) = match self.pages.entry((asid, vpn.0)) {
+            Entry::Occupied(e) => (*e.get(), false),
+            Entry::Vacant(e) => {
+                let page = *e.insert(self.vpns.mint(asid));
+                for (arity, shadow) in &mut self.mvpns {
+                    let tag = shadow.intern(asid, arity.mvpn_of(vpn).0);
+                    self.page_tags.push(tag);
+                }
+                (page, true)
+            }
+        };
+        let mut bits = u8::from(first) | u8::from(self.vpns.touch(page)) << 1;
+        let n = self.mvpns.len();
+        let tags = &self.page_tags[page as usize * n..][..n];
+        for (i, ((_, shadow), &tag)) in self.mvpns.iter_mut().zip(tags).enumerate() {
+            if shadow.touch(tag) {
+                bits |= 4 << i;
             }
         }
         MissClass(bits)
@@ -179,22 +348,27 @@ impl ClassPass {
     /// `MosaicTlb::invalidate_entry`) applied to every instance at this
     /// stream position.
     pub fn invalidate(&mut self, asid: Asid, vpn: Vpn) {
-        for (arity, shadow) in &mut self.shadows {
+        if let Some(&page) = self.pages.get(&(asid, vpn.0)) {
+            self.vpns.remove(page);
+        }
+        for (arity, shadow) in &mut self.mvpns {
             shadow.invalidate(asid, arity.mvpn_of(vpn).0);
         }
     }
 
     /// Mirrors an ASID shootdown on every instance.
     pub fn flush_asid(&mut self, asid: Asid) {
-        for (_, shadow) in &mut self.shadows {
+        self.vpns.flush_asid(asid);
+        for (_, shadow) in &mut self.mvpns {
             shadow.flush_asid(asid);
         }
     }
 
     /// Mirrors a full flush on every instance.
     pub fn flush(&mut self) {
-        for (_, shadow) in &mut self.shadows {
-            shadow.0.flush();
+        self.vpns.flush();
+        for (_, shadow) in &mut self.mvpns {
+            shadow.flush();
         }
     }
 }
@@ -239,18 +413,23 @@ impl ClassTally {
 /// each miss straight into its sink.
 #[derive(Debug, Clone)]
 pub struct MissClassifier {
-    seen: SeenSet,
-    shadow: Shadow,
+    /// Every `(asid, seen_page)` ever observed.
+    seen: FastHashSet<(Asid, u64)>,
+    shadow: DenseLru,
     sink: AttribHandle,
 }
 
 impl MissClassifier {
     /// A classifier whose shadow has `entries` tags (the real TLB's
     /// entry count), charging into `sink`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is zero.
     pub fn new(entries: usize, sink: AttribHandle) -> Self {
         Self {
-            seen: SeenSet::default(),
-            shadow: Shadow::new(entries),
+            seen: FastHashSet::default(),
+            shadow: DenseLru::new(entries),
             sink,
         }
     }
@@ -269,7 +448,8 @@ impl MissClassifier {
         hit: bool,
     ) -> Option<AttribCategory> {
         let first = self.seen.insert((asid, seen_page));
-        let shadow_hit = self.shadow.touch(asid, shadow_page);
+        let tag = self.shadow.intern(asid, shadow_page);
+        let shadow_hit = self.shadow.touch(tag);
         if hit {
             return None;
         }

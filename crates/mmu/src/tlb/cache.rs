@@ -307,11 +307,13 @@ impl<T: Copy + Eq + Hash + Default, E> SetAssocCache<T, E> {
     /// The linear path compares every slot of the stripe (no early
     /// exit) into a hit bitmask and masks out free slots; at most one
     /// live slot per set holds a given tag (fills happen only on a
-    /// miss), so at most one bit survives.
-    #[inline]
+    /// miss), so at most one bit survives. The indexed path stays out
+    /// of line so this scan (and [`SetAssocCache::promote`]) inlines
+    /// into the TLB lookups.
+    #[inline(always)]
     fn slot_of(&self, s: usize, tag: T) -> Option<usize> {
-        if let Some(ix) = &self.index {
-            return ix.get(&(s, tag)).map(|&i| i as usize);
+        if self.index.is_some() {
+            return self.indexed_slot_of(s, tag);
         }
         let base = s * self.ways;
         let stripe = &self.tags[base..base + self.ways];
@@ -330,8 +332,16 @@ impl<T: Copy + Eq + Hash + Default, E> SetAssocCache<T, E> {
         (hits != 0).then(|| base + hits.trailing_zeros() as usize)
     }
 
+    /// [`SetAssocCache::slot_of`] through the `(set, tag)` hash index of
+    /// a wide set.
+    #[inline(never)]
+    fn indexed_slot_of(&self, s: usize, tag: T) -> Option<usize> {
+        let ix = self.index.as_ref()?;
+        ix.get(&(s, tag)).map(|&i| i as usize)
+    }
+
     /// Moves `slot` to the head (MRU position) of set `s`.
-    #[inline]
+    #[inline(always)]
     fn promote(&mut self, s: usize, slot: usize) {
         if self.head[s] != slot as u32 {
             self.unlink(s, slot);
@@ -340,6 +350,7 @@ impl<T: Copy + Eq + Hash + Default, E> SetAssocCache<T, E> {
     }
 
     /// Looks up `tag` in `set`, refreshing its LRU position on a hit.
+    #[inline(always)]
     pub fn lookup(&mut self, set: usize, tag: T) -> Option<&mut E> {
         let slot = self.lookup_slot(set, tag)?;
         self.entries[slot].as_mut()
@@ -350,7 +361,7 @@ impl<T: Copy + Eq + Hash + Default, E> SetAssocCache<T, E> {
     /// of its payload, for callers that keep per-slot storage of their
     /// own. A slot keeps its index until its entry is evicted or
     /// invalidated.
-    #[inline]
+    #[inline(always)]
     pub fn lookup_slot(&mut self, set: usize, tag: T) -> Option<usize> {
         let s = self.set_of(set);
         let slot = self.slot_of(s, tag)?;

@@ -2,8 +2,9 @@
 //! against a reference LRU, the radix table against a `HashMap`, and the
 //! shared 3C classification pass against naive per-instance classifiers.
 
+use mosaic_hash::SplitMix64;
 use mosaic_mem::{Asid, Cpfn, Pfn, Vpn};
-use mosaic_mmu::tlb::{Associativity, ClassPass, SetAssocCache, TlbConfig};
+use mosaic_mmu::tlb::{Associativity, ClassPass, MissClassifier, SetAssocCache, TlbConfig};
 use mosaic_mmu::{Arity, MosaicLookup, MosaicTlb, RadixTable, Toc, VanillaTlb};
 use mosaic_obs::AttribCategory;
 use proptest::prelude::*;
@@ -267,10 +268,11 @@ enum StreamOp {
 }
 
 /// Mostly accesses over three ASIDs: of every 28 ops, 2 are entry
-/// invalidations, 1 an ASID shootdown and 1 a full flush.
+/// invalidations, 1 an ASID shootdown and 1 a full flush. Pages lie at
+/// either end of the tag space: 96 from 0 up, 96 from `u64::MAX` down.
 fn any_stream_op() -> impl Strategy<Value = StreamOp> {
-    (0u8..28, 1u16..4, 0u64..96).prop_map(|(kind, a, v)| {
-        let (asid, vpn) = (Asid::new(a), Vpn::new(v));
+    (0u8..28, 1u16..4, 0u64..96, any::<bool>()).prop_map(|(kind, a, v, top)| {
+        let (asid, vpn) = (Asid::new(a), Vpn::new(if top { u64::MAX - v } else { v }));
         match kind {
             0..=23 => StreamOp::Access(asid, vpn),
             24 | 25 => StreamOp::Invalidate(asid, vpn),
@@ -280,12 +282,12 @@ fn any_stream_op() -> impl Strategy<Value = StreamOp> {
     })
 }
 
-/// The oracle's granularities: the VPN, then MVPN-4 and MVPN-8.
-const ORACLE_ARITIES: [usize; 2] = [4, 8];
+/// The oracle's granularities: the VPN, then MVPN-4, MVPN-8 and MVPN-64.
+const ORACLE_ARITIES: [usize; 3] = [4, 8, 64];
 
-/// Shadow capacities: degenerate, tiny, odd (not a power of two) and
-/// wide enough for the cache's hash-indexed slot path.
-const ORACLE_CAPACITIES: [usize; 4] = [1, 2, 7, 64];
+/// Shadow capacities: degenerate, tiny, odd (not a power of two, below
+/// and above 16) and a power of two above 16.
+const ORACLE_CAPACITIES: [usize; 5] = [1, 2, 7, 33, 64];
 
 proptest! {
     /// The shared pass classifies every position exactly as a separate
@@ -294,7 +296,7 @@ proptest! {
     #[test]
     fn class_pass_matches_per_instance_oracle(
         ops in prop::collection::vec(any_stream_op(), 1..400),
-        cap_idx in 0usize..4,
+        cap_idx in 0usize..ORACLE_CAPACITIES.len(),
     ) {
         let cap = ORACLE_CAPACITIES[cap_idx];
         let arities = ORACLE_ARITIES.map(Arity::new);
@@ -339,7 +341,7 @@ proptest! {
     #[test]
     fn full_assoc_tlbs_never_take_conflict_misses(
         ops in prop::collection::vec(any_stream_op(), 1..400),
-        cap_idx in 0usize..4,
+        cap_idx in 0usize..ORACLE_CAPACITIES.len(),
     ) {
         let cap = ORACLE_CAPACITIES[cap_idx];
         let cfg = TlbConfig::new(cap, Associativity::Full);
@@ -391,4 +393,48 @@ proptest! {
             }
         }
     }
+}
+
+/// The attribution experiment's shape: a footprint about 2 % above the
+/// shadow capacity (1075 pages over 1056 entries), so almost every
+/// reference is a near-capacity hit or an eviction. Both classifiers
+/// must agree with the naive one at every position over 200 k
+/// references from two ASIDs, one of them at the top of the tag space.
+#[test]
+fn near_capacity_stream_matches_naive_oracle() {
+    const CAP: usize = 1056;
+    const FOOTPRINT: u64 = 1075;
+    let arities = ORACLE_ARITIES.map(Arity::new);
+    let mut pass = ClassPass::new(CAP, &arities);
+    let mut naive: Vec<NaiveClassifier> = std::iter::once(Arity::new(1))
+        .chain(arities)
+        .map(|a| NaiveClassifier::new(a, CAP))
+        .collect();
+    let obs = mosaic_obs::ObsHandle::enabled();
+    obs.set_attrib(true);
+    let mut single = MissClassifier::new(CAP, obs.attrib("tlb.single"));
+    let mut rng = SplitMix64::new(1056);
+    for i in 0..200_000 {
+        let page = rng.next_below(FOOTPRINT);
+        let (asid, vpn) = if page & 1 == 0 {
+            (Asid::new(1), Vpn::new(page))
+        } else {
+            (Asid::new(2), Vpn::new(u64::MAX - page))
+        };
+        let class = pass.classify(asid, vpn);
+        for (g, n) in naive.iter_mut().enumerate() {
+            let want = n.class(asid, vpn);
+            assert_eq!(class.category(g), want, "position {i} granularity {g}");
+            if g == 0 {
+                // The standalone classifier charges misses only: observe
+                // every position as one.
+                assert_eq!(
+                    single.observe(asid, vpn.0, vpn.0, false),
+                    Some(want),
+                    "position {i} (standalone)"
+                );
+            }
+        }
+    }
+    assert_eq!(obs.attrib_table("tlb.single").total(), 200_000);
 }

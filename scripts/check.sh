@@ -217,6 +217,42 @@ grep -q '"t":"attrib"' "$OBS_TMP/at1.jsonl"
 grep -q "conflict removed by" "$OBS_TMP/atreport.txt"
 grep -q "per-tenant blame" "$OBS_TMP/atreport.txt"
 
+echo "==> memory counter publication gate (attrib JSONL: <mgr>.accesses == ref inside each stream)"
+# Managers count accesses locally and publish before every snapshot, so
+# an interval snapshot inside a workload's stream (each workload's
+# records run from its drive.begin event to the next; its stream length
+# is its last snapshot's ref) reads exactly `ref` accesses. A snapshot
+# taken without a publish reads less. The end-of-stream snapshot is
+# exempt: it follows the epilogue's probe access and the cell merge.
+check_published_accesses() {
+  awk '
+    function flush(   i) {
+      for (i = 1; i <= n; i++) {
+        if (refs[i] < len) {
+          checked++
+          if (vals[i] != refs[i]) { print "unpublished snapshot: " lines[i]; bad = 1 }
+        }
+      }
+      n = 0; len = 0
+    }
+    /"name":"drive\.begin"/ { flush(); next }
+    /"name":"(mosaic|linux)\.accesses"/ {
+      match($0, /"ref":[0-9]+/); r = substr($0, RSTART + 6, RLENGTH - 6) + 0
+      match($0, /"value":[0-9]+/); v = substr($0, RSTART + 8, RLENGTH - 8) + 0
+      n++; refs[n] = r; vals[n] = v; lines[n] = $0
+      if (r > len) len = r
+    }
+    END {
+      flush()
+      if (checked == 0) { print "no interval accesses records in " FILENAME; bad = 1 }
+      exit bad
+    }
+  ' "$1"
+}
+./target/release/attrib --obs-out "$OBS_TMP/atpub.jsonl" --obs-interval 20000 > /dev/null 2>&1
+check_published_accesses "$OBS_TMP/atpub.jsonl"
+check_published_accesses "$OBS_TMP/at1.jsonl"
+
 echo "==> attribution golden gate (must reproduce results_attrib.txt)"
 ./target/release/attrib --jobs 4 > "$OBS_TMP/atgold.txt" 2>/dev/null
 cmp "$OBS_TMP/atgold.txt" results_attrib.txt
