@@ -34,6 +34,16 @@ fn trace(len: usize, pages: u64, seed: u64) -> Vec<Access> {
         .collect()
 }
 
+/// `len` references in load+store pairs on random pages, the way GUPS
+/// issues its read-modify-write updates: every second reference repeats
+/// its predecessor's page.
+fn pair_trace(len: usize, pages: u64, seed: u64) -> Vec<Access> {
+    trace(len / 2, pages, seed)
+        .into_iter()
+        .flat_map(|load| [load, Access::store(load.addr)])
+        .collect()
+}
+
 fn bench_batched(c: &mut Criterion) {
     // An 8192-access trace through the full Figure 6 grid at the
     // paper's 1024-entry TLB, consumed in DEFAULT_BATCH chunks (exactly
@@ -42,18 +52,23 @@ fn bench_batched(c: &mut Criterion) {
     // batch-end publication cost is measured. The 16384-page pool spills
     // the 1024-entry sets, keeping the grid in the miss-heavy regime the
     // figures run in, where the per-batch walk memos matter. Per-iter
-    // time covers 8192 accesses; divide accordingly.
+    // time covers 8192 accesses; divide accordingly. The random-load
+    // stream never repeats a page back to back; the load+store-pair
+    // stream repeats every second reference, which the engine counts as
+    // a hit without a lookup.
     let refs = trace(8192, 16384, 7);
+    let pairs = pair_trace(8192, 16384, 7);
     let obs = mosaic_obs::ObsHandle::enabled();
     let mut g = c.benchmark_group("dual_sim_batch");
-    for (kname, kernel) in [
-        ("no_kernel", None),
-        ("with_kernel", Some(KernelConfig::default())),
+    for (kname, refs, kernel) in [
+        ("no_kernel", &refs, None),
+        ("with_kernel", &refs, Some(KernelConfig::default())),
+        ("load_store_pairs", &pairs, Some(KernelConfig::default())),
     ] {
         g.bench_with_input(BenchmarkId::new("batched", kname), &kernel, |b, &kernel| {
             let mut sim = grid(1024, 16384, kernel);
             sim.set_obs(&obs);
-            sim.access_batch(&refs); // warm translations + TLBs
+            sim.access_batch(refs); // warm translations + TLBs
             b.iter(|| {
                 for chunk in refs.chunks(mosaic_core::sim::fig6::DEFAULT_BATCH) {
                     sim.access_batch(black_box(chunk));

@@ -16,7 +16,6 @@
 
 use mosaic_bench::obs::ObsSink;
 use mosaic_bench::{Args, JOBS_HELP};
-use mosaic_core::mmu::Associativity;
 use mosaic_core::sim::attrib::{render, run_attrib, AttribConfig};
 use mosaic_obs::{ObsHandle, Value};
 
@@ -35,14 +34,18 @@ value.";
 fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
+    args.only_or_exit(
+        &[
+            &["buckets", "entries", "load", "seed", "fault-ppm", "jobs"][..],
+            &ObsSink::FLAGS,
+        ]
+        .concat(),
+    );
     let jobs = args.jobs_or_exit();
 
     let mut cfg = AttribConfig::paper();
     cfg.mem_buckets = args.buckets_or_exit(cfg.mem_buckets);
-    cfg.tlb_entries = entries_or_exit(
-        args.get_u64("entries", cfg.tlb_entries as u64) as usize,
-        &cfg.associativities,
-    );
+    cfg.tlb_entries = args.entries_or_exit(cfg.tlb_entries, &cfg.associativities);
     cfg.load_pct = args.get_u64("load", cfg.load_pct);
     cfg.seed = args.get_u64("seed", cfg.seed);
     cfg.fault_ppm = args.get_u64("fault-ppm", u64::from(cfg.fault_ppm)) as u32;
@@ -78,17 +81,4 @@ fn main() {
     let report = run_attrib(&cfg, handle, sink.interval(), jobs);
     print!("{}", render(&report));
     sink.finish();
-}
-
-/// `entries`, or `error: …` and exit 2 when it is zero or some swept
-/// associativity cannot divide it into whole sets.
-fn entries_or_exit(entries: usize, associativities: &[Associativity]) -> usize {
-    for &assoc in associativities {
-        let ways = assoc.ways(entries);
-        if entries == 0 || !entries.is_multiple_of(ways) {
-            eprintln!("error: --entries {entries} must be a positive multiple of {ways} ({assoc})");
-            std::process::exit(2);
-        }
-    }
-    entries
 }

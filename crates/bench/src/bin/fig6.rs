@@ -4,7 +4,8 @@
 //!
 //! ```text
 //! fig6 [graph500|btree|gups|xsbench|all] [--scale N] [--entries N] [--no-kernel] [--csv]
-//!      [--obs-out F] [--obs-interval R] [--jobs N] [--batch N]
+//!      [--seed S] [--obs-out F] [--obs-interval R] [--obs-format F] [--attrib]
+//!      [--jobs N] [--batch N]
 //! ```
 //!
 //! `--scale 0` is a seconds-fast smoke run; `--scale 1` (default) is the
@@ -14,8 +15,9 @@
 //! JSONL; render with `obs_report`. `--batch N` sets the simulator's
 //! chunk size (results and JSONL are byte-identical at every value);
 //! wall time and ns/access per workload go to stderr. An `--entries`
-//! value that some swept associativity cannot divide into whole sets is
-//! a usage error (exit 2).
+//! value that some swept associativity cannot divide into whole sets, an
+//! unknown workload and a flag this binary does not read are usage
+//! errors (exit 2).
 
 use mosaic_bench::obs::ObsSink;
 use mosaic_bench::{Args, JOBS_HELP};
@@ -30,7 +32,8 @@ use mosaic_core::workloads::{standard_suite, Workload};
 
 const USAGE: &str = "\
 fig6 [graph500|btree|gups|xsbench|all] [--scale N] [--entries N] [--no-kernel]
-     [--csv] [--obs-out F] [--obs-interval R] [--jobs N] [--batch N]
+     [--csv] [--seed S] [--obs-out F] [--obs-interval R] [--obs-format F]
+     [--attrib] [--jobs N] [--batch N]
 
 Regenerates Figure 6 (TLB misses across arity x associativity).
 --entries N (default 1024) must be a positive multiple of 8, the widest
@@ -44,14 +47,29 @@ only speed: stdout is byte-identical at every --batch and --jobs value.";
 fn main() {
     let args = Args::from_env();
     args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
+    args.only_or_exit(
+        &[
+            &["scale", "entries", "no-kernel", "csv", "seed", "jobs", "batch"][..],
+            &ObsSink::FLAGS,
+        ]
+        .concat(),
+    );
     let jobs = args.jobs_or_exit();
     let scale = args.get_u64("scale", 1) as u32;
     let associativities = Associativity::FIGURE6_SWEEP.to_vec();
-    let entries = entries_or_exit(args.get_u64("entries", 1024) as usize, &associativities);
+    let entries = args.entries_or_exit(1024, &associativities);
     let which = args
         .positional()
         .first()
         .map_or_else(|| "all".to_string(), |s| s.to_lowercase());
+    let mut workloads: Vec<Box<dyn Workload>> = standard_suite(scale, 0xB5EED)
+        .into_iter()
+        .filter(|w| which == "all" || w.meta().name.to_lowercase() == which)
+        .collect();
+    if workloads.is_empty() {
+        eprintln!("error: unknown workload {which:?}; expected graph500|btree|gups|xsbench|all");
+        std::process::exit(2);
+    }
 
     let cfg = Fig6Config {
         tlb_entries: entries,
@@ -80,15 +98,6 @@ fn main() {
     }
     .table()
     .render());
-
-    let mut workloads: Vec<Box<dyn Workload>> = standard_suite(scale, 0xB5EED)
-        .into_iter()
-        .filter(|w| which == "all" || w.meta().name.to_lowercase() == which)
-        .collect();
-    assert!(
-        !workloads.is_empty(),
-        "unknown workload {which:?}; expected graph500|btree|gups|xsbench|all"
-    );
 
     // Table 2: workload inventory.
     let mut t2 = Table::new(vec![
@@ -169,17 +178,4 @@ fn main() {
         }
     }
     sink.finish();
-}
-
-/// `entries`, or `error: …` and exit 2 when it is zero or some swept
-/// associativity cannot divide it into whole sets.
-fn entries_or_exit(entries: usize, associativities: &[Associativity]) -> usize {
-    for &assoc in associativities {
-        let ways = assoc.ways(entries);
-        if entries == 0 || !entries.is_multiple_of(ways) {
-            eprintln!("error: --entries {entries} must be a positive multiple of {ways} ({assoc})");
-            std::process::exit(2);
-        }
-    }
-    entries
 }

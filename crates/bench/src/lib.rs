@@ -11,6 +11,7 @@ pub mod obs;
 pub mod obs_report;
 
 use mosaic_core::iceberg::config::PAPER_D_CHOICES;
+use mosaic_core::mmu::Associativity;
 
 /// A malformed command-line flag, reported instead of a panic so the
 /// binaries can print a usage-style diagnostic and exit with a status
@@ -37,6 +38,16 @@ pub enum ArgsError {
         path: String,
         /// Why creating it failed.
         error: String,
+    },
+    /// `--entries N` that is zero or that some swept associativity
+    /// cannot divide into whole sets.
+    BadEntries {
+        /// The entry count given.
+        entries: usize,
+        /// The way count it must be a multiple of.
+        ways: usize,
+        /// The associativity that needs it, as displayed.
+        assoc: String,
     },
     /// A flag the binary does not read (it would otherwise be ignored
     /// silently).
@@ -65,6 +76,11 @@ impl std::fmt::Display for ArgsError {
                 write!(f, "--obs-format expects jsonl|trace, got {value:?}")
             }
             ArgsError::ObsOut { path, error } => write!(f, "--obs-out {path}: {error}"),
+            ArgsError::BadEntries {
+                entries,
+                ways,
+                assoc,
+            } => write!(f, "--entries {entries} must be a positive multiple of {ways} ({assoc})"),
             ArgsError::UnknownFlag { flag, accepted } => {
                 write!(f, "unknown flag --{flag}; this binary takes")?;
                 for name in accepted {
@@ -203,6 +219,39 @@ impl Args {
     /// [`Args::buckets`] for binaries: prints the error and exits 2.
     pub fn buckets_or_exit(&self, default: usize) -> usize {
         self.buckets(default).unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// `--entries N` (default `default`) for a TLB grid over
+    /// `associativities`.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgsError::NotANumber`] for a non-numeric value;
+    /// [`ArgsError::BadEntries`] when it is zero or some associativity
+    /// cannot divide it into whole sets.
+    pub fn entries(
+        &self,
+        default: usize,
+        associativities: &[Associativity],
+    ) -> Result<usize, ArgsError> {
+        let entries = self.try_get_u64("entries", default as u64)? as usize;
+        for &assoc in associativities {
+            let ways = assoc.ways(entries);
+            if entries == 0 || !entries.is_multiple_of(ways) {
+                return Err(ArgsError::BadEntries {
+                    entries,
+                    ways,
+                    assoc: assoc.to_string(),
+                });
+            }
+        }
+        Ok(entries)
+    }
+
+    /// [`Args::entries`] for binaries: prints the error and exits 2.
+    pub fn entries_or_exit(&self, default: usize, associativities: &[Associativity]) -> usize {
+        self.entries(default, associativities)
+            .unwrap_or_else(|e| exit_usage(&e))
     }
 
     /// Prints `usage` and exits 0 when `--help` was passed; otherwise
@@ -345,6 +394,26 @@ mod tests {
             err.to_string(),
             "unknown flag --obs-out; this binary takes --ways --cache-kib"
         );
+    }
+
+    #[test]
+    fn entries_must_split_into_whole_sets() {
+        let sweep = Associativity::FIGURE6_SWEEP;
+        assert_eq!(parse(&["bin"]).entries(1024, &sweep), Ok(1024));
+        assert_eq!(parse(&["bin", "--entries", "64"]).entries(1024, &sweep), Ok(64));
+        let err = parse(&["bin", "--entries", "1028"]).entries(1024, &sweep).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "--entries 1028 must be a positive multiple of 8 (8-Way)"
+        );
+        assert!(matches!(
+            parse(&["bin", "--entries", "0"]).entries(1024, &sweep),
+            Err(ArgsError::BadEntries { entries: 0, .. })
+        ));
+        assert!(matches!(
+            parse(&["bin", "--entries", "x"]).entries(1024, &sweep),
+            Err(ArgsError::NotANumber { .. })
+        ));
     }
 
     #[test]

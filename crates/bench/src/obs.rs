@@ -43,6 +43,10 @@ pub struct ObsSink {
 }
 
 impl ObsSink {
+    /// The flags [`ObsSink::from_args`] reads, without `--`, for a
+    /// binary's [`Args::only_or_exit`] list.
+    pub const FLAGS: [&'static str; 4] = ["obs-out", "obs-interval", "obs-format", "attrib"];
+
     /// Builds the sink from the parsed command line; `bin` is stamped
     /// into the stream's leading `meta` record. The `--obs-out` file is
     /// created here, so an unwritable path fails before any work runs.

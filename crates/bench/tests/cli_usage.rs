@@ -127,3 +127,37 @@ fn flags_a_serial_bin_does_not_read_are_usage_errors() {
         assert!(!std::path::Path::new(path).exists(), "{bin} wrote {path}");
     }
 }
+
+#[test]
+fn unknown_fig6_workload_is_a_usage_error_before_any_output() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig6"))
+        .args(["foo", "--scale", "0"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: unknown workload \"foo\"; expected graph500|btree|gups|xsbench|all"
+    );
+    assert!(out.stdout.is_empty(), "fig6 printed tables before the error");
+}
+
+#[test]
+fn flags_a_grid_bin_does_not_read_are_usage_errors() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig6"), &["gups", "--scale", "0", "--bogus-flag", "1"][..]),
+        (env!("CARGO_BIN_EXE_attrib"), &["--bogus-flag", "1"][..]),
+        // `--batch` is fig6's alone: attrib runs its grid at the default.
+        (env!("CARGO_BIN_EXE_attrib"), &["--batch", "1"][..]),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: unknown flag --") && stderr.contains("this binary takes"),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} ran before the error");
+    }
+}

@@ -154,6 +154,17 @@ impl VanillaTlb {
         result
     }
 
+    /// Counts `n` further lookups of the translation just looked up or
+    /// filled. Each repeats the lookup or fill before it, whose entry
+    /// is then valid and most recently used in its set, so it hits and
+    /// moves no LRU state: only `accesses` and `hits` advance. They are
+    /// plain sums, so a caller that skipped many such repeats may count
+    /// them all in one call.
+    pub fn count_mru_hits(&mut self, n: u64) {
+        self.stats.accesses += n;
+        self.stats.hits += n;
+    }
+
     /// Fills a 4 KiB entry after a walk.
     pub fn fill_base(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn) {
         let evicted = self

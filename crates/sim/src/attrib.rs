@@ -317,7 +317,11 @@ fn run_one_workload(
     let outcomes = run_cells(jobs, obs, cells, |i, cell, child| match cell {
         Cell::Tlb => {
             let mut replay = trace.replayer();
-            let rows = run_grid(&grid, &mut replay, child, obs_interval, true);
+            // The grid's OS model stays off the `mosaic.*` allocator
+            // counters: under that prefix the merged stream carries the
+            // Mosaic memory cell's manager, and the join would add the
+            // two.
+            let rows = run_grid(&grid, &mut replay, child, obs_interval, false);
             if let Some(e) = replay.into_error() {
                 panic!("reference trace replay failed: {e}");
             }

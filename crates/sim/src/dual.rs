@@ -93,6 +93,15 @@ impl Instance {
         }
     }
 
+    /// Counts `n` further lookups of the translation just looked up or
+    /// filled (see [`VanillaTlb::count_mru_hits`]).
+    fn count_mru_hits(&mut self, n: u64) {
+        match self {
+            Instance::Vanilla(tlb) => tlb.count_mru_hits(n),
+            Instance::Mosaic(_, tlb) => tlb.count_mru_hits(n),
+        }
+    }
+
     /// Pushes the TLB's counter movement since the last publish.
     fn publish_obs(&mut self) {
         match self {
@@ -120,8 +129,13 @@ pub struct DualSim {
     /// User accesses since the last kernel injection.
     kernel_due: u64,
     user_accesses: u64,
-    /// Batch scratch (reused allocation): the expanded reference stream.
+    /// Batch scratch (reused allocation): the run heads of the expanded
+    /// reference stream — every reference except those that repeat the
+    /// previous head's page without a first touch.
     batch_refs: Vec<Vpn>,
+    /// References of the current batch left out of `batch_refs` as
+    /// repeats of the previous head's page.
+    batch_repeats: u64,
     /// Batch scratch: first-touch growth events as `(position, vpn,
     /// cpfn)`, the CPFN recorded once by the pre-pass for every rewind.
     batch_growth: Vec<(u32, Vpn, Cpfn)>,
@@ -206,6 +220,7 @@ impl DualSim {
             kernel_due: 0,
             user_accesses: 0,
             batch_refs: Vec::new(),
+            batch_repeats: 0,
             batch_growth: Vec::new(),
             batch_class: Vec::new(),
             batch_cpfn: Vec::new(),
@@ -239,6 +254,19 @@ impl DualSim {
     ///   (vanilla translations never change after first touch, so
     ///   vanilla instances replay without rewinding).
     ///
+    /// The pre-pass also cuts the stream into **same-page runs**: a
+    /// reference that is not a first touch and whose VPN equals the
+    /// previous run head's is not replayed, only counted, and every
+    /// instance adds the batch's repeat total to its `accesses` and
+    /// `hits` once ([`VanillaTlb::count_mru_hits`],
+    /// [`MosaicTlb::count_mru_hits`]). This is exact: a repeat is never
+    /// a growth event, no TLB is invalidated inside `DualSim`, and after
+    /// the head's lookup-or-fill its entry (base, huge, or mosaic
+    /// sub-entry) is valid and most recently used in its set in every
+    /// instance, as is its tag in every 3C shadow, so the skipped lookup
+    /// would hit and move no LRU state. Replay positions below are run
+    /// heads.
+    ///
     /// Per-position memos are shared across all instances: the sub-page
     /// CPFN, the vanilla translation, and the per-arity leaf ToC.
     /// Results are resolved once per position; every consuming instance
@@ -252,29 +280,22 @@ impl DualSim {
         // Phase 1: stream-order OS pre-pass.
         self.batch_refs.clear();
         self.batch_growth.clear();
+        self.batch_repeats = 0;
         for access in accesses {
             self.user_accesses += 1;
-            let vpn = access.addr.vpn();
-            if let Some(cpfn) = self.os.touch_cpfn(vpn, access.kind) {
-                self.batch_growth
-                    .push((self.batch_refs.len() as u32, vpn, cpfn));
-            }
-            self.batch_refs.push(vpn);
-            if let Some(k) = &self.kernel {
+            self.pre_touch(access.addr.vpn(), access.kind);
+            if let Some(k) = self.kernel {
                 self.kernel_due += 1;
                 if self.kernel_due >= k.period {
                     self.kernel_due = 0;
                     let kvpn = Vpn(KERNEL_VPN_BASE + k.next_page(&mut self.kernel_rng));
-                    if let Some(cpfn) = self.os.touch_cpfn(kvpn, AccessKind::Load) {
-                        self.batch_growth
-                            .push((self.batch_refs.len() as u32, kvpn, cpfn));
-                    }
-                    self.batch_refs.push(kvpn);
+                    self.pre_touch(kvpn, AccessKind::Load);
                 }
             }
         }
-        // The shared 3C pass classifies every position once, in stream
-        // order, for all instances.
+        // The shared 3C pass classifies every run head once, in stream
+        // order, for all instances (a repeat would touch every shadow's
+        // MRU tag: a hit that moves nothing).
         self.batch_class.clear();
         if let Some(pass) = &mut self.classes {
             let asid = self.asid;
@@ -307,6 +328,7 @@ impl DualSim {
         let vwalks = &mut self.batch_vwalk;
         let tocs = &mut self.batch_toc;
         let gen = self.batch_gen;
+        let repeats = self.batch_repeats;
         for ((_, inst), tally) in self.instances.iter_mut().zip(&mut self.tallies) {
             // A miss at position `j` charges its shared class (the class
             // slice is empty when attribution is off).
@@ -364,8 +386,28 @@ impl DualSim {
                     debug_assert_eq!(cursor, growth.len());
                 }
             }
+            inst.count_mru_hits(repeats);
         }
         self.flush_obs();
+    }
+
+    /// Phase 1 for one reference: touches the OS model, then appends the
+    /// reference to `batch_refs` as a run head, or — when it repeats the
+    /// last head's page and is not a first touch — only counts it in
+    /// `batch_repeats`.
+    #[inline]
+    fn pre_touch(&mut self, vpn: Vpn, kind: AccessKind) {
+        match self.os.touch_cpfn(vpn, kind) {
+            Some(cpfn) => self
+                .batch_growth
+                .push((self.batch_refs.len() as u32, vpn, cpfn)),
+            None if self.batch_refs.last() == Some(&vpn) => {
+                self.batch_repeats += 1;
+                return;
+            }
+            None => {}
+        }
+        self.batch_refs.push(vpn);
     }
 
     /// Publishes every instance's TLB counters and 3C tally and the OS
@@ -394,7 +436,9 @@ impl DualSim {
     /// [`DualSim::set_obs`], leaving the mosaic allocator unbound when
     /// `alloc_obs` is false: a grid split across several simulations
     /// rebuilds the same deterministic OS model in each, so only one of
-    /// them may export the `mosaic.*` allocator counters.
+    /// them may export the `mosaic.*` allocator counters, and a grid
+    /// whose stream also carries a Mosaic memory manager (`attrib`)
+    /// must leave that prefix to the manager.
     pub(crate) fn bind_obs(&mut self, obs: &mosaic_obs::ObsHandle, alloc_obs: bool) {
         if alloc_obs {
             self.os.set_obs(obs);
@@ -518,6 +562,23 @@ mod tests {
             assert_eq!(st.accesses, 500);
         }
         assert_eq!(s.user_accesses(), 500);
+    }
+
+    #[test]
+    fn same_page_run_misses_at_most_once() {
+        const N: u64 = 100;
+        for pages in [vec![5], vec![5, 9]] {
+            let mut s = sim(64, None);
+            // One page N times; then two pages alternating in runs of N.
+            touch_pages(&mut s, pages.iter().flat_map(|&p| std::iter::repeat_n(p, N as usize)));
+            let runs = pages.len() as u64;
+            for (assoc, arity, st) in s.results() {
+                assert_eq!(st.accesses, N * runs, "{assoc} {arity:?}");
+                assert!(st.misses <= runs, "{assoc} {arity:?}: {st:?}");
+                assert!(st.hits >= (N - 1) * runs, "{assoc} {arity:?}: {st:?}");
+                assert_eq!(st.hits + st.misses, st.accesses);
+            }
+        }
     }
 
     #[test]

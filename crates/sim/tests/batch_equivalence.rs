@@ -8,6 +8,12 @@
 //! * exported obs is current at every batch end and independent of the
 //!   chunking.
 //!
+//! Both run on two stream shapes: references drawn independently (a
+//! page rarely repeats) and runs of one to eight references to one page
+//! (the engine looks up only a run's head and counts the rest as hits),
+//! some on the kernel model's hot pages so that a kernel injection can
+//! repeat a user reference.
+//!
 //! The model shares no code with the engine's cache, ToC, radix table or
 //! OS model: each TLB is a per-set `Vec` LRU list (set = tag mod sets),
 //! the page table is a `HashSet` of touched pages, a mosaic entry holds
@@ -218,10 +224,39 @@ fn any_access() -> impl Strategy<Value = Access> {
     })
 }
 
+/// Kernel pages mapped by [`any_kernel`]'s model.
+const KERNEL_PAGES: u64 = 64;
+
 /// A dense kernel model (one injection every `period` user accesses
 /// over 64 kernel pages), so short streams still exercise huge pages.
 fn any_kernel() -> impl Strategy<Value = Option<KernelConfig>> {
-    (any::<bool>(), 1u64..8).prop_map(|(on, period)| on.then_some(KernelConfig { pages: 64, period }))
+    (any::<bool>(), 1u64..8)
+        .prop_map(|(on, period)| on.then_some(KernelConfig { pages: KERNEL_PAGES, period }))
+}
+
+/// Same-page runs: each run is one to eight loads and stores to one
+/// page, drawn from a 192-page pool or, one run in eight, from the
+/// kernel model's hot core (where injections concentrate). Chunkings cut
+/// runs at any position, and a user run can follow or precede an
+/// injection of its own page.
+fn any_run_stream() -> impl Strategy<Value = Vec<Access>> {
+    let hot = KERNEL_PAGES / 16;
+    let page = (0u64..8, 0u64..192, 0..hot)
+        .prop_map(|(pick, user, kernel)| if pick == 0 { KERNEL_BASE + kernel } else { user });
+    vec((page, 1usize..9, any::<u8>()), 1..60).prop_map(|runs| {
+        runs.into_iter()
+            .flat_map(|(page, len, stores)| {
+                (0..len).map(move |i| {
+                    let addr = VirtAddr(page * 4096 + (i as u64 * 64) % 4096);
+                    if stores >> i & 1 == 1 {
+                        Access::store(addr)
+                    } else {
+                        Access::load(addr)
+                    }
+                })
+            })
+            .collect()
+    })
 }
 
 /// Splits `accesses` into consecutive chunks whose sizes cycle through
@@ -277,6 +312,61 @@ fn exports_match(obs: &mosaic_obs::ObsHandle, sim: &DualSim) -> Result<(), TestC
     Ok(())
 }
 
+/// The engine agrees with the naive model on every counter for
+/// `accesses` at chunks of one and at `sizes` (cycled), and every batch
+/// leaves each arity's page table fully remirrored.
+fn check_naive_model(
+    accesses: &[Access],
+    sizes: &[usize],
+    kernel: Option<KernelConfig>,
+    entries: usize,
+) -> Result<(), TestCaseError> {
+    let mut model = NaiveGrid::new(entries, kernel);
+    for &a in accesses {
+        model.push(a);
+    }
+    for sizes in [&[1][..], sizes] {
+        let mut sim = sim(entries, kernel);
+        // Every batch leaves each arity's page table fully
+        // remirrored: the ToCs agree with the manager's CPFNs.
+        feed(&mut sim, accesses, sizes, |sim| {
+            let verified = sim.os().verify();
+            prop_assert!(verified.is_ok(), "after a batch: {:?}", verified);
+            Ok(())
+        })?;
+        prop_assert_eq!(sim.user_accesses(), accesses.len() as u64);
+        prop_assert_eq!(sim.results(), model.results(), "chunk sizes {:?}", sizes);
+        prop_assert_eq!(sim.os().walk_counts(), model.walks, "chunk sizes {:?}", sizes);
+    }
+    Ok(())
+}
+
+/// With attribution on and off, the exported TLB and walker counters
+/// equal the engine's own after every chunk, and the full JSONL export
+/// (every counter, gauge, histogram and 3C table) at chunks of one
+/// equals the export at `sizes` (cycled).
+fn check_exports(
+    accesses: &[Access],
+    sizes: &[usize],
+    kernel: Option<KernelConfig>,
+) -> Result<(), TestCaseError> {
+    for attrib in [false, true] {
+        let mut jsonl = Vec::new();
+        for sizes in [&[1][..], sizes] {
+            let obs = mosaic_obs::ObsHandle::enabled();
+            obs.set_attrib(attrib);
+            let mut sim = sim(64, kernel);
+            sim.set_obs(&obs);
+            feed(&mut sim, accesses, sizes, |sim| exports_match(&obs, sim))?;
+            obs.snapshot(accesses.len() as u64);
+            jsonl.push(obs.render_jsonl());
+        }
+        prop_assert_eq!(jsonl[0].contains("\"t\":\"attrib\""), attrib);
+        prop_assert_eq!(&jsonl[0], &jsonl[1], "attrib {}", attrib);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -290,24 +380,20 @@ proptest! {
         kernel in any_kernel(),
         wide in any::<bool>(),
     ) {
-        let entries = if wide { 96 } else { 16 };
-        let mut model = NaiveGrid::new(entries, kernel);
-        for &a in &accesses {
-            model.push(a);
-        }
-        for sizes in [&[1][..], &sizes] {
-            let mut sim = sim(entries, kernel);
-            // Every batch leaves each arity's page table fully
-            // remirrored: the ToCs agree with the manager's CPFNs.
-            feed(&mut sim, &accesses, sizes, |sim| {
-                let verified = sim.os().verify();
-                prop_assert!(verified.is_ok(), "after a batch: {:?}", verified);
-                Ok(())
-            })?;
-            prop_assert_eq!(sim.user_accesses(), accesses.len() as u64);
-            prop_assert_eq!(sim.results(), model.results(), "chunk sizes {:?}", sizes);
-            prop_assert_eq!(sim.os().walk_counts(), model.walks, "chunk sizes {:?}", sizes);
-        }
+        check_naive_model(&accesses, &sizes, kernel, if wide { 96 } else { 16 })?;
+    }
+
+    /// [`access_batch_matches_naive_model`] on same-page runs: counting
+    /// a run's repeats as hits instead of looking them up changes no
+    /// counter, wherever the chunking cuts the runs.
+    #[test]
+    fn same_page_runs_match_naive_model(
+        accesses in any_run_stream(),
+        sizes in vec(1usize..64, 1..8),
+        kernel in any_kernel(),
+        wide in any::<bool>(),
+    ) {
+        check_naive_model(&accesses, &sizes, kernel, if wide { 96 } else { 16 })?;
     }
 
     /// Obs is published at batch end: after every chunk of any stream,
@@ -321,20 +407,19 @@ proptest! {
         sizes in vec(1usize..64, 1..8),
         kernel in any_kernel(),
     ) {
-        for attrib in [false, true] {
-            let mut jsonl = Vec::new();
-            for sizes in [&[1][..], &sizes] {
-                let obs = mosaic_obs::ObsHandle::enabled();
-                obs.set_attrib(attrib);
-                let mut sim = sim(64, kernel);
-                sim.set_obs(&obs);
-                feed(&mut sim, &accesses, sizes, |sim| exports_match(&obs, sim))?;
-                obs.snapshot(accesses.len() as u64);
-                jsonl.push(obs.render_jsonl());
-            }
-            prop_assert_eq!(jsonl[0].contains("\"t\":\"attrib\""), attrib);
-            prop_assert_eq!(&jsonl[0], &jsonl[1], "attrib {}", attrib);
-        }
+        check_exports(&accesses, &sizes, kernel)?;
+    }
+
+    /// [`exports_are_current_at_batch_end`] on same-page runs: the 3C
+    /// tables and counters a run's skipped repeats would have produced
+    /// are all in the export.
+    #[test]
+    fn same_page_run_exports_match(
+        accesses in any_run_stream(),
+        sizes in vec(1usize..64, 1..8),
+        kernel in any_kernel(),
+    ) {
+        check_exports(&accesses, &sizes, kernel)?;
     }
 
     /// Re-chunking is self-consistent: two different chunkings of the
