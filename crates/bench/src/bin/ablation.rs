@@ -12,16 +12,12 @@
 //! 5. **Timestamp fidelity** (§3.2): exact timestamps vs the access-bit
 //!    scanning daemon — swap I/O, bits cleared, pages assumed accessed.
 //!
-//! ```text
-//! ablation [--buckets N] [--obs-out F] [--obs-interval R] [--jobs N]
-//! ```
-//!
-//! `--obs-out` exports each ablation run's counters under a per-run
-//! prefix (e.g. `policy-horizon-lru.*`, `baseline-2-list-clock.*`) plus
-//! sweep events as JSONL; render with `obs_report`.
+//! `ablation --help` lists the flags. `--obs-out` exports each ablation
+//! run's counters under a per-run prefix (e.g. `policy-horizon-lru.*`,
+//! `baseline-2-list-clock.*`) plus sweep events as JSONL; render with
+//! `obs_report`.
 
-use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::Args;
 use mosaic_core::iceberg::{experiments, IcebergConfig};
 use mosaic_core::mem::clock::ClockMemory;
 use mosaic_core::prelude::*;
@@ -31,13 +27,7 @@ use mosaic_core::mem::scanner::ScannerConfig;
 use mosaic_core::sim::report::Table;
 use mosaic_obs::{ObsHandle, Value};
 
-const USAGE: &str = "\
-ablation [--buckets N] [--obs-out F] [--obs-interval R] [--jobs N]
-
-Runs the five design-choice ablations. Each section's runs are
-independent cells (policies, baselines, d values, splits, timestamp
-modes) fanned out over --jobs threads; tables, sweep events, and merged
-observability are emitted in the serial order afterwards.";
+const ABOUT: &str = "Runs the five design-choice ablations.";
 
 /// Metric-name slug for a human-readable run label.
 fn slug(s: &str) -> String {
@@ -82,11 +72,15 @@ fn drive(mgr: &mut dyn MemoryManager, target: u64, label: &str, obs: &ObsHandle,
 }
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
-    let buckets = args.buckets_or_exit(64);
-    let sink = ObsSink::from_args(&args, "ablation");
+    let mut args = Args::from_env();
+    let jobs = args.jobs(
+        "each section's runs (policies, baselines, d values, splits, timestamp modes) are \
+         independent cells, emitted in serial order afterwards; stdout and --obs-out are \
+         byte-identical at every N",
+    );
+    let buckets = args.buckets(64);
+    let sink = args.obs("ablation");
+    args.finish(ABOUT);
     if sink.is_enabled() {
         sink.handle()
             .meta(&[("buckets", Value::from(buckets as u64))]);

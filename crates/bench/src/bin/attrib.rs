@@ -2,55 +2,48 @@
 //! (compulsory / capacity / conflict) for every vanilla and mosaic TLB
 //! cell over an identical reference stream, plus the memory-fault
 //! taxonomy and per-tenant blame table for both memory managers.
-//!
-//! ```text
-//! attrib [--buckets N] [--entries N] [--load PCT] [--seed S] [--fault-ppm P]
-//!        [--jobs N] [--obs-out F] [--obs-interval R] [--obs-format jsonl|trace]
-//! ```
+//! `attrib --help` lists the flags.
 //!
 //! Attribution is always on in this binary (it *is* the attribution
 //! report); `--obs-out` additionally exports the raw stream, including
-//! the `{"t":"attrib",...}` table records, for `obs_report`. An
-//! `--entries` value that some swept associativity cannot divide into
-//! whole sets is a usage error (exit 2).
+//! the `{"t":"attrib",...}` table records, for `obs_report`.
 
-use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::{Args, ArgsError};
 use mosaic_core::sim::attrib::{render, run_attrib, AttribConfig};
 use mosaic_obs::{ObsHandle, Value};
 
-const USAGE: &str = "\
-attrib [--buckets N] [--entries N] [--load PCT] [--seed S] [--fault-ppm P]
-       [--jobs N] [--obs-out F] [--obs-interval R] [--obs-format jsonl|trace]
-
+const ABOUT: &str = "\
 Regenerates the miss-attribution report: 3C classification of every TLB
 design's misses (conflict misses removed by Mosaic-k vs vanilla over the
 same trace), the memory-fault taxonomy, and the per-tenant blame table.
-Defaults: --buckets 16 (1024 frames), --entries 1056, --load 105,
---fault-ppm 0. --entries must be a positive multiple of 4, the widest
-set-associative way count swept. Output is byte-identical at any --jobs
-value.";
+Attribution is always on here; --attrib is accepted and changes nothing.";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    args.only_or_exit(
-        &[
-            &["buckets", "entries", "load", "seed", "fault-ppm", "jobs"][..],
-            &ObsSink::FLAGS,
-        ]
-        .concat(),
-    );
-    let jobs = args.jobs_or_exit();
-
+    let mut args = Args::from_env();
     let mut cfg = AttribConfig::paper();
-    cfg.mem_buckets = args.buckets_or_exit(cfg.mem_buckets);
-    cfg.tlb_entries = args.entries_or_exit(cfg.tlb_entries, &cfg.associativities);
-    cfg.load_pct = args.get_u64("load", cfg.load_pct);
-    cfg.seed = args.get_u64("seed", cfg.seed);
-    cfg.fault_ppm = args.get_u64("fault-ppm", u64::from(cfg.fault_ppm)) as u32;
+    cfg.mem_buckets = args.buckets(cfg.mem_buckets);
+    cfg.tlb_entries = args.entries(
+        cfg.tlb_entries,
+        &cfg.associativities,
+        "TLB entries, a positive multiple of 4 (the widest set-associative way count swept)",
+    );
+    let help = "memory cells' footprint as a percent of the pool";
+    cfg.load_pct = args.u64("load", cfg.load_pct, 0, help);
+    // Graph500's generator needs a 64 KiB footprint at least.
+    if cfg.footprint_pages() < 16 {
+        let frames = cfg.num_frames();
+        let need = format!("large enough for a 64 KiB footprint on {frames} frames");
+        args.reject(ArgsError::Usage(format!("--load {} must be {need}", cfg.load_pct)));
+    }
+    cfg.seed = args.seed(cfg.seed);
+    cfg.fault_ppm = args.fault_ppm();
+    let jobs = args.jobs(
+        "the TLB grid and memory cells run on N threads; stdout and --obs-out are \
+         byte-identical at every N",
+    );
+    let sink = args.obs("attrib");
+    args.finish(ABOUT);
 
-    let sink = ObsSink::from_args(&args, "attrib");
     // This binary renders attribution to stdout, so the tables are
     // collected even without --obs-out / --attrib: fall back to a
     // private enabled handle when the sink is a no-op.

@@ -5,31 +5,33 @@
 //! page coloring, which we leave for future work." — this driver runs a
 //! hotspot workload over a physically-indexed L2 model under four frame
 //! placements and compares cache miss rates.
-//!
-//! ```text
-//! coloring [--cache-kib N] [--ways N]
-//! ```
+//! `coloring --help` lists the flags.
 
-use mosaic_bench::Args;
+use mosaic_bench::{Args, ArgsError};
 use mosaic_core::sim::dcache::{run_coloring, Placement};
 use mosaic_core::sim::report::Table;
 use mosaic_core::workloads::{Gups, GupsConfig};
 
-const USAGE: &str = "\
-coloring [--cache-kib N] [--ways N]
-
-Answers the §5.3 page-coloring question over four frame placements.
-The placements share one mutable cache model, so this driver runs
-serially and takes no --jobs flag; the parallel sweeps live in
-fig6/table3/table4 --jobs N.
-  --help        Print this help and exit.";
+const ABOUT: &str = "Answers the §5.3 page-coloring question over four frame placements.";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(USAGE);
-    args.only_or_exit(&["cache-kib", "ways"]);
-    let cache_bytes = args.get_u64("cache-kib", 512) << 10;
-    let ways = args.get_u64("ways", 8) as usize;
+    let mut args = Args::from_env();
+    let cache_kib = args.u64("cache-kib", 512, 4, "L2 capacity in KiB, a power of two");
+    let ways = args.usize("ways", 8, 1, "L2 ways; must divide the cache's 64-byte lines");
+    // A power of two, capped so that the line count cannot overflow.
+    let lines = (cache_kib.is_power_of_two() && cache_kib <= 1 << 40).then(|| cache_kib * 16);
+    let problem = match lines {
+        None => Some(format!("--cache-kib {cache_kib} must be a power of two of at most 2^40")),
+        Some(lines) if !lines.is_multiple_of(ways as u64) => {
+            Some(format!("--ways {ways} must be a divisor of the cache's {lines} lines"))
+        }
+        Some(_) => None,
+    };
+    if let Some(message) = problem {
+        args.reject(ArgsError::Usage(message));
+    }
+    args.finish(ABOUT);
+    let cache_bytes = cache_kib << 10;
 
     // A working set sized to fit the cache *if* colors spread evenly —
     // the regime where placement decides between fitting and thrashing.

@@ -1,89 +1,65 @@
 //! Regenerates **Figure 6**: TLB misses on Graph500, BTree, GUPS and
 //! XSBench with Mosaic and Vanilla TLBs across ToC sizes (arity) and
-//! set-associativity, plus the Table 2 workload summary.
+//! set-associativity, plus the Table 2 workload summary. `fig6 --help`
+//! lists the flags.
 //!
-//! ```text
-//! fig6 [graph500|btree|gups|xsbench|all] [--scale N] [--entries N] [--no-kernel] [--csv]
-//!      [--seed S] [--obs-out F] [--obs-interval R] [--obs-format F] [--attrib]
-//!      [--jobs N] [--batch N]
-//! ```
-//!
-//! `--scale 0` is a seconds-fast smoke run; `--scale 1` (default) is the
-//! benchmark size (tens of MiB footprints). The TLB has `--entries`
-//! entries (default 1024, as in Table 1a). `--obs-out` exports the whole
-//! TLB grid's counters (and `--obs-interval R` interval snapshots) as
-//! JSONL; render with `obs_report`. `--batch N` sets the simulator's
-//! chunk size (results and JSONL are byte-identical at every value);
-//! wall time and ns/access per workload go to stderr. An `--entries`
-//! value that some swept associativity cannot divide into whole sets, an
-//! unknown workload and a flag this binary does not read are usage
-//! errors (exit 2).
+//! `--obs-out` exports the whole TLB grid's counters (and
+//! `--obs-interval R` interval snapshots) as JSONL; render with
+//! `obs_report`. Wall time and ns/access per workload go to stderr.
 
-use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::{Args, ArgsError};
 use mosaic_core::sim::dual::KernelConfig;
-use mosaic_core::sim::fig6::{
-    render, run_workload_observed_jobs, Fig6Config, TlbKind, DEFAULT_BATCH,
-};
+use mosaic_core::sim::fig6::{render, run_workload_observed_jobs, Fig6Config, TlbKind};
 use mosaic_core::sim::platform::TlbPlatform;
 use mosaic_core::sim::report::Table;
 use mosaic_core::mmu::{Arity, Associativity};
 use mosaic_core::workloads::{standard_suite, Workload};
 
-const USAGE: &str = "\
-fig6 [graph500|btree|gups|xsbench|all] [--scale N] [--entries N] [--no-kernel]
-     [--csv] [--seed S] [--obs-out F] [--obs-interval R] [--obs-format F]
-     [--attrib] [--jobs N] [--batch N]
+const ABOUT: &str = "\
+Regenerates Figure 6 (TLB misses across arity x associativity) and the
+Table 2 workload summary.";
 
-Regenerates Figure 6 (TLB misses across arity x associativity).
---entries N (default 1024) must be a positive multiple of 8, the widest
-set-associative way count swept.
-With --jobs N the reference stream is recorded once per workload and the
-associativities split into up to N parts, each replaying it through its
-own simulator on its own thread.
---batch N sets the simulator's access-batch (chunk) size; it changes
-only speed: stdout is byte-identical at every --batch and --jobs value.";
+const WORKLOADS: &str = "graph500|btree|gups|xsbench|all";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    args.only_or_exit(
-        &[
-            &["scale", "entries", "no-kernel", "csv", "seed", "jobs", "batch"][..],
-            &ObsSink::FLAGS,
-        ]
-        .concat(),
-    );
-    let jobs = args.jobs_or_exit();
-    let scale = args.get_u64("scale", 1) as u32;
+    let mut args = Args::from_env();
+    let which = args.positional("WORKLOAD", &format!("{WORKLOADS} (default all)"));
+    let which = which.map_or_else(|| "all".to_string(), |s| s.to_lowercase());
+    if !WORKLOADS.split('|').any(|w| w == which) {
+        let message = format!("unknown workload {which:?}; expected {WORKLOADS}");
+        args.reject(ArgsError::Usage(message));
+    }
+    let scale = args.u32("scale", 1, 0, "workload size: 0 is a seconds-fast smoke run");
     let associativities = Associativity::FIGURE6_SWEEP.to_vec();
-    let entries = args.entries_or_exit(1024, &associativities);
-    let which = args
-        .positional()
-        .first()
-        .map_or_else(|| "all".to_string(), |s| s.to_lowercase());
+    let entries = args.entries(
+        1024,
+        &associativities,
+        "TLB entries, a positive multiple of 8 (the widest set-associative way count swept)",
+    );
+    let kernel = !args.switch("no-kernel", "leave out the kernel's huge-page references");
+    let printer = args.printer();
+    let seed = args.seed(0xF166);
+    let jobs = args.jobs(
+        "the stream is recorded once per workload and the associativities split into up to \
+         N parts, each replaying it through its own simulator on its own thread; stdout is \
+         byte-identical at every N, but the --obs-out JSONL layout depends on the part count",
+    );
+    let batch = args.batch();
+    let sink = args.obs("fig6");
+    args.finish(ABOUT);
+
     let mut workloads: Vec<Box<dyn Workload>> = standard_suite(scale, 0xB5EED)
         .into_iter()
         .filter(|w| which == "all" || w.meta().name.to_lowercase() == which)
         .collect();
-    if workloads.is_empty() {
-        eprintln!("error: unknown workload {which:?}; expected graph500|btree|gups|xsbench|all");
-        std::process::exit(2);
-    }
-
     let cfg = Fig6Config {
         tlb_entries: entries,
         associativities,
         arities: [4, 8, 16, 32, 64].map(Arity::new).to_vec(),
-        kernel: if args.has("no-kernel") {
-            None
-        } else {
-            Some(KernelConfig::default())
-        },
-        seed: args.get_u64("seed", 0xF166),
-        batch: args.get_u64("batch", DEFAULT_BATCH as u64) as usize,
+        kernel: kernel.then(KernelConfig::default),
+        seed,
+        batch,
     };
-    let sink = ObsSink::from_args(&args, "fig6");
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("scale", mosaic_obs::Value::from(u64::from(scale))),
@@ -155,12 +131,7 @@ fn main() {
                 cfg.batch,
             );
         }
-        let table = render(&name, &rows);
-        if args.has("csv") {
-            println!("{}", table.render_csv());
-        } else {
-            println!("{}", table.render());
-        }
+        printer.print(&render(&name, &rows));
         // Headline shape check (§4.1): report the Mosaic-4 reduction at
         // 8-way, the configuration closest to shipping hardware.
         if let Some(red) = mosaic_core::sim::fig6::reduction_percent(

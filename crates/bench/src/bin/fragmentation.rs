@@ -7,30 +7,27 @@
 //! fragmentation. This driver pre-fragments physical memory and compares
 //! four designs' TLB misses on the same workload:
 //! vanilla 4 KiB, opportunistic THP, CoLT-style coalescing, and Mosaic-4.
-//!
-//! ```text
-//! fragmentation [--keys N] [--lookups N] [--csv] [--jobs N]
-//! ```
+//! `fragmentation --help` lists the flags.
 
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::Args;
 use mosaic_core::sim::frag::{run_frag_jobs, FragConfig};
 use mosaic_core::sim::report::{humanize, Table};
 use mosaic_core::workloads::{BTreeConfig, BTreeWorkload};
 
-const USAGE: &str = "\
-fragmentation [--keys N] [--lookups N] [--csv] [--jobs N]
-
+const ABOUT: &str = "\
 Pre-fragments physical memory and compares four designs' TLB misses on
-the same BTree workload. The workload trace is recorded once and the
-fragmentation levels replay it as independent cells on --jobs threads.";
+the same BTree workload.";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    args.only_or_exit(&["keys", "lookups", "csv", "jobs"]);
-    let jobs = args.jobs_or_exit();
-    let keys = args.get_u64("keys", 600_000);
-    let lookups = args.get_u64("lookups", 60_000);
+    let mut args = Args::from_env();
+    let keys = args.u64("keys", 600_000, 1, "BTree keys");
+    let lookups = args.u64("lookups", 60_000, 0, "BTree lookups");
+    let printer = args.printer();
+    let jobs = args.jobs(
+        "the trace is recorded once and the fragmentation levels replay it as independent \
+         cells; stdout is byte-identical at every N",
+    );
+    args.finish(ABOUT);
 
     let mut t = Table::new(vec![
         "Fragmentation".into(),
@@ -71,11 +68,7 @@ fn main() {
             format!("{:.2}", r.colt_mean_pack),
         ]);
     }
-    if args.has("csv") {
-        println!("{}", t.render_csv());
-    } else {
-        println!("{}", t.render());
-    }
+    printer.print(&t);
     println!(
         "Reading (paper §1): THP formation falls off a cliff — a 2 MiB page needs 512\n\
          clean frames, so even light scattered filler kills promotion (exactly why\n\

@@ -5,10 +5,7 @@
 //! GUPS twice at the same popularity skew: once with popular keys
 //! virtually adjacent (spatial hotspots) and once scattered by a random
 //! permutation (temporal skew only), sweeping the skew exponent θ.
-//!
-//! ```text
-//! locality [--entries N] [--updates N]
-//! ```
+//! `locality --help` lists the flags.
 
 use mosaic_bench::Args;
 use mosaic_core::prelude::*;
@@ -27,20 +24,17 @@ fn reduction(entries: usize, cfg: ZipfGupsConfig) -> f64 {
     report.miss_reduction_percent()
 }
 
-const USAGE: &str = "\
-locality [--entries N] [--updates N]
-
-Sweeps the Zipf skew exponent over spatial vs scrambled hotspots.
-This short sweep runs serially and takes no --jobs flag; the parallel
-sweeps live in fig6/table3/table4 --jobs N.
-  --help        Print this help and exit.";
+const ABOUT: &str = "Sweeps the Zipf skew exponent over spatial vs scrambled hotspots.";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(USAGE);
-    args.only_or_exit(&["entries", "updates"]);
-    let entries = args.get_u64("entries", 256) as usize;
-    let updates = args.get_u64("updates", 2_000_000);
+    let mut args = Args::from_env();
+    let entries = args.entries(
+        256,
+        &[Associativity::Ways(8)],
+        "entries of the 8-way TLB, a positive multiple of 8",
+    );
+    let updates = args.u64("updates", 2_000_000, 0, "Zipf-GUPS updates per run");
+    args.finish(ABOUT);
     let table_bytes = 64u64 << 20; // 16 Ki pages >> TLB reach
 
     let mut t = Table::new(vec![

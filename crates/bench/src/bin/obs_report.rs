@@ -1,37 +1,29 @@
 //! Renders a `--obs-out` JSONL stream into a per-interval text report:
 //! miss-rate curves, Iceberg-load/utilization curves, probe-length
 //! histograms, and the fault-event timeline.
-//!
-//! ```text
-//! obs_report <run.jsonl>
-//! ```
+//! `obs_report --help` lists its arguments.
 //!
 //! The report is deterministic: the same input file renders to the same
 //! bytes, so fixed-seed runs can be diffed end to end.
 
-use mosaic_bench::obs_report::{parse_stream, render_report};
-use mosaic_bench::Args;
+use mosaic_bench::obs_report::{parse_stream, render_report, ObsStream};
+use mosaic_bench::{Args, ArgsError};
 
-const USAGE: &str = "\
-obs_report <run.jsonl>
+const ABOUT: &str = "Renders a --obs-out JSONL stream into a deterministic text report.";
 
-Renders a --obs-out JSONL stream into a deterministic text report.
-Rendering is a single pass over one file, so this tool runs serially
-and takes no --jobs flag; it renders streams produced by parallel
-(--jobs N) runs just the same, since those merge observability back
-into serial order before export.
-  --help        Print this help and exit.";
+/// The stream at `path`, or why it cannot be rendered.
+fn read(path: Option<&str>) -> Result<ObsStream, String> {
+    let path = path.ok_or("missing argument <run.jsonl>")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_stream(&text).map_err(|e| format!("{path} is not a mosaic-obs JSONL stream: {e}"))
+}
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(USAGE);
-    let Some(path) = args.positional().first() else {
-        eprintln!("usage: obs_report <run.jsonl>");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let stream = parse_stream(&text)
-        .unwrap_or_else(|e| panic!("{path} is not a mosaic-obs JSONL stream: {e}"));
-    print!("{}", render_report(&stream));
+    let mut args = Args::from_env();
+    let path = args.positional("run.jsonl", "the --obs-out stream to render (required)");
+    let stream = read(path.as_deref()).map_err(|e| args.reject(ArgsError::Usage(e)));
+    args.finish(ABOUT);
+    if let Ok(stream) = stream {
+        print!("{}", render_report(&stream));
+    }
 }

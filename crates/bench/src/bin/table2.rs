@@ -1,33 +1,23 @@
 //! Regenerates **Table 2**: the workloads used for evaluating the
 //! hardware TLB and OS designs, with footprints and access counts
-//! measured from the actual generators.
-//!
-//! ```text
-//! table2 [--scale N] [--csv] [--obs-out F]
-//! ```
+//! measured from the actual generators. `table2 --help` lists the flags.
 //!
 //! `--obs-out` exports one `workload.inventory` event per row (name,
 //! footprint, access count) as JSONL; render with `obs_report`.
 
-use mosaic_bench::obs::ObsSink;
 use mosaic_bench::Args;
 use mosaic_core::sim::report::{group_digits, Table};
 use mosaic_core::workloads::standard_suite;
 use mosaic_obs::Value;
 
-const USAGE: &str = "\
-table2 [--scale N] [--csv] [--obs-out F]
-
-Regenerates Table 2 (workload inventory). This driver makes a single
-cheap pass per workload, so it runs serially and takes no --jobs flag;
-use fig6/table3/table4 --jobs N for the parallel sweeps.
-  --help        Print this help and exit.";
+const ABOUT: &str = "Regenerates Table 2 (workload inventory) in one cheap pass per workload.";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(USAGE);
-    let scale = args.get_u64("scale", 1) as u32;
-    let sink = ObsSink::from_args(&args, "table2");
+    let mut args = Args::from_env();
+    let scale = args.u32("scale", 1, 0, "workload size: 0 is a seconds-fast smoke run");
+    let printer = args.printer();
+    let sink = args.obs("table2");
+    args.finish(ABOUT);
     if sink.is_enabled() {
         sink.handle()
             .meta(&[("scale", Value::from(u64::from(scale)))]);
@@ -60,11 +50,7 @@ fn main() {
             group_digits(m.approx_accesses),
         ]);
     }
-    if args.has("csv") {
-        println!("{}", t.render_csv());
-    } else {
-        println!("{}", t.render());
-    }
+    printer.print(&t);
     println!(
         "Paper footprints (Table 2): Graph500 1010 MiB, BTree 2618 MiB, GUPS 8207 MiB,\n\
          XSBench 1012 MiB — scaled down here; the access *patterns* are what the TLB sees."

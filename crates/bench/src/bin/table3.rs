@@ -1,10 +1,7 @@
 //! Regenerates **Table 3**: memory utilization under Mosaic page
 //! allocation at the point of the first associativity conflict, and the
-//! steady-state utilization over the whole workload.
-//!
-//! ```text
-//! table3 [--buckets N] [--runs K] [--csv] [--obs-out F] [--obs-interval R] [--jobs N]
-//! ```
+//! steady-state utilization over the whole workload. `table3 --help`
+//! lists the flags.
 //!
 //! `--buckets` sets memory size in Iceberg buckets of 64 frames (default
 //! 64 = 16 MiB, preserving the paper's footprint-to-memory *ratios*
@@ -12,8 +9,7 @@
 //! `--obs-out` exports counters/gauges (and `--obs-interval R` interval
 //! snapshots) as JSONL; render with `obs_report`.
 
-use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::Args;
 use mosaic_core::iceberg::stats::Summary;
 use mosaic_core::sim::platform::SwapPlatform;
 use mosaic_core::sim::pressure::{
@@ -23,21 +19,20 @@ use mosaic_core::sim::report::Table;
 use mosaic_core::sim::run_cells;
 use mosaic_obs::Value;
 
-const USAGE: &str = "\
-table3 [--buckets N] [--runs K] [--csv] [--obs-out F] [--obs-interval R] [--jobs N]
-
-Regenerates Table 3 (memory utilization at first conflict / steady state).
-With --jobs N the (footprint-ratio, workload) grid cells run on N threads;
-every cell keeps its exact per-(workload, run) hash seeds, so the table is
-identical at any thread count.";
+const ABOUT: &str = "\
+Regenerates Table 3 (memory utilization at first conflict / steady state).";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
-    let buckets = args.buckets_or_exit(64);
-    let runs = args.get_u64("runs", 3).max(1);
-    let sink = ObsSink::from_args(&args, "table3");
+    let mut args = Args::from_env();
+    let jobs = args.jobs(
+        "the (footprint-ratio, workload) cells run on N threads, each with its exact \
+         per-(workload, run) hash seeds; stdout and --obs-out are byte-identical at every N",
+    );
+    let buckets = args.buckets(64);
+    let runs = args.u64("runs", 3, 1, "seeds averaged per row (paper: 10)");
+    let printer = args.printer();
+    let sink = args.obs("table3");
+    args.finish(ABOUT);
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("buckets", Value::from(buckets as u64)),
@@ -110,11 +105,7 @@ fn main() {
         ]);
     }
 
-    if args.has("csv") {
-        println!("{}", table.render_csv());
-    } else {
-        println!("{}", table.render());
-    }
+    printer.print(&table);
     println!(
         "Expected shape (paper): first conflict ≈98% across all rows; steady state ≥99%\n\
          and rising with footprint; the Linux baseline begins swapping at ≈99.2%."

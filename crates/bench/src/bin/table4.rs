@@ -1,10 +1,6 @@
 //! Regenerates **Table 4**: number of memory swapping operations while
 //! increasing the workload sizes, Linux baseline vs Mosaic (Horizon LRU).
-//!
-//! ```text
-//! table4 [--buckets N] [--csv] [--fault-ppm N] [--obs-out F] [--obs-interval R] [--jobs N]
-//!        [--batch N]
-//! ```
+//! `table4 --help` lists the flags.
 //!
 //! The paper sweeps footprints from 101.5 % to 157.7 % of a 4 GiB pool;
 //! this driver preserves those ratios over a scaled pool (`--buckets`
@@ -21,8 +17,7 @@
 //! `--fault-ppm` — the replayable `fault.injected`/`fault.recovered`/
 //! `fault.unrecovered` event timeline; render `F` with `obs_report`.
 
-use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::Args;
 use mosaic_core::sim::platform::SwapPlatform;
 use mosaic_core::sim::pressure::{
     render_resilience, render_table4, run_table4, PressureConfig, PressureWorkload,
@@ -30,31 +25,28 @@ use mosaic_core::sim::pressure::{
 };
 use mosaic_obs::Value;
 
-const USAGE: &str = "\
-table4 [--buckets N] [--csv] [--fault-ppm N] [--obs-out F] [--obs-interval R]
-       [--jobs N] [--batch N]
-
-Regenerates Table 4 (swap I/O under pressure, Linux vs Mosaic).
-With --jobs N the (workload, footprint-ratio) grid cells run on N threads;
-each cell records its workload once and replays it for both managers.
---batch N sets the chunk size the drive loop consumes; it changes only
-speed: stdout is byte-identical at every --batch/--jobs value.
-Under --fault-ppm every cell derives its own injector seed from the cell
-index, so fault sweeps are reproducible at any thread count.";
+const ABOUT: &str = "\
+Regenerates Table 4 (swap I/O under pressure, Linux vs Mosaic). Under
+--fault-ppm the sweep runs again with fault injection and appends the
+resilience table.";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
-    let buckets = args.buckets_or_exit(64);
-    // Parsed up front so a malformed value fails before the long sweep.
-    let fault_ppm = args.get_u64("fault-ppm", 0) as u32;
+    let mut args = Args::from_env();
+    let jobs = args.jobs(
+        "the (workload, footprint-ratio) cells run on N threads, each recording its workload \
+         once and replaying it for both managers, and each deriving its fault-injector seed \
+         from its cell index; stdout and --obs-out are byte-identical at every N",
+    );
+    let buckets = args.buckets(64);
+    let fault_ppm = args.fault_ppm();
     let cfg = PressureConfig {
         mem_buckets: buckets,
-        seed: args.get_u64("seed", 0x7AB1E),
-        batch: args.get_u64("batch", mosaic_core::sim::fig6::DEFAULT_BATCH as u64) as usize,
+        seed: args.seed(0x7AB1E),
+        batch: args.batch(),
     };
-    let sink = ObsSink::from_args(&args, "table4");
+    let printer = args.printer();
+    let sink = args.obs("table4");
+    args.finish(ABOUT);
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("buckets", Value::from(buckets as u64)),
@@ -93,12 +85,7 @@ fn main() {
         );
     }
 
-    let table = render_table4(&rows);
-    if args.has("csv") {
-        println!("{}", table.render_csv());
-    } else {
-        println!("{}", table.render());
-    }
+    printer.print(&render_table4(&rows));
 
     // Shape commentary, mirroring §4.3's reading of the table.
     let boundary_losses = rows
@@ -143,12 +130,7 @@ fn main() {
                 }
             }
         }
-        let rt = render_resilience(&frows);
-        if args.has("csv") {
-            println!("{}", rt.render_csv());
-        } else {
-            println!("{}", rt.render());
-        }
+        printer.print(&render_resilience(&frows));
     }
 
     sink.finish();

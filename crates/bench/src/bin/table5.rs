@@ -1,32 +1,29 @@
 //! Regenerates **Table 5** (FPGA size/latency of the tabulation-hash
 //! circuit vs hash-function count) and the §4.4 28 nm ASIC results.
-//!
-//! ```text
-//! table5 [--csv] [--obs-out F] [--jobs N]
-//! ```
+//! `table5 --help` lists the flags.
 //!
 //! `--obs-out` exports one `fpga.synth` / `asic.synth` event per
 //! synthesis point as JSONL; render with `obs_report`.
 
-use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::Args;
 use mosaic_core::hw::{asic, circuit::TabHashCircuit, fpga};
 use mosaic_core::sim::report::Table;
 use mosaic_core::sim::run_cells;
 use mosaic_obs::{ObsHandle, Value};
 
-const USAGE: &str = "\
-table5 [--csv] [--obs-out F] [--jobs N]
-
+const ABOUT: &str = "\
 Regenerates Table 5 (FPGA cost of the tabulation-hash circuit) and the
-28 nm ASIC results. With --jobs N the per-H synthesis points run as
-independent cells; rows and events are emitted in H order afterwards.";
+28 nm ASIC results.";
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
-    let sink = ObsSink::from_args(&args, "table5");
+    let mut args = Args::from_env();
+    let jobs = args.jobs(
+        "the per-H synthesis points run as independent cells, emitted in H order afterwards; \
+         stdout and --obs-out are byte-identical at every N",
+    );
+    let printer = args.printer();
+    let sink = args.obs("table5");
+    args.finish(ABOUT);
 
     // First prove the datapath is bit-exact against the behavioural model
     // (the "RTL vs golden model" check a hardware flow would run).
@@ -75,11 +72,7 @@ fn main() {
             format!("{:.3}ns", r.latency_ns),
         ]);
     }
-    if args.has("csv") {
-        println!("{}", t.render_csv());
-    } else {
-        println!("{}", t.render());
-    }
+    printer.print(&t);
     println!(
         "Max FPGA frequency: {:.0} MHz (latency flat in H — probing is free)\n",
         fpga::synthesize(8).max_frequency_mhz()
@@ -113,11 +106,7 @@ fn main() {
             format!("{:.3}", r.area_kge),
         ]);
     }
-    if args.has("csv") {
-        println!("{}", a.render_csv());
-    } else {
-        println!("{}", a.render());
-    }
+    printer.print(&a);
     println!(
         "Conclusion (paper §4.4): the 4 GHz synthesis result indicates a mosaic TLB is\n\
          unlikely to affect clock frequency; area is ~13.8 KGE at H = 8."

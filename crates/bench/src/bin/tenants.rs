@@ -1,11 +1,6 @@
 //! Multi-tenant fairness sweep: many Zipf'd address spaces over one
-//! shared frame pool, Mosaic vs the Linux baseline.
-//!
-//! ```text
-//! tenants [--tenants N] [--buckets N] [--loads P,P,..] [--theta-centi N]
-//!         [--steps N] [--churn N] [--seed S] [--fault-ppm N]
-//!         [--obs-out F] [--obs-interval R] [--jobs N]
-//! ```
+//! shared frame pool, Mosaic vs the Linux baseline. `tenants --help`
+//! lists the flags.
 //!
 //! For each load point (an integer percent of physical memory) the
 //! driver records one trace per tenant slot, interleaves them under
@@ -19,7 +14,7 @@
 //! `--jobs 8` print byte-identical text, with or without `--fault-ppm`.
 
 use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::{Args, ArgsError};
 use mosaic_core::sim::pressure::ResilienceConfig;
 use mosaic_core::sim::report::Table;
 use mosaic_core::tenants::{
@@ -28,54 +23,35 @@ use mosaic_core::tenants::{
 };
 use mosaic_obs::Value;
 
-const USAGE: &str = "\
-tenants [--tenants N] [--buckets N] [--loads P,P,..] [--theta-centi N]
-        [--steps N] [--churn N] [--seed S] [--fault-ppm N]
-        [--hostile S] [--hostile-mult N] [--hostile-churn N]
-        [--quota-frac N] [--priority-spread N]
-        [--shared-traces] [--concurrent-alloc]
-        [--obs-out F] [--obs-interval R] [--jobs N]
-
+const ABOUT: &str = "\
 Multi-tenant fairness sweep over one shared frame pool (Mosaic vs Linux).
---tenants      concurrent tenant slots (Zipf ranks), default 64
---buckets      Iceberg buckets of 64 frames, default 64 (16 MiB pool)
---loads        comma-separated integer load percents, default 90,105,120
---theta-centi  Zipf skew x100 over tenants, default 99 (theta = 0.99)
---steps        scheduled accesses per load point, default 400000
---churn        exit+respawn a tail tenant every N accesses (0 = off),
-               default 20000
---fault-ppm    also run the sweep under fault injection at N ppm
---hostile      slot 0 runs an attack instead of its workload:
-               thrasher | alloc-bomb | churn-storm. Switches the binary
-               to the isolation study: each load point is replayed with
-               quotas on AND off, against per-slot solo baselines, and
-               the output is a victim-inflation table
---hostile-mult attacker footprint as a multiple of the fair share,
-               default 4
---hostile-churn churn-storm only: attacker exit/respawn period,
-               default 2000
---quota-frac   per-tenant frame quota as a percent of the fair share
-               (isolation mode default 100; 0 = quotas off)
---priority-spread reclaim-priority levels across the victim ranks,
-               default 4 in isolation mode (attacker always lowest)
---shared-traces collapse identical-workload slots onto one shared
-               recorded trace (the group leader's seed) — changes the
-               schedule, so goldens use the default off
---concurrent-alloc mirror Mosaic's residency into the lock-free
-               concurrent Iceberg table, cross-checked at verify; also
-               races a contention exercise over the first load point's
-               schedule and reports it on stderr. stdout is unchanged
-Every load point replays one recorded schedule into both managers; under
---jobs N the load points run on N threads with byte-identical output.";
+Every load point replays one recorded schedule into both managers.
+--hostile switches the binary to the isolation study: each load point is
+replayed with quotas on and off, against per-slot solo baselines, and the
+output is a victim-inflation table.";
 
-fn parse_loads(args: &Args) -> Vec<u64> {
-    let spec = args.get_str("loads").unwrap_or("90,105,120");
+const HOSTILE: &str = "thrasher | alloc-bomb | churn-storm";
+
+/// `--loads P,P,..`: the load points as integer percents of memory.
+fn read_loads(args: &mut Args) -> Vec<u64> {
+    let spec = args
+        .text(
+            "loads",
+            "P,P,..",
+            "comma-separated load points, integer percents of memory (default 90,105,120)",
+        )
+        .unwrap_or_else(|| "90,105,120".to_string());
     spec.split(',')
-        .map(|s| {
-            s.trim().parse::<u64>().unwrap_or_else(|_| {
-                eprintln!("error: --loads expects integer percents, got {s:?}");
-                std::process::exit(2);
-            })
+        .filter_map(|s| match s.trim().parse() {
+            Ok(pct) => Some(pct),
+            Err(_) => {
+                args.reject(ArgsError::BadValue {
+                    flag: "loads".to_string(),
+                    value: s.to_string(),
+                    expected: "integer percents".to_string(),
+                });
+                None
+            }
         })
         .collect()
 }
@@ -206,33 +182,49 @@ fn run_isolation_study(
 }
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
-    let tenants = args.get_u64("tenants", 64) as usize;
-    let buckets = args.buckets_or_exit(64);
-    let seed = args.get_u64("seed", 0x7E4A47);
-    let theta = args.get_u64("theta-centi", 99) as f64 / 100.0;
-    let steps = args.get_u64("steps", 400_000);
-    let churn = args.get_u64("churn", 20_000);
-    let fault_ppm = args.get_u64("fault-ppm", 0) as u32;
-    let hostile = match args.get_str("hostile") {
+    let mut args = Args::from_env();
+    let jobs = args.jobs(
+        "the load points run on N threads; stdout and --obs-out are byte-identical at every N",
+    );
+    let tenants = args.usize("tenants", 64, 1, "concurrent tenant slots (Zipf ranks)");
+    let buckets = args.buckets(64);
+    let seed = args.seed(0x7E4A47);
+    let theta_centi = args.u64("theta-centi", 99, 0, "Zipf skew over tenants x100 (99: 0.99)");
+    let theta = theta_centi as f64 / 100.0;
+    let steps = args.u64("steps", 400_000, 0, "scheduled accesses per load point");
+    let churn = args.u64("churn", 20_000, 0, "respawn a tail tenant every N accesses (0: off)");
+    let fault_ppm = args.fault_ppm();
+    let help = format!("slot 0 runs an attack instead of its workload: {HOSTILE}");
+    let hostile = match args.text("hostile", "S", &help) {
         None => HostileScenario::None,
-        Some(s) => HostileScenario::parse(s).unwrap_or_else(|| {
-            eprintln!("error: --hostile expects thrasher | alloc-bomb | churn-storm, got {s:?}");
-            std::process::exit(2);
+        Some(s) => HostileScenario::parse(&s).unwrap_or_else(|| {
+            let (flag, expected) = ("hostile".into(), HOSTILE.into());
+            args.reject(ArgsError::BadValue { flag, value: s, expected });
+            HostileScenario::None
         }),
     };
     let isolation = hostile.is_some();
-    let hostile_mult = args.get_u64("hostile-mult", 4) as u32;
-    let hostile_churn = args.get_u64("hostile-churn", 2_000);
-    let quota_frac = args.get_u64("quota-frac", if isolation { 100 } else { 0 }) as u32;
-    let priority_spread = args.get_u64("priority-spread", if isolation { 4 } else { 1 }) as u32;
-    let loads_pct = parse_loads(&args);
-    if tenants == 0 || loads_pct.is_empty() {
-        eprintln!("error: need at least one tenant and one load point");
-        std::process::exit(2);
-    }
+    let hostile_mult = args.u32("hostile-mult", 4, 0, "attacker footprint in fair shares");
+    let help = "churn-storm only: attacker exit/respawn period";
+    let hostile_churn = args.u64("hostile-churn", 2_000, 0, help);
+    let help = "per-tenant frame quota, percent of the fair share (0: off; 100 under --hostile)";
+    let quota_frac = args.u32("quota-frac", if isolation { 100 } else { 0 }, 0, help);
+    let help = "reclaim-priority levels across the victims, attacker lowest (4 under --hostile)";
+    let priority_spread = args.u32("priority-spread", if isolation { 4 } else { 1 }, 0, help);
+    let loads_pct = read_loads(&mut args);
+    let shared_traces = args.switch(
+        "shared-traces",
+        "collapse identical-workload slots onto one shared recorded trace (the group leader's \
+         seed); changes the schedule, so goldens use the default off",
+    );
+    let concurrent_alloc = args.switch(
+        "concurrent-alloc",
+        "mirror Mosaic's residency into the lock-free concurrent Iceberg table, cross-checked \
+         at verify, and race a contention exercise over the first load point's schedule, \
+         reported on stderr; stdout is unchanged",
+    );
+    let sink = args.obs("tenants");
+    args.finish(ABOUT);
 
     let base = TenantsConfig {
         tenants,
@@ -248,8 +240,8 @@ fn main() {
         hostile_churn_every: hostile_churn,
         quota_frac_pct: quota_frac,
         priority_spread,
-        shared_traces: args.has("shared-traces"),
-        concurrent_alloc: args.has("concurrent-alloc"),
+        shared_traces,
+        concurrent_alloc,
     };
 
     if base.concurrent_alloc {
@@ -279,7 +271,6 @@ fn main() {
         }
     }
 
-    let sink = ObsSink::from_args(&args, "tenants");
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("tenants", Value::from(tenants as u64)),

@@ -7,28 +7,18 @@
 //! mean page-table node fetches per walk over a BTree workload's miss
 //! stream.
 //!
-//! ```text
-//! walkcost [--keys N] [--lookups N] [--obs-out F] [--jobs N]
-//! ```
-//!
-//! `--obs-out` exports per-design walk-depth histograms
-//! (`ptw.<label>.depth`) and walk-cache hit/miss/fetch counters as
-//! JSONL; render with `obs_report`.
+//! `walkcost --help` lists the flags. `--obs-out` exports per-design
+//! walk-depth histograms (`ptw.<label>.depth`) and walk-cache
+//! hit/miss/fetch counters as JSONL; render with `obs_report`.
 
-use mosaic_bench::obs::ObsSink;
-use mosaic_bench::{Args, JOBS_HELP};
+use mosaic_bench::Args;
 use mosaic_core::mem::{Asid, PageKey, Vpn};
 use mosaic_core::mmu::{Arity, RadixTable, WalkCache};
 use mosaic_core::sim::report::Table;
 use mosaic_core::sim::run_cells;
 use mosaic_core::workloads::{BTreeConfig, BTreeWorkload, Workload};
 
-const USAGE: &str = "\
-walkcost [--keys N] [--lookups N] [--obs-out F] [--jobs N]
-
-Measures page-walk fetches per design over a BTree miss stream. The
-stream is collected once; the four page-table designs walk it as
-independent cells on --jobs threads, sharing the read-only VPN list.";
+const ABOUT: &str = "Measures page-walk fetches per design over a BTree miss stream.";
 
 // Per-design MVPN extraction as plain `fn` pointers so the cell inputs
 // are `Send` and the sweep can fan out across threads.
@@ -46,12 +36,15 @@ fn mvpn64_index(v: Vpn) -> u64 {
 }
 
 fn main() {
-    let args = Args::from_env();
-    args.maybe_help(&format!("{USAGE}\n{JOBS_HELP}"));
-    let jobs = args.jobs_or_exit();
-    let keys = args.get_u64("keys", 400_000);
-    let lookups = args.get_u64("lookups", 40_000);
-    let sink = ObsSink::from_args(&args, "walkcost");
+    let mut args = Args::from_env();
+    let jobs = args.jobs(
+        "the stream is collected once and the four page-table designs walk it as independent \
+         cells; stdout and --obs-out are byte-identical at every N",
+    );
+    let keys = args.u64("keys", 400_000, 1, "BTree keys");
+    let lookups = args.u64("lookups", 40_000, 0, "BTree lookups");
+    let sink = args.obs("walkcost");
+    args.finish(ABOUT);
     if sink.is_enabled() {
         sink.handle().meta(&[
             ("keys", mosaic_obs::Value::from(keys)),

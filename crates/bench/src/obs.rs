@@ -1,26 +1,13 @@
-//! Shared `--obs-out` / `--obs-interval` plumbing for the experiment
-//! binaries.
+//! Shared `--obs-*` plumbing for the experiment binaries: [`Args::obs`]
+//! reads the same four flags in every binary that exports a stream.
 //!
-//! Every regenerator binary accepts the same three flags:
-//!
-//! * `--obs-out <path>` — enable metric/event collection and write the
-//!   stream to `path` on exit. Without this flag collection is fully
-//!   disabled ([`mosaic_obs::ObsHandle::noop`]) and the binary's stdout
-//!   is byte-identical to an uninstrumented build.
-//! * `--obs-interval <refs>` — snapshot the whole registry every that
-//!   many simulated references (0, the default, snapshots only at the
-//!   end of each run).
-//! * `--obs-format jsonl|trace` — output format: JSONL records (the
-//!   default; render with `obs_report`) or a Chrome `trace_event` JSON
-//!   file loadable in perfetto / `chrome://tracing`.
-//! * `--attrib` — additionally collect miss/fault attribution tables
-//!   (3C TLB classification + eviction blame). Implies collection even
-//!   without `--obs-out`, so binaries that render attribution to stdout
-//!   (the `attrib` bin) work without a stream file; the stream gains
-//!   `{"t":"attrib",...}` records only under this flag, keeping
-//!   `--obs-out`-only outputs byte-identical to earlier releases.
+//! Without `--obs-out` (or `--attrib`) collection is fully disabled
+//! ([`mosaic_obs::ObsHandle::noop`]) and the binary's stdout is
+//! byte-identical to an uninstrumented build. `--attrib` adds the
+//! `{"t":"attrib",...}` records only under that flag, keeping
+//! `--obs-out`-only outputs byte-identical to earlier releases.
 
-use crate::{exit_usage, Args, ArgsError};
+use crate::{Args, ArgsError};
 use mosaic_obs::{ObsHandle, Value};
 
 /// Export format of the collected stream.
@@ -42,32 +29,39 @@ pub struct ObsSink {
     format: ObsFormat,
 }
 
-impl ObsSink {
-    /// The flags [`ObsSink::from_args`] reads, without `--`, for a
-    /// binary's [`Args::only_or_exit`] list.
-    pub const FLAGS: [&'static str; 4] = ["obs-out", "obs-interval", "obs-format", "attrib"];
-
-    /// Builds the sink from the parsed command line; `bin` is stamped
-    /// into the stream's leading `meta` record. The `--obs-out` file is
-    /// created here, so an unwritable path fails before any work runs.
-    ///
-    /// An `--obs-format` other than `jsonl`/`trace`, or an `--obs-out`
-    /// that cannot be created, prints `error: …` and exits 2.
-    pub fn from_args(args: &Args, bin: &str) -> Self {
-        let interval = args.get_u64("obs-interval", 0);
-        let format = match args.get_str("obs-format") {
-            None | Some("jsonl") => ObsFormat::Jsonl,
-            Some("trace") => ObsFormat::Trace,
-            Some(other) => exit_usage(&ArgsError::ObsFormat(other.to_string())),
-        };
-        let out = args.get_str("obs-out").map(str::to_string);
-        if let Some(path) = &out {
-            if let Err(e) = std::fs::File::create(path) {
-                let error = e.to_string();
-                exit_usage(&ArgsError::ObsOut { path: path.clone(), error });
+impl Args {
+    /// Reads `--obs-out`, `--obs-interval`, `--obs-format` and `--attrib`
+    /// into the run's sink; `bin` is stamped into the stream's leading
+    /// `meta` record. [`Args::finish`] creates the `--obs-out` file.
+    pub fn obs(&mut self, bin: &str) -> ObsSink {
+        let out = self.text(
+            "obs-out",
+            "F",
+            "collect counters, gauges and events and write them to F (render JSONL with \
+             obs_report)",
+        );
+        let interval = self.u64(
+            "obs-interval",
+            0,
+            0,
+            "snapshot the stream every N simulated references (0: only at the end of each run)",
+        );
+        let format = match self.text("obs-format", "jsonl|trace", "format of F (default jsonl)") {
+            Some(f) if f == "trace" => ObsFormat::Trace,
+            Some(f) if f != "jsonl" => {
+                let (flag, expected) = ("obs-format".into(), "jsonl|trace".into());
+                self.reject(ArgsError::BadValue {
+                    flag,
+                    value: f,
+                    expected,
+                });
+                ObsFormat::Jsonl
             }
-        }
-        let attrib = args.has("attrib");
+            _ => ObsFormat::Jsonl,
+        };
+        let help = "also collect 3C miss and fault-blame attribution tables";
+        let attrib = self.switch("attrib", help);
+        self.obs_out.clone_from(&out);
         let handle = if out.is_some() || attrib {
             let h = ObsHandle::enabled();
             h.set_attrib(attrib);
@@ -76,14 +70,16 @@ impl ObsSink {
         } else {
             ObsHandle::noop()
         };
-        Self {
+        ObsSink {
             handle,
             out,
             interval,
             format,
         }
     }
+}
 
+impl ObsSink {
     /// The handle to thread through the simulators (a no-op unless
     /// `--obs-out` was passed).
     pub fn handle(&self) -> &ObsHandle {
@@ -127,13 +123,17 @@ impl ObsSink {
 mod tests {
     use super::*;
 
-    fn parse(items: &[&str]) -> Args {
-        Args::parse(items.iter().map(|s| s.to_string()))
+    /// The sink a binary builds from `items`.
+    fn sink(items: &[&str]) -> ObsSink {
+        let mut args = Args::parse(items.iter().map(|s| s.to_string()));
+        let sink = args.obs("t");
+        args.finish("A test binary.");
+        sink
     }
 
     #[test]
     fn disabled_without_flag() {
-        let s = ObsSink::from_args(&parse(&["bin"]), "t");
+        let s = sink(&["bin"]);
         assert!(!s.is_enabled());
         assert_eq!(s.interval(), 0);
         s.finish(); // no-op, must not panic
@@ -148,10 +148,7 @@ mod tests {
     #[test]
     fn enabled_with_flag() {
         let path = scratch_path("x.jsonl");
-        let s = ObsSink::from_args(
-            &parse(&["bin", "--obs-out", &path, "--obs-interval", "512"]),
-            "t",
-        );
+        let s = sink(&["bin", "--obs-out", &path, "--obs-interval", "512"]);
         assert!(s.is_enabled());
         assert_eq!(s.interval(), 512);
         // The meta record is already queued.
@@ -164,7 +161,7 @@ mod tests {
 
     #[test]
     fn attrib_flag_enables_collection_without_a_stream_file() {
-        let s = ObsSink::from_args(&parse(&["bin", "--attrib"]), "t");
+        let s = sink(&["bin", "--attrib"]);
         assert!(s.is_enabled());
         assert!(s.handle().attrib_enabled());
         s.finish(); // still no file to write
@@ -173,7 +170,7 @@ mod tests {
     #[test]
     fn obs_out_alone_keeps_attribution_off() {
         let path = scratch_path("y.jsonl");
-        let s = ObsSink::from_args(&parse(&["bin", "--obs-out", &path]), "t");
+        let s = sink(&["bin", "--obs-out", &path]);
         assert!(s.is_enabled());
         assert!(!s.handle().attrib_enabled());
         std::fs::remove_file(&path).expect("remove scratch stream");

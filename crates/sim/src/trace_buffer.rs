@@ -12,7 +12,10 @@
 //! [`save_trace`](mosaic_workloads::save_trace) format; replay then
 //! streams from disk with one file handle per replayer, so concurrent
 //! cells never contend on a shared seek position. The spill file is
-//! removed when the buffer is dropped.
+//! removed when the buffer is dropped. Every replay of it checks the
+//! file's records against a digest taken while recording, so a
+//! truncated, corrupted or deleted spill file gives a [`TraceError`],
+//! never a short or altered stream.
 //!
 //! # Example
 //!
@@ -54,10 +57,57 @@ fn spill_path() -> PathBuf {
     ))
 }
 
+/// Folds one record into a spill digest. Each step is a bijection of
+/// the running value, so changing any single record changes the result.
+fn fold(digest: u64, word: u64) -> u64 {
+    (digest ^ word).wrapping_mul(0x0100_0000_01B3)
+}
+
 /// Owns the on-disk spill and deletes it when the buffer goes away.
 #[derive(Debug)]
 struct SpillFile {
     path: PathBuf,
+    /// [`fold`] of every recorded record, in order.
+    digest: u64,
+}
+
+impl SpillFile {
+    /// A reader over the file that checks its records against the
+    /// digest: a file with fewer, more or other records fails at its end.
+    fn open(&self) -> Result<SpillReader<'_>, TraceError> {
+        Ok(SpillReader {
+            reader: TraceReader::open(&self.path)?,
+            spill: self,
+            digest: 0,
+        })
+    }
+}
+
+/// Streams a spill file back, failing at the end if any record changed.
+struct SpillReader<'a> {
+    reader: TraceReader,
+    spill: &'a SpillFile,
+    digest: u64,
+}
+
+impl SpillReader<'_> {
+    fn next_access(&mut self) -> Result<Option<Access>, TraceError> {
+        match self.reader.next_access()? {
+            Some(a) => {
+                self.digest = fold(self.digest, encode_access(a));
+                Ok(Some(a))
+            }
+            None if self.digest == self.spill.digest => Ok(None),
+            None => Err(TraceError::Io {
+                file: self.spill.path.display().to_string(),
+                offset: 0,
+                source: std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "spill file records differ from the recording",
+                ),
+            }),
+        }
+    }
 }
 
 impl Drop for SpillFile {
@@ -136,7 +186,8 @@ impl TraceBuffer {
     /// # Errors
     ///
     /// Returns [`TraceError`] if a spilled recording cannot be read back
-    /// (in-memory replays cannot fail).
+    /// or no longer matches what was recorded (in-memory replays cannot
+    /// fail). The accesses delivered before the error are then invalid.
     pub fn replay(&self, sink: &mut dyn FnMut(Access)) -> Result<(), TraceError> {
         match &self.storage {
             Storage::Memory(chunks) => {
@@ -148,7 +199,7 @@ impl TraceBuffer {
                 Ok(())
             }
             Storage::Disk(spill) => {
-                let mut r = TraceReader::open(&spill.path)?;
+                let mut r = spill.open()?;
                 while let Some(a) = r.next_access()? {
                     sink(a);
                 }
@@ -167,8 +218,7 @@ impl TraceBuffer {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] if a spilled recording cannot be read back
-    /// (in-memory replays cannot fail).
+    /// Returns [`TraceError`] as [`TraceBuffer::replay`] does.
     pub fn replay_chunks(&self, sink: &mut dyn FnMut(&[Access])) -> Result<(), TraceError> {
         let mut scratch: Vec<Access> = Vec::with_capacity(CHUNK_RECORDS.min(self.len as usize));
         match &self.storage {
@@ -181,7 +231,7 @@ impl TraceBuffer {
                 Ok(())
             }
             Storage::Disk(spill) => {
-                let mut r = TraceReader::open(&spill.path)?;
+                let mut r = spill.open()?;
                 loop {
                     scratch.clear();
                     while scratch.len() < CHUNK_RECORDS {
@@ -272,6 +322,8 @@ pub struct TraceBufferBuilder {
     chunk: Vec<u64>,
     len: u64,
     writer: Option<(TraceWriter, PathBuf)>,
+    /// [`fold`] of the records written to the spill file so far.
+    digest: u64,
     error: Option<TraceError>,
 }
 
@@ -290,6 +342,7 @@ impl TraceBufferBuilder {
             chunk: Vec::with_capacity(CHUNK_RECORDS),
             len: 0,
             writer: None,
+            digest: 0,
             error: None,
         }
     }
@@ -314,6 +367,7 @@ impl TraceBufferBuilder {
             if let Err(e) = w.push(a) {
                 self.error = Some(e);
             } else {
+                self.digest = fold(self.digest, encode_access(a));
                 self.len += 1;
             }
             return;
@@ -348,6 +402,7 @@ impl TraceBufferBuilder {
                     let _ = std::fs::remove_file(&path);
                     return;
                 }
+                self.digest = fold(self.digest, word);
             }
         }
         self.chunks = Vec::new();
@@ -370,7 +425,10 @@ impl TraceBufferBuilder {
         }
         let storage = match self.writer.take() {
             Some((w, path)) => {
-                let spill = SpillFile { path };
+                let spill = SpillFile {
+                    path,
+                    digest: self.digest,
+                };
                 w.finish()?;
                 Storage::Disk(spill)
             }

@@ -7,7 +7,7 @@
 //! same adapter the trace-file tooling uses.
 
 use mosaic_mem::VirtAddr;
-use mosaic_sim::trace_buffer::TraceBuffer;
+use mosaic_sim::trace_buffer::{TraceBuffer, TraceBufferBuilder};
 use mosaic_workloads::tracefile::RecordedTrace;
 use mosaic_workloads::{Access, Workload};
 use proptest::collection::vec;
@@ -68,5 +68,48 @@ proptest! {
         replayer.run(&mut |a| via_workload.push(a));
         prop_assert!(replayer.error().is_none());
         prop_assert_eq!(via_workload, accesses);
+    }
+}
+
+/// `TraceBufferBuilder::with_budget` at its edges: a recording spills
+/// exactly when its 8-byte records need more than the budget, and
+/// replays identically either way. One chunk is 64 Ki records.
+#[test]
+fn budget_edges_spill_exactly_past_the_budget() {
+    const CHUNK: u64 = 1 << 16;
+    let one_chunk = CHUNK * 8;
+    for (budget, records, spills) in [
+        (0, 0, false),
+        (0, 1, true),
+        (one_chunk, CHUNK - 1, false),
+        (one_chunk, CHUNK, false),
+        (one_chunk, CHUNK + 1, true),
+        (one_chunk - 8, CHUNK, true),
+        (one_chunk + 8, CHUNK, false),
+    ] {
+        let accesses: Vec<Access> = (0..records)
+            .map(|i| {
+                let addr = VirtAddr(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1);
+                if i % 3 == 0 {
+                    Access::store(addr)
+                } else {
+                    Access::load(addr)
+                }
+            })
+            .collect();
+        let mut b = TraceBufferBuilder::with_budget(budget);
+        for &a in &accesses {
+            b.push(a);
+        }
+        let meta = RecordedTrace::new(Vec::new()).meta();
+        let buf = b.finish(meta).expect("finish failed");
+        let case = format!("budget {budget}, {records} records");
+        assert_eq!(buf.spilled(), spills, "{case}");
+        assert_eq!(buf.len(), records, "{case}");
+        assert!(replayed(&buf) == accesses, "{case}: replay differs");
+        let mut chunked = Vec::new();
+        buf.replay_chunks(&mut |c| chunked.extend_from_slice(c))
+            .expect("chunked replay failed");
+        assert!(chunked == accesses, "{case}: chunked replay differs");
     }
 }

@@ -3,16 +3,18 @@
 # 1/2/4/8 threads (85 % load) and the probe-length distribution vs the
 # serial table at 85/95 % load, written to BENCH_iceberg.json.
 #
-# Throughput is host-dependent; host_cores records the regime. On a
-# single-core container the multi-thread rows measure contention
-# overhead, not speedup — that is an honest number, not a bug. The probe
+# Throughput is host-dependent; host_cores and git_rev in the JSON say
+# where a record came from. On a single-core container the multi-thread
+# rows measure contention overhead, not speedup — that is an honest
+# number, not a bug. The probe
 # summaries are deterministic and must be identical serial vs concurrent
 # (the single-thread placement-identity claim, also proptested).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p mosaic-bench --benches
+cargo build --release --offline -q -p mosaic-bench --benches
 HOST_CORES=$(nproc)
+GIT_REV=$(git describe --always --dirty --abbrev=12 2>/dev/null || echo unknown)
 
 OUT_TMP="$(mktemp)"
 trap 'rm -f "$OUT_TMP"' EXIT
@@ -58,6 +60,7 @@ probe_records() {
 cat > BENCH_iceberg.json <<EOF
 {
   "host_cores": ${HOST_CORES},
+  "git_rev": "${GIT_REV}",
   "config": "paper_default(256) = 16384 slots, fill to 85% load, disjoint per-thread keys",
   "throughput": [
 $(thread_records)
@@ -68,4 +71,4 @@ $(probe_records)
   "note": "Throughput in million ops/s is host-dependent; with host_cores=1 the multi-thread rows measure contention overhead on one core, not parallel speedup. Probe rows are deterministic: serial and concurrent must match exactly at every load (single-thread placement identity, proptested in crates/iceberg/tests/concurrent_oracle.rs)."
 }
 EOF
-echo "[bench_iceberg] wrote BENCH_iceberg.json (host_cores=${HOST_CORES})" >&2
+echo "[bench_iceberg] wrote BENCH_iceberg.json (host_cores=${HOST_CORES}, git_rev=${GIT_REV})" >&2

@@ -5,13 +5,15 @@
 #
 # The study's *output* is a pure function of the flags (byte-identical
 # at any --jobs; gated in scripts/check.sh); only the wall times here
-# depend on the host. host_cores records which regime a run came from.
+# depend on the host. host_cores and git_rev in the JSON say where a
+# record came from.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p mosaic-bench
+cargo build --release --offline -q -p mosaic-bench
 BIN=target/release
 HOST_CORES=$(nproc)
+GIT_REV=$(git describe --always --dirty --abbrev=12 2>/dev/null || echo unknown)
 LOADS=(105 120)
 ISO_FLAGS=(--tenants 16 --buckets 64 --steps 800000 --churn 20000
            --hostile thrasher --quota-frac 125 --priority-spread 2)
@@ -58,6 +60,7 @@ records() {
 cat > BENCH_isolation.json <<EOF
 {
   "host_cores": ${HOST_CORES},
+  "git_rev": "${GIT_REV}",
   "config": "tenants 16, buckets 64, thrasher attacker (4x share), quota 125% of fair share, priority spread 2, steps 800000, churn 20000",
   "load_points": [
 $(records)
@@ -66,4 +69,4 @@ $(records)
   "note": "Victim inflation is the per-slot mixed/solo fault-rate ratio in hundredths (100 = no inflation). Each load point replays one schedule with quotas on and off against per-slot solo baselines; byte-identical at any --jobs (gated in scripts/check.sh). Wall times are host-dependent."
 }
 EOF
-echo "[bench_isolation] wrote BENCH_isolation.json (host_cores=${HOST_CORES})" >&2
+echo "[bench_isolation] wrote BENCH_isolation.json (host_cores=${HOST_CORES}, git_rev=${GIT_REV})" >&2

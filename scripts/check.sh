@@ -284,11 +284,18 @@ echo "==> attribution golden gate (must reproduce results_attrib.txt)"
 ./target/release/attrib --jobs 4 > "$OBS_TMP/atgold.txt" 2>/dev/null
 cmp "$OBS_TMP/atgold.txt" results_attrib.txt
 
-echo "==> unread-flag gate (coloring --obs-out is a usage error: exit 2, no file)"
-code=0
-./target/release/coloring --obs-out "$OBS_TMP/coloring.jsonl" > /dev/null 2>&1 || code=$?
-[[ "$code" == 2 ]]
-[[ ! -e "$OBS_TMP/coloring.jsonl" ]]
+echo "==> unread-flag gate (every binary: an unread flag is a usage error, exit 2, no output, no file)"
+# Each binary checks its whole command line before any work: a flag it
+# does not read exits 2 before stdout and before --obs-out is created.
+for bin in fig6 attrib table2 table3 table4 table5 tenants ablation walkcost \
+           fragmentation coloring locality obs_report; do
+  code=0
+  ./target/release/$bin --obs-out "$OBS_TMP/unread-$bin.jsonl" --bogus-flag 1 \
+    > "$OBS_TMP/unread-$bin.txt" 2>/dev/null || code=$?
+  [[ "$code" == 2 ]]
+  [[ ! -s "$OBS_TMP/unread-$bin.txt" ]]
+  [[ ! -e "$OBS_TMP/unread-$bin.jsonl" ]]
+done
 
 echo "==> bench-delta (warn-only) vs BENCH_*.json baselines committed at HEAD"
 for s in obs parallel tenants isolation step iceberg; do
