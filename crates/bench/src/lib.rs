@@ -284,14 +284,14 @@ impl Args {
         u32::try_from(n).unwrap_or(0)
     }
 
-    /// `--entries N` (default `default`) for a TLB grid over `assocs`:
-    /// zero, or a count some associativity cannot divide into whole
-    /// sets, is an error.
+    /// `--entries N` (default `default`, at least 1) for a TLB grid over
+    /// `assocs`: a count some associativity cannot divide into whole
+    /// sets is an error.
     pub fn entries(&mut self, default: usize, assocs: &[Associativity], help: &str) -> usize {
-        let entries = self.usize("entries", default, 0, help);
+        let entries = self.usize("entries", default, 1, help);
         for &assoc in assocs {
             let ways = assoc.ways(entries);
-            if entries == 0 || !entries.is_multiple_of(ways) {
+            if !entries.is_multiple_of(ways) {
                 let need = format!("a positive multiple of {ways} ({assoc})");
                 self.reject(ArgsError::Usage(format!(
                     "--entries {entries} must be {need}"
@@ -617,7 +617,7 @@ Regenerates things.
                 .1
                 .unwrap_err()
                 .to_string(),
-            "--entries 0 must be a positive multiple of 1 (Direct)"
+            "--entries must be at least 1, got 0"
         );
         assert!(matches!(
             entries(&["bin", "--entries", "x"]).1,

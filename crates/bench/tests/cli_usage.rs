@@ -354,7 +354,12 @@ fn values_the_simulators_cannot_take_are_usage_errors() {
         (
             locality,
             &["--entries", "0"][..],
-            "error: --entries 0 must be a positive multiple of 8",
+            "error: --entries must be at least 1, got 0",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--entries", "0"][..],
+            "error: --entries must be at least 1, got 0",
         ),
         (
             locality,

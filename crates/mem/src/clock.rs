@@ -12,21 +12,51 @@
 
 use crate::addr::{PageKey, Pfn};
 use crate::error::{MosaicError, MosaicResult};
-use crate::frame::{FrameEntry, FrameTable};
-use crate::invariants;
 use crate::layout::MemoryLayout;
-use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
-use crate::obs::MemObs;
-use crate::stats::{PagingStats, UtilizationTracker};
-use mosaic_hash::{FastHashMap, FastHashSet};
-use mosaic_obs::ObsHandle;
+use crate::linux::FreeList;
+use crate::paging::{PagingCore, Policy};
 use std::collections::VecDeque;
 
-/// Per-page reclaim state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-frame reclaim state of the page it holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PageLru {
     referenced: bool,
     active: bool,
+}
+
+/// The clock's placement and victim choice: any free frame, and
+/// second-chance reclaim over the active and inactive lists between the
+/// watermarks.
+#[derive(Debug, Clone)]
+pub struct TwoListClock {
+    free: FreeList,
+    /// Reclaim state of each frame's page.
+    state: Vec<PageLru>,
+    active: VecDeque<Pfn>,
+    inactive: VecDeque<Pfn>,
+}
+
+impl TwoListClock {
+    /// Demotes unreferenced active pages until the inactive list holds at
+    /// least as many pages as the active list (Linux's balancing goal).
+    fn refill_inactive(&mut self) {
+        let mut scans = self.active.len();
+        while self.inactive.len() < self.active.len() && scans > 0 {
+            scans -= 1;
+            let Some(pfn) = self.active.pop_front() else {
+                break;
+            };
+            let state = &mut self.state[pfn.0 as usize];
+            if state.referenced {
+                // Second chance: clear and rotate to the active tail.
+                state.referenced = false;
+                self.active.push_back(pfn);
+            } else {
+                state.active = false;
+                self.inactive.push_back(pfn);
+            }
+        }
+    }
 }
 
 /// A two-list (active/inactive) clock-style memory manager.
@@ -36,7 +66,9 @@ struct PageLru {
 /// instead of evicting them (one second chance). When the inactive list
 /// runs low, the active list is scanned and unreferenced pages are
 /// demoted. Reclaim triggers at the same 0.8 % free watermark as the
-/// exact-LRU baseline.
+/// exact-LRU baseline. It takes no fault injector, and its reclaim
+/// ignores quotas: [`set_quota`](crate::manager::MemoryManager::set_quota)
+/// only makes the shared core count each tenant's pages.
 ///
 /// # Example
 ///
@@ -50,258 +82,123 @@ struct PageLru {
 /// assert_eq!(mm.access(key, AccessKind::Store, 1), AccessOutcome::MinorFault);
 /// assert_eq!(mm.access(key, AccessKind::Load, 2), AccessOutcome::Hit);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ClockMemory {
-    frames: FrameTable,
-    free: Vec<Pfn>,
-    resident: FastHashMap<PageKey, Pfn>,
-    swapped: FastHashSet<PageKey>,
-    lru_state: FastHashMap<PageKey, PageLru>,
-    active: VecDeque<PageKey>,
-    inactive: VecDeque<PageKey>,
-    low_watermark: usize,
-    high_watermark: usize,
-    stats: PagingStats,
-    /// Resident hits, which [`PagingStats`] does not count: published
-    /// as `<prefix>.hits`.
-    hits: u64,
-    util: UtilizationTracker,
-    obs: MemObs,
-    /// ASID of the in-flight access, for blaming reclaim on the tenant
-    /// whose fault forced it.
-    obs_requester: u16,
-}
+pub type ClockMemory = PagingCore<TwoListClock>;
 
 impl ClockMemory {
     /// Creates a manager with the default (0.8 % / 1.2 %) watermarks.
     pub fn new(layout: MemoryLayout) -> Self {
         let total = layout.num_frames();
-        let low = (total * crate::linux::DEFAULT_LOW_WATERMARK_PERMILLE / 1000).max(1);
-        let high = (total * crate::linux::DEFAULT_HIGH_WATERMARK_PERMILLE / 1000).max(low + 1);
-        Self {
-            free: (0..total as u64).rev().map(Pfn).collect(),
-            frames: FrameTable::new(layout),
-            resident: FastHashMap::default(),
-            swapped: FastHashSet::default(),
-            lru_state: FastHashMap::default(),
+        let policy = TwoListClock {
+            free: FreeList::with_default_watermarks(total),
+            state: vec![PageLru::default(); total],
             active: VecDeque::new(),
             inactive: VecDeque::new(),
-            low_watermark: low,
-            high_watermark: high,
-            stats: PagingStats::new(),
-            hits: 0,
-            util: UtilizationTracker::new(),
-            obs: MemObs::noop(),
-            obs_requester: 0,
-        }
+        };
+        Self::from_parts(layout, policy)
     }
 
     /// Free frames right now.
     pub fn free_frames(&self) -> usize {
-        self.free.len()
+        self.policy.free.len()
     }
 
     /// Length of the active list (diagnostics).
     pub fn active_len(&self) -> usize {
-        self.active.len()
+        self.policy.active.len()
     }
 
     /// Length of the inactive list (diagnostics).
     pub fn inactive_len(&self) -> usize {
-        self.inactive.len()
-    }
-
-    fn evict(&mut self, victim: PageKey) -> MosaicResult<()> {
-        let pfn = self
-            .resident
-            .remove(&victim)
-            .ok_or(MosaicError::internal("reclaim only evicts resident pages"))?;
-        let entry = self.frames.evict(pfn);
-        self.obs
-            .attrib_evicted(self.obs_requester, victim.asid.0, false);
-        self.lru_state.remove(&victim);
-        self.stats.live_evictions += 1;
-        if entry.eviction_needs_writeback() {
-            self.stats.swapped_out += 1;
-            self.swapped.insert(victim);
-        } else {
-            self.stats.clean_drops += 1;
-            if entry.has_swap_copy {
-                self.swapped.insert(victim);
-            }
-        }
-        self.free.push(pfn);
-        Ok(())
-    }
-
-    /// Demotes unreferenced active pages until the inactive list holds at
-    /// least as many pages as the active list (Linux's balancing goal).
-    fn refill_inactive(&mut self) -> MosaicResult<()> {
-        let mut scans = self.active.len();
-        while self.inactive.len() < self.active.len() && scans > 0 {
-            scans -= 1;
-            let Some(page) = self.active.pop_front() else {
-                break;
-            };
-            let state = self
-                .lru_state
-                .get_mut(&page)
-                .ok_or(MosaicError::internal("listed pages have state"))?;
-            if state.referenced {
-                // Second chance: clear and rotate to the active tail.
-                state.referenced = false;
-                self.active.push_back(page);
-            } else {
-                state.active = false;
-                self.inactive.push_back(page);
-            }
-        }
-        Ok(())
+        self.policy.inactive.len()
     }
 
     /// kswapd-style shrink: evict from the inactive list (with one second
     /// chance) until free memory recovers to the high watermark.
     fn reclaim_if_needed(&mut self) -> MosaicResult<()> {
-        if self.free.len() >= self.low_watermark {
+        if !self.policy.free.reclaim_due() {
             return Ok(());
         }
-        while self.free.len() < self.high_watermark {
-            if self.inactive.is_empty() {
-                self.refill_inactive()?;
+        while self.policy.free.below_high() {
+            let clock = &mut self.policy;
+            if clock.inactive.is_empty() {
+                clock.refill_inactive();
             }
-            let Some(page) = self.inactive.pop_front() else {
-                // Everything is active and referenced: force-demote.
-                match self.active.pop_front() {
-                    Some(p) => {
-                        self.evict(p)?;
-                        continue;
-                    }
-                    None => break,
+            let victim = match clock.inactive.front().copied() {
+                Some(pfn) if clock.state[pfn.0 as usize].referenced => {
+                    // Referenced while inactive: promote instead of evicting.
+                    clock.inactive.pop_front();
+                    clock.state[pfn.0 as usize] = PageLru {
+                        referenced: false,
+                        active: true,
+                    };
+                    clock.active.push_back(pfn);
+                    continue;
                 }
+                Some(pfn) => pfn,
+                // Everything is active and referenced: force-demote.
+                None => match clock.active.front() {
+                    Some(&pfn) => pfn,
+                    None => break,
+                },
             };
-            let state = self
-                .lru_state
-                .get_mut(&page)
-                .ok_or(MosaicError::internal("listed pages have state"))?;
-            if state.referenced {
-                // Referenced while inactive: promote instead of evicting.
-                state.referenced = false;
-                state.active = true;
-                self.active.push_back(page);
-            } else {
-                self.evict(page)?;
-            }
+            self.evict(victim, false)?;
         }
         Ok(())
     }
 }
 
-impl MemoryManager for ClockMemory {
-    fn try_access(
-        &mut self,
-        key: PageKey,
-        kind: AccessKind,
-        now: u64,
-    ) -> MosaicResult<AccessOutcome> {
-        self.stats.accesses += 1;
-        self.obs_requester = key.asid.0;
+impl Policy for TwoListClock {
+    #[inline]
+    fn hit(mm: &mut ClockMemory, _key: PageKey, pfn: Pfn, write: bool, now: u64) {
+        mm.frames.touch(pfn, now, write);
+        // Hardware sets the referenced bit; no list movement on access.
+        mm.policy.state[pfn.0 as usize].referenced = true;
+    }
 
-        if let Some(&pfn) = self.resident.get(&key) {
-            self.frames.touch(pfn, now, kind.is_write());
-            // Hardware sets the referenced bit; no list movement on access.
-            self.lru_state
-                .get_mut(&key)
-                .ok_or(MosaicError::internal("resident pages have state"))?
-                .referenced = true;
-            self.hits += 1;
-            return Ok(AccessOutcome::Hit);
-        }
+    #[inline]
+    fn place(mm: &mut ClockMemory, _key: PageKey) -> MosaicResult<Pfn> {
+        mm.reclaim_if_needed()?;
+        mm.policy.free.pop()
+    }
 
-        self.reclaim_if_needed()?;
-        let pfn = self
-            .free
-            .pop()
-            .ok_or(MosaicError::internal(
-                "reclaim keeps the free list non-empty",
-            ))?;
-        let from_swap = self.swapped.remove(&key);
-        self.frames.install(
-            pfn,
-            FrameEntry {
-                key,
-                last_access: now,
-                dirty: kind.is_write(),
-                has_swap_copy: from_swap && !kind.is_write(),
-            },
-        );
-        self.resident.insert(key, pfn);
-        self.lru_state.insert(
-            key,
-            PageLru {
-                referenced: false,
-                active: false,
-            },
-        );
-        self.inactive.push_back(key);
-        Ok(if from_swap {
-            self.stats.major_faults += 1;
-            self.stats.swapped_in += 1;
-            AccessOutcome::MajorFault
+    #[inline]
+    fn unplace(&mut self, pfn: Pfn) {
+        self.free.push(pfn);
+    }
+
+    #[inline]
+    fn installed(mm: &mut ClockMemory, _key: PageKey, pfn: Pfn, _now: u64) {
+        mm.policy.state[pfn.0 as usize] = PageLru::default();
+        mm.policy.inactive.push_back(pfn);
+    }
+
+    #[inline]
+    fn vacated(&mut self, pfn: Pfn, _key: PageKey) {
+        // Reclaim evicts the head of a list, found at once; a release
+        // may search the whole list.
+        let list = if self.state[pfn.0 as usize].active {
+            &mut self.active
         } else {
-            self.stats.minor_faults += 1;
-            self.obs.attrib_cold(key.asid.0);
-            AccessOutcome::MinorFault
-        })
+            &mut self.inactive
+        };
+        if let Some(at) = list.iter().position(|&p| p == pfn) {
+            list.remove(at);
+        }
+        self.free.push(pfn);
     }
 
-    fn resident_pfn(&self, key: PageKey) -> Option<Pfn> {
-        self.resident.get(&key).copied()
-    }
-
-    fn num_frames(&self) -> usize {
-        self.frames.num_frames()
-    }
-
-    fn resident_frames(&self) -> usize {
-        self.frames.resident()
-    }
-
-    fn stats(&self) -> &PagingStats {
-        &self.stats
-    }
-
-    fn utilization_tracker(&self) -> &UtilizationTracker {
-        &self.util
-    }
-
-    fn sample_utilization(&mut self) {
-        let u = self.utilization();
-        self.util.sample(u);
-    }
-
-    fn set_obs(&mut self, obs: &ObsHandle, prefix: &str) {
-        self.obs = MemObs::register(obs, prefix);
-        self.obs.mark_published(&self.stats, self.hits, 0);
-    }
-
-    fn publish_obs(&self) {
-        self.obs.publish_counts(&self.stats, self.hits, 0);
-        self.obs.util.set(self.utilization());
-    }
-
-    fn verify(&self) -> MosaicResult<()> {
-        invariants::check_frame_bijection(&self.frames, &self.resident)?;
-        invariants::check_swap_disjoint(&self.resident, &self.swapped)?;
-        invariants::check_free_list_accounting(self.num_frames(), &self.free, &self.frames)?;
+    fn verify(mm: &ClockMemory) -> MosaicResult<()> {
+        let clock = &mm.policy;
+        clock.free.verify(&mm.frames)?;
         // The two lists together cover every resident page exactly once.
-        if self.active.len() + self.inactive.len() != self.resident.len() {
+        if clock.active.len() + clock.inactive.len() != mm.resident.len() {
             return Err(MosaicError::invariant(
                 "clock-list-coverage",
                 format!(
                     "{} active + {} inactive != {} resident",
-                    self.active.len(),
-                    self.inactive.len(),
-                    self.resident.len()
+                    clock.active.len(),
+                    clock.inactive.len(),
+                    mm.resident.len()
                 ),
             ));
         }
@@ -313,6 +210,7 @@ impl MemoryManager for ClockMemory {
 mod tests {
     use super::*;
     use crate::addr::{Asid, Vpn};
+    use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
     use mosaic_iceberg::IcebergConfig;
 
     fn key(n: u64) -> PageKey {
@@ -333,7 +231,7 @@ mod tests {
     #[test]
     fn no_reclaim_above_watermark() {
         let mut mm = memory();
-        let fill = mm.num_frames() - mm.low_watermark - 1;
+        let fill = mm.num_frames() - mm.policy.free.low() - 1;
         for n in 0..fill as u64 {
             mm.access(key(n), AccessKind::Store, n + 1);
         }

@@ -57,16 +57,19 @@ impl FrameTable {
     }
 
     /// The memory layout.
+    #[inline]
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout
     }
 
     /// Total frames.
+    #[inline]
     pub fn num_frames(&self) -> usize {
         self.frames.len()
     }
 
     /// Frames currently holding a page (live *or* ghost).
+    #[inline]
     pub fn resident(&self) -> usize {
         self.resident
     }
@@ -77,11 +80,13 @@ impl FrameTable {
     }
 
     /// The entry in `pfn`, if occupied.
+    #[inline]
     pub fn entry(&self, pfn: Pfn) -> Option<&FrameEntry> {
         self.frames[pfn.0 as usize].as_ref()
     }
 
     /// The entry in the frame backing `slot`, if occupied.
+    #[inline]
     pub fn slot_entry(&self, slot: SlotRef) -> Option<&FrameEntry> {
         self.entry(self.layout.pfn_of_slot(slot))
     }
@@ -91,6 +96,7 @@ impl FrameTable {
     /// # Panics
     ///
     /// Panics if the frame is occupied.
+    #[inline]
     pub fn install(&mut self, pfn: Pfn, entry: FrameEntry) {
         let cell = &mut self.frames[pfn.0 as usize];
         assert!(cell.is_none(), "install into occupied frame {pfn}");
@@ -103,6 +109,7 @@ impl FrameTable {
     /// # Panics
     ///
     /// Panics if the frame is free.
+    #[inline]
     pub fn evict(&mut self, pfn: Pfn) -> FrameEntry {
         let entry = self.frames[pfn.0 as usize]
             .take()
@@ -116,6 +123,7 @@ impl FrameTable {
     /// # Panics
     ///
     /// Panics if the frame is free.
+    #[inline]
     pub fn touch(&mut self, pfn: Pfn, now: u64, write: bool) {
         let entry = self.frames[pfn.0 as usize]
             .as_mut()
@@ -134,6 +142,7 @@ impl FrameTable {
     /// # Panics
     ///
     /// Panics if the frame is free.
+    #[inline]
     pub fn mark_dirty(&mut self, pfn: Pfn) {
         let entry = self.frames[pfn.0 as usize]
             .as_mut()
@@ -211,8 +220,12 @@ impl FrameTable {
             .filter_map(|(i, e)| e.as_ref().map(|e| (Pfn(i as u64), e)))
     }
 
-    /// Counts resident ghosts under a horizon (diagnostics).
+    /// Counts resident ghosts under a horizon (diagnostics). No page is
+    /// a ghost under horizon 0, so that needs no walk.
     pub fn ghost_count(&self, horizon: u64) -> usize {
+        if horizon == 0 {
+            return 0;
+        }
         self.iter_resident()
             .filter(|(_, e)| e.is_ghost(horizon))
             .count()

@@ -17,10 +17,17 @@
 //! * [`cpfn`] — bit-exact CPFN encode/decode per §3.1;
 //! * [`frame`] — the frame table (per-frame residency, access times, dirty
 //!   bits) with ghost-aware occupancy queries;
-//! * [`lru`] — an exact LRU index keyed by access timestamps;
+//! * [`lru`] — [`FrameLru`](lru::FrameLru), the exact LRU the managers
+//!   keep as an intrusive list over frame numbers (O(1) per hit), and
+//!   [`LruIndex`](lru::LruIndex), an ordered map over sparse keys for the
+//!   per-tenant quota LRUs and the page-walk cache;
 //! * [`manager`] — the [`MemoryManager`] trait the
 //!   simulator drives;
-//! * [`mosaic`] — the Mosaic manager (Iceberg allocation + Horizon LRU);
+//! * [`paging`] — [`PagingCore`], the one implementation of that trait:
+//!   residency, swap, the hit / fault / swap-in path, eviction
+//!   accounting, quotas, faults and obs, with placement and victim
+//!   choice from a [`Policy`](paging::Policy);
+//! * [`mosaic`] — the Mosaic policy (Iceberg allocation + Horizon LRU);
 //! * [`linux`] — the unconstrained exact-LRU baseline (free list +
 //!   watermark reclaim);
 //! * [`clock`] — a stock-Linux-faithful two-list (active/inactive)
@@ -58,6 +65,7 @@ pub mod lru;
 pub mod manager;
 pub mod mosaic;
 pub mod obs;
+pub mod paging;
 pub mod policy;
 pub mod quota;
 pub mod scanner;
@@ -94,6 +102,7 @@ pub use linux::LinuxMemory;
 pub use manager::{AccessKind, AccessOutcome, MemoryManager};
 pub use mosaic::MosaicMemory;
 pub use obs::MemObs;
+pub use paging::PagingCore;
 pub use policy::MosaicPolicy;
 pub use quota::{QuotaStats, QuotaTable, TenantQuota};
 pub use scanner::{AccessScanner, ScannerConfig, ScannerStats};

@@ -10,21 +10,16 @@
 //!
 //! The LRU is a [`FrameLru`]: an intrusive list over frame numbers, so a
 //! hit re-links one node in O(1), and the victim's page comes from the
-//! frame table.
+//! frame table. Everything else — residency, swap, eviction accounting,
+//! quotas, faults — is the shared [`PagingCore`].
 
-use crate::addr::{PageKey, Pfn};
+use crate::addr::{Asid, PageKey, Pfn};
 use crate::error::{MosaicError, MosaicResult};
-use crate::fault::{FaultInjector, FaultPlan};
-use crate::frame::{FrameEntry, FrameTable};
+use crate::frame::FrameTable;
 use crate::invariants;
 use crate::layout::MemoryLayout;
 use crate::lru::FrameLru;
-use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
-use crate::obs::MemObs;
-use crate::quota::{QuotaStats, QuotaTable, TenantQuota};
-use crate::stats::{PagingStats, ResilienceStats, UtilizationTracker};
-use mosaic_hash::{FastHashBuilder, FastHashMap, FastHashSet};
-use mosaic_obs::ObsHandle;
+use crate::paging::{Injectable, PagingCore, Policy};
 
 /// Default low watermark: reclaim begins when free frames fall below
 /// 0.8 % of memory (per-zone watermarks in stock Linux; §4.2).
@@ -37,6 +32,82 @@ pub const DEFAULT_HIGH_WATERMARK_PERMILLE: usize = 12;
 /// victim (over-quota or low-priority) before settling for the strict
 /// LRU page. Bounds the per-eviction cost like kswapd's scan batches.
 const QUOTA_SCAN_WINDOW: usize = 64;
+
+/// Free frames and the watermarks that trigger batch reclaim: the
+/// placement of both free-list baselines.
+#[derive(Debug, Clone)]
+pub(crate) struct FreeList {
+    /// Free-frame stack.
+    frames: Vec<Pfn>,
+    low: usize,
+    high: usize,
+}
+
+impl FreeList {
+    /// Every one of `total` frames free, with the default (0.8 % / 1.2 %)
+    /// watermarks.
+    pub(crate) fn with_default_watermarks(total: usize) -> Self {
+        let low = (total * DEFAULT_LOW_WATERMARK_PERMILLE / 1000).max(1);
+        let high = (total * DEFAULT_HIGH_WATERMARK_PERMILLE / 1000).max(low + 1);
+        Self::new(total, low, high)
+    }
+
+    /// # Panics
+    ///
+    /// Panics unless `0 < low < high <= total`.
+    fn new(total: usize, low: usize, high: usize) -> Self {
+        assert!(low > 0, "low watermark must be positive");
+        assert!(low < high, "low watermark must be below high");
+        assert!(high <= total, "high watermark exceeds memory");
+        Self {
+            frames: (0..total as u64).rev().map(Pfn).collect(),
+            low,
+            high,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    pub(crate) fn low(&self) -> usize {
+        self.low
+    }
+
+    /// Whether free memory has dipped below the low watermark.
+    pub(crate) fn reclaim_due(&self) -> bool {
+        self.frames.len() < self.low
+    }
+
+    /// Whether batch reclaim has yet to restore the high watermark.
+    pub(crate) fn below_high(&self) -> bool {
+        self.frames.len() < self.high
+    }
+
+    pub(crate) fn push(&mut self, pfn: Pfn) {
+        self.frames.push(pfn);
+    }
+
+    pub(crate) fn pop(&mut self) -> MosaicResult<Pfn> {
+        self.frames.pop().ok_or(MosaicError::internal(
+            "reclaim keeps the free list non-empty",
+        ))
+    }
+
+    /// Frames are either free or occupied, with no overlap and none lost.
+    pub(crate) fn verify(&self, frames: &FrameTable) -> MosaicResult<()> {
+        invariants::check_free_list_accounting(frames.num_frames(), &self.frames, frames)
+    }
+}
+
+/// Linux's placement and victim choice: any free frame, and exact global
+/// LRU reclaim between the watermarks.
+#[derive(Debug, Clone)]
+pub struct WatermarkLru {
+    free: FreeList,
+    /// Exact LRU over the frames of resident pages.
+    lru: FrameLru,
+}
 
 /// A fully-associative memory manager with watermark-triggered LRU reclaim.
 ///
@@ -51,46 +122,13 @@ const QUOTA_SCAN_WINDOW: usize = 64;
 /// assert_eq!(mm.access(key, AccessKind::Store, 1), AccessOutcome::MinorFault);
 /// assert_eq!(mm.access(key, AccessKind::Load, 2), AccessOutcome::Hit);
 /// ```
-#[derive(Debug, Clone)]
-pub struct LinuxMemory {
-    frames: FrameTable,
-    /// Free-frame stack.
-    free: Vec<Pfn>,
-    /// Exact LRU over the frames of resident pages.
-    lru: FrameLru,
-    /// Residency map, sized for every frame when the manager is built
-    /// (like `lru`), so it never rehashes mid-run.
-    resident: FastHashMap<PageKey, Pfn>,
-    swapped: FastHashSet<PageKey>,
-    low_watermark: usize,
-    high_watermark: usize,
-    /// Per-tenant working-set quotas; `None` keeps every path
-    /// byte-identical to the quota-less manager.
-    quotas: Option<QuotaTable>,
-    /// When present, injects deterministic swap I/O (and allocation)
-    /// faults, mirroring the Mosaic manager's robustness harness.
-    fault: Option<FaultInjector>,
-    resilience: ResilienceStats,
-    stats: PagingStats,
-    /// Resident hits, which [`PagingStats`] does not count: published
-    /// as `<prefix>.hits`.
-    hits: u64,
-    util: UtilizationTracker,
-    obs: MemObs,
-    /// Reference count of the in-flight access, for event timestamps.
-    obs_now: u64,
-    /// ASID of the in-flight access, for blaming reclaim on the tenant
-    /// whose fault forced it.
-    obs_requester: u16,
-}
+pub type LinuxMemory = PagingCore<WatermarkLru>;
 
 impl LinuxMemory {
     /// Creates a manager with the default (stock-Linux-like) watermarks.
     pub fn new(layout: MemoryLayout) -> Self {
-        let total = layout.num_frames();
-        let low = (total * DEFAULT_LOW_WATERMARK_PERMILLE / 1000).max(1);
-        let high = (total * DEFAULT_HIGH_WATERMARK_PERMILLE / 1000).max(low + 1);
-        Self::with_watermarks(layout, low, high)
+        let free = FreeList::with_default_watermarks(layout.num_frames());
+        Self::with_free_list(layout, free)
     }
 
     /// Creates a manager with explicit watermarks, in frames.
@@ -99,138 +137,23 @@ impl LinuxMemory {
     ///
     /// Panics unless `0 < low < high <= total frames`.
     pub fn with_watermarks(layout: MemoryLayout, low: usize, high: usize) -> Self {
-        let total = layout.num_frames();
-        assert!(low > 0, "low watermark must be positive");
-        assert!(low < high, "low watermark must be below high");
-        assert!(high <= total, "high watermark exceeds memory");
-        Self {
-            free: (0..total as u64).rev().map(Pfn).collect(),
-            frames: FrameTable::new(layout),
-            lru: FrameLru::new(total),
-            resident: FastHashMap::with_capacity_and_hasher(total, FastHashBuilder),
-            swapped: FastHashSet::default(),
-            low_watermark: low,
-            high_watermark: high,
-            quotas: None,
-            fault: None,
-            resilience: ResilienceStats::new(),
-            stats: PagingStats::new(),
-            hits: 0,
-            util: UtilizationTracker::new(),
-            obs: MemObs::noop(),
-            obs_now: 0,
-            obs_requester: 0,
-        }
+        let free = FreeList::new(layout.num_frames(), low, high);
+        Self::with_free_list(layout, free)
     }
 
-    /// Attaches a deterministic fault injector executing `plan`, seeded by
-    /// `seed`. With [`FaultPlan::NONE`] this is behaviorally identical to
-    /// not attaching one.
-    pub fn with_fault_injector(mut self, plan: FaultPlan, seed: u64) -> Self {
-        self.fault = Some(FaultInjector::new(plan, seed));
-        self
-    }
-
-    /// The fault injector, if one is attached.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.fault.as_ref()
-    }
-
-    /// The memory layout.
-    pub fn layout(&self) -> &MemoryLayout {
-        self.frames.layout()
+    fn with_free_list(layout: MemoryLayout, free: FreeList) -> Self {
+        let lru = FrameLru::new(layout.num_frames());
+        Self::from_parts(layout, WatermarkLru { free, lru })
     }
 
     /// Free frames right now.
     pub fn free_frames(&self) -> usize {
-        self.free.len()
+        self.policy.free.len()
     }
 
     /// The low (reclaim-trigger) watermark in frames.
     pub fn low_watermark(&self) -> usize {
-        self.low_watermark
-    }
-
-    /// Forgets page `key` entirely: frees its frame (if resident) and
-    /// drops any swap copy, with no swap I/O and no eviction accounting
-    /// (process-exit reclaim, not displacement). Returns whether a frame
-    /// was actually freed.
-    pub fn release(&mut self, key: PageKey) -> bool {
-        self.swapped.remove(&key);
-        let Some(pfn) = self.resident.remove(&key) else {
-            return false;
-        };
-        self.lru.remove(pfn);
-        if let Some(q) = self.quotas.as_mut() {
-            q.note_evict(key);
-        }
-        let entry = self.frames.evict(pfn);
-        debug_assert_eq!(entry.key, key);
-        self.free.push(pfn);
-        true
-    }
-
-    /// One (simulated) swap-device transfer, absorbing injected errors
-    /// with bounded retries and counted exponential backoff.
-    fn swap_io(&mut self, write: bool) -> MosaicResult<()> {
-        let Some(max) = self.fault.as_ref().map(|i| i.plan().max_io_retries) else {
-            return Ok(());
-        };
-        let mut retries = 0u32;
-        loop {
-            let failed = self.fault.as_mut().is_some_and(|i| i.io_should_fail());
-            if !failed {
-                return Ok(());
-            }
-            self.resilience.io_faults_injected += 1;
-            self.obs.record_fault_injected(self.obs_now, "io");
-            if retries >= max {
-                self.resilience.io_failures += 1;
-                self.obs
-                    .record_fault_unrecovered(self.obs_now, "io", "budget-exhausted");
-                return Err(MosaicError::SwapIoFailed { retries, write });
-            }
-            retries += 1;
-            self.resilience.io_retries += 1;
-            self.resilience.io_backoff_ticks += 1u64 << retries.min(16);
-            self.obs.record_fault_recovered(self.obs_now, "io", "retry");
-        }
-    }
-
-    /// Evicts the page in frame `pfn` with full displacement accounting
-    /// (write-back first, so an I/O error leaves it resident and the
-    /// reclaim retryable). `quota_self` marks quota-forced self-evictions
-    /// for the fault-attribution table.
-    fn evict_page(&mut self, pfn: Pfn, quota_self: bool) -> MosaicResult<()> {
-        let needs_writeback = self
-            .frames
-            .entry(pfn)
-            .ok_or(MosaicError::internal("LRU tracks only occupied frames"))?
-            .eviction_needs_writeback();
-        if needs_writeback {
-            self.swap_io(true)?;
-        }
-        let entry = self.frames.evict(pfn);
-        let victim = entry.key;
-        self.lru.remove(pfn);
-        self.resident.remove(&victim);
-        if let Some(q) = self.quotas.as_mut() {
-            q.note_evict(victim);
-        }
-        self.obs
-            .attrib_evicted(self.obs_requester, victim.asid.0, quota_self);
-        self.stats.live_evictions += 1;
-        if entry.eviction_needs_writeback() {
-            self.stats.swapped_out += 1;
-            self.swapped.insert(victim);
-        } else {
-            self.stats.clean_drops += 1;
-            if entry.has_swap_copy {
-                self.swapped.insert(victim);
-            }
-        }
-        self.free.push(pfn);
-        Ok(())
+        self.policy.free.low()
     }
 
     /// The frame of the next reclaim victim. Without quotas this is the
@@ -239,10 +162,10 @@ impl LinuxMemory {
     /// nothing in the window is distinguished, the oldest page wins —
     /// identical to the quota-less choice.
     fn reclaim_victim(&self) -> Option<Pfn> {
+        let lru = &self.policy.lru;
         match self.quotas.as_ref() {
-            None => self.lru.oldest(),
-            Some(q) => self
-                .lru
+            None => lru.oldest(),
+            Some(q) => lru
                 .iter_oldest()
                 .take(QUOTA_SCAN_WINDOW)
                 .enumerate()
@@ -258,67 +181,29 @@ impl LinuxMemory {
         let victim = self
             .reclaim_victim()
             .ok_or(MosaicError::internal("reclaim with no resident pages"))?;
-        let was_quota_steered = self.quotas.is_some() && self.lru.oldest() != Some(victim);
-        if was_quota_steered {
-            if let Some(q) = self.quotas.as_mut() {
-                q.note_quota_eviction();
-            }
-            self.obs.quota_evictions.inc();
+        if self.quotas.is_some() && self.policy.lru.oldest() != Some(victim) {
+            self.note_quota_steered();
         }
-        self.evict_page(victim, false)
+        self.evict(victim, false)
     }
 
     /// Admission control for a tenant at its cap: evict its own LRU
     /// pages until it is back under quota, or — if it has nothing
     /// resident to self-serve with — defer the admission with typed
     /// backpressure and counted backoff.
-    fn enforce_quota(&mut self, key: PageKey) -> MosaicResult<()> {
-        while self
-            .quotas
-            .as_ref()
-            .is_some_and(|q| q.at_capacity(key.asid))
-        {
-            let own = self
-                .quotas
-                .as_ref()
-                .and_then(|q| q.own_lru_oldest(key.asid));
-            match own {
-                Some(victim) => {
-                    let pfn = self
-                        .resident
-                        .get(&victim)
-                        .copied()
-                        .ok_or(MosaicError::internal("quota LRU tracks only resident pages"))?;
-                    self.evict_page(pfn, true)?;
-                    if let Some(q) = self.quotas.as_mut() {
-                        q.note_self_eviction();
-                    }
-                    self.obs.quota_self_evictions.inc();
-                }
-                None => {
-                    let (resident, quota) = self
-                        .quotas
-                        .as_ref()
-                        .map(|q| {
-                            (
-                                q.resident(key.asid) as u64,
-                                q.quota(key.asid).map_or(0, |t| t.frames as u64),
-                            )
-                        })
-                        .unwrap_or((0, 0));
-                    let ticks = self
-                        .quotas
-                        .as_mut()
-                        .map_or(0, |q| q.note_deferred(key.asid));
-                    self.obs
-                        .record_quota_deferred(self.obs_now, key.asid.0, ticks);
-                    return Err(MosaicError::QuotaExceeded {
-                        asid: key.asid.0,
-                        resident,
-                        quota,
-                    });
-                }
-            }
+    fn enforce_quota(&mut self, asid: Asid) -> MosaicResult<()> {
+        while self.at_quota(asid) {
+            let Some(victim) = self.quotas.as_ref().and_then(|q| q.own_lru_oldest(asid)) else {
+                return Err(self.defer_quota(asid));
+            };
+            let pfn = self
+                .resident
+                .get(&victim)
+                .copied()
+                .ok_or(MosaicError::internal(
+                    "quota LRU tracks only resident pages",
+                ))?;
+            self.evict_own(pfn)?;
         }
         Ok(())
     }
@@ -329,14 +214,14 @@ impl LinuxMemory {
     /// than aborting, as long as at least one frame is free for the
     /// current allocation.
     fn reclaim_if_needed(&mut self) -> MosaicResult<()> {
-        if self.free.len() >= self.low_watermark {
+        if !self.policy.free.reclaim_due() {
             return Ok(());
         }
-        while self.free.len() < self.high_watermark && !self.lru.is_empty() {
+        while self.policy.free.below_high() && !self.policy.lru.is_empty() {
             if let Err(e) = self.evict_lru_page() {
                 // Batched reclaim is opportunistic; only a fully-exhausted
                 // free list makes the failure fatal for this access.
-                if self.free.is_empty() {
+                if self.policy.free.len() == 0 {
                     return Err(e);
                 }
                 return Ok(());
@@ -346,197 +231,50 @@ impl LinuxMemory {
     }
 }
 
-impl MemoryManager for LinuxMemory {
-    fn try_access(
-        &mut self,
-        key: PageKey,
-        kind: AccessKind,
-        now: u64,
-    ) -> MosaicResult<AccessOutcome> {
-        self.stats.accesses += 1;
-        self.obs_now = now;
-        self.obs_requester = key.asid.0;
-
-        if let Some(&pfn) = self.resident.get(&key) {
-            self.frames.touch(pfn, now, kind.is_write());
-            self.lru.touch(pfn, now);
-            if let Some(q) = self.quotas.as_mut() {
-                q.note_touch(key, now);
-            }
-            self.hits += 1;
-            return Ok(AccessOutcome::Hit);
-        }
-
-        if self
-            .quotas
-            .as_ref()
-            .is_some_and(|q| q.at_capacity(key.asid))
-        {
-            self.enforce_quota(key)?;
-        }
-        self.reclaim_if_needed()?;
-        let pfn = self
-            .free
-            .pop()
-            .ok_or(MosaicError::internal(
-                "reclaim keeps the free list non-empty",
-            ))?;
-        let from_swap = self.swapped.contains(&key);
-        if from_swap {
-            // The swap-in read; a persistent failure returns the frame to
-            // the free list and leaves the page on swap, retryable.
-            if let Err(e) = self.swap_io(false) {
-                self.free.push(pfn);
-                return Err(e);
-            }
-            self.swapped.remove(&key);
-        }
-        self.frames.install(
-            pfn,
-            FrameEntry {
-                key,
-                last_access: now,
-                dirty: kind.is_write(),
-                has_swap_copy: from_swap && !kind.is_write(),
-            },
-        );
-        self.resident.insert(key, pfn);
-        self.lru.touch(pfn, now);
-        if let Some(q) = self.quotas.as_mut() {
-            q.note_install(key, now);
-        }
-        Ok(if from_swap {
-            self.stats.major_faults += 1;
-            self.stats.swapped_in += 1;
-            AccessOutcome::MajorFault
-        } else {
-            self.stats.minor_faults += 1;
-            self.obs.attrib_cold(key.asid.0);
-            AccessOutcome::MinorFault
-        })
+impl Policy for WatermarkLru {
+    #[inline]
+    fn hit(mm: &mut LinuxMemory, _key: PageKey, pfn: Pfn, write: bool, now: u64) {
+        mm.frames.touch(pfn, now, write);
+        mm.policy.lru.touch(pfn, now);
     }
 
-    fn resident_pfn(&self, key: PageKey) -> Option<Pfn> {
-        self.resident.get(&key).copied()
+    #[inline]
+    fn place(mm: &mut LinuxMemory, key: PageKey) -> MosaicResult<Pfn> {
+        mm.enforce_quota(key.asid)?;
+        mm.reclaim_if_needed()?;
+        mm.policy.free.pop()
     }
 
-    fn release_asid(&mut self, asid: crate::addr::Asid) -> u64 {
-        let mut keys: Vec<PageKey> = self
-            .resident
-            .keys()
-            .chain(self.swapped.iter())
-            .filter(|k| k.asid == asid)
-            .copied()
-            .collect();
-        // Freed frames return to the free stack in key order, so the
-        // placement of later allocations is independent of hash-map
-        // iteration order (byte-identical replays need this). The key
-        // itself breaks any hash_key tie — the packing is injective so
-        // ties cannot happen today, but determinism must not hinge on
-        // that side fact.
-        keys.sort_unstable_by_key(|k| (k.hash_key(), k.asid.0, k.vpn.0));
-        let mut freed = 0;
-        for key in keys {
-            if self.release(key) {
-                freed += 1;
-            }
-        }
-        if let Some(q) = self.quotas.as_mut() {
-            q.remove_tenant(asid);
-        }
-        self.obs.attrib_shootdown(asid.0, freed);
-        freed
+    #[inline]
+    fn unplace(&mut self, pfn: Pfn) {
+        self.free.push(pfn);
     }
 
-    fn set_quota(&mut self, asid: crate::addr::Asid, quota: TenantQuota) {
-        let table = self.quotas.get_or_insert_with(QuotaTable::new);
-        table.set(asid, quota);
-        if table.resident(asid) == 0 {
-            // Seed the table from pages resident before the quota existed,
-            // in a deterministic (timestamp, key) order so replays agree.
-            let mut seed: Vec<(u64, PageKey)> = self
-                .resident
-                .iter()
-                .filter(|(k, _)| k.asid == asid)
-                .filter_map(|(&k, &pfn)| {
-                    self.frames.entry(pfn).map(|e| (e.last_access, k))
-                })
-                .collect();
-            seed.sort_unstable_by_key(|&(ts, k)| (ts, k.hash_key()));
-            if let Some(table) = self.quotas.as_mut() {
-                for (ts, k) in seed {
-                    table.note_install(k, ts);
-                }
-            }
-        }
+    #[inline]
+    fn installed(mm: &mut LinuxMemory, _key: PageKey, pfn: Pfn, now: u64) {
+        mm.policy.lru.touch(pfn, now);
     }
 
-    fn quota_stats(&self) -> QuotaStats {
-        self.quotas.as_ref().map_or(QuotaStats::ZERO, |q| q.stats())
+    #[inline]
+    fn vacated(&mut self, pfn: Pfn, _key: PageKey) {
+        self.lru.remove(pfn);
+        self.free.push(pfn);
     }
 
-    fn num_frames(&self) -> usize {
-        self.frames.num_frames()
-    }
-
-    fn resident_frames(&self) -> usize {
-        self.frames.resident()
-    }
-
-    fn stats(&self) -> &PagingStats {
-        &self.stats
-    }
-
-    fn utilization_tracker(&self) -> &UtilizationTracker {
-        &self.util
-    }
-
-    fn sample_utilization(&mut self) {
-        let u = self.utilization();
-        self.util.sample(u);
-    }
-
-    fn resilience(&self) -> &ResilienceStats {
-        &self.resilience
-    }
-
-    fn set_obs(&mut self, obs: &ObsHandle, prefix: &str) {
-        self.obs = MemObs::register(obs, prefix);
-        self.obs.mark_published(&self.stats, self.hits, 0);
-    }
-
-    fn publish_obs(&self) {
-        self.obs.publish_counts(&self.stats, self.hits, 0);
-        self.obs.util.set(self.utilization());
-        if let Some(inj) = self.fault.as_ref() {
-            self.obs
-                .io_burst_remaining
-                .set(f64::from(inj.burst_remaining()));
-            self.obs
-                .retry_budget_spent
-                .set(self.resilience.retries() as f64);
-            self.obs
-                .io_backoff_ticks
-                .set(self.resilience.io_backoff_ticks as f64);
-        }
-    }
-
-    fn verify(&self) -> MosaicResult<()> {
-        invariants::check_frame_bijection(&self.frames, &self.resident)?;
-        invariants::check_swap_disjoint(&self.resident, &self.swapped)?;
-        invariants::check_lru_tracks_resident(&self.lru, &self.resident)?;
-        invariants::check_lru_order(&self.lru, &self.frames, self.resident.len())?;
-        if let Some(q) = self.quotas.as_ref() {
-            invariants::check_quota_accounting(q, &self.resident)?;
-        }
-        invariants::check_free_list_accounting(self.num_frames(), &self.free, &self.frames)
+    fn verify(mm: &LinuxMemory) -> MosaicResult<()> {
+        invariants::check_lru_tracks_resident(&mm.policy.lru, &mm.resident)?;
+        invariants::check_lru_order(&mm.policy.lru, &mm.frames, mm.resident.len())?;
+        mm.policy.free.verify(&mm.frames)
     }
 }
+
+impl Injectable for WatermarkLru {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{Asid, Vpn};
+    use crate::addr::Vpn;
+    use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
     use mosaic_iceberg::IcebergConfig;
 
     fn key(n: u64) -> PageKey {

@@ -189,11 +189,13 @@ impl FrameLru {
     }
 
     /// Number of frames in the list.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the list is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -210,6 +212,7 @@ impl FrameLru {
     /// # Panics
     ///
     /// Panics if `pfn` is outside the list's frame range.
+    #[inline]
     pub fn touch(&mut self, pfn: Pfn, now: u64) {
         let sentinel = self.sentinel();
         assert!(
@@ -237,6 +240,7 @@ impl FrameLru {
     }
 
     /// Removes `pfn`, returning its last-touch timestamp if present.
+    #[inline]
     pub fn remove(&mut self, pfn: Pfn) -> Option<u64> {
         if !self.contains(pfn) {
             return None;
@@ -257,6 +261,7 @@ impl FrameLru {
     }
 
     /// The least-recently-touched frame.
+    #[inline]
     pub fn oldest(&self) -> Option<Pfn> {
         let head = self.links[self.sentinel() as usize].next;
         (head != self.sentinel()).then_some(Pfn(u64::from(head)))

@@ -1,9 +1,10 @@
 //! The [`MemoryManager`] trait: the OS-side contract the simulator drives.
 //!
 //! Both memory systems under comparison — [`MosaicMemory`](crate::mosaic)
-//! and the unconstrained [`LinuxMemory`](crate::linux) baseline — implement
-//! this trait, so the swapping experiments (Tables 3–4) run the identical
-//! reference stream through either.
+//! and the unconstrained [`LinuxMemory`](crate::linux) baseline — are a
+//! [`PagingCore`](crate::paging::PagingCore), which implements this trait
+//! once, so the swapping experiments (Tables 3–4) run the identical
+//! reference stream through the identical paging path.
 
 use crate::addr::{Asid, PageKey, Pfn};
 use crate::error::MosaicResult;
@@ -79,27 +80,18 @@ pub trait MemoryManager {
     /// freed. This is process-exit reclaim: the pages' contents are dead,
     /// so eviction accounting (write-back, swap-out counters) does not
     /// apply. Callers owning TLBs must shoot down the ASID separately.
-    ///
-    /// The default does nothing and returns 0, for managers that never see
-    /// more than one address space.
-    fn release_asid(&mut self, _asid: Asid) -> u64 {
-        0
-    }
+    fn release_asid(&mut self, asid: Asid) -> u64;
 
     /// Sets (or replaces) `asid`'s working-set quota. Once any quota is
     /// set, eviction becomes quota-aware: a tenant at its cap self-evicts
     /// before displacing under-quota tenants, and allocations it cannot
-    /// self-serve defer with [`QuotaExceeded`] backpressure. The default
-    /// ignores quotas entirely (single-tenant managers).
+    /// self-serve defer with [`QuotaExceeded`] backpressure.
     ///
     /// [`QuotaExceeded`]: crate::error::MosaicError::QuotaExceeded
-    fn set_quota(&mut self, _asid: Asid, _quota: TenantQuota) {}
+    fn set_quota(&mut self, asid: Asid, quota: TenantQuota);
 
-    /// Quota backpressure counters (all-zero when no quota was ever set,
-    /// the default).
-    fn quota_stats(&self) -> QuotaStats {
-        QuotaStats::ZERO
-    }
+    /// Quota backpressure counters (all-zero when no quota was ever set).
+    fn quota_stats(&self) -> QuotaStats;
 
     /// Total physical frames managed.
     fn num_frames(&self) -> usize;
@@ -120,32 +112,27 @@ pub trait MemoryManager {
     /// Paging counters accumulated so far.
     fn stats(&self) -> &PagingStats;
 
-    /// Fault-injection and recovery counters. All-zero for managers without
-    /// an injector (the default).
-    fn resilience(&self) -> &ResilienceStats {
-        &ResilienceStats::ZERO
-    }
+    /// Fault-injection and recovery counters (all-zero without an
+    /// injector).
+    fn resilience(&self) -> &ResilienceStats;
 
     /// Checks the manager's internal structural invariants (frame-ownership
     /// bijection, accounting consistency, horizon monotonicity where
     /// applicable). The pressure driver calls this at configurable
-    /// intervals during fault-injection runs. The default does nothing.
-    fn verify(&self) -> MosaicResult<()> {
-        Ok(())
-    }
+    /// intervals during fault-injection runs.
+    fn verify(&self) -> MosaicResult<()>;
 
     /// Binds this manager's counters and events to `obs` under
     /// `<prefix>.*` names (see `docs/OBSERVABILITY.md` for the schema).
-    /// The default ignores the handle; managers that implement it must
-    /// keep behavior identical whether or not tracing is attached.
-    fn set_obs(&mut self, _obs: &ObsHandle, _prefix: &str) {}
+    /// Behavior is identical whether or not tracing is attached.
+    fn set_obs(&mut self, obs: &ObsHandle, prefix: &str);
 
     /// Publishes to the attached registry: the movement of the paging
     /// counters since the last publish, and the slow-moving gauges
     /// (utilization, horizon, ghost count). Accesses count only into
     /// the manager's own fields, so the driver calls this just before
-    /// every snapshot; the default does nothing.
-    fn publish_obs(&self) {}
+    /// every snapshot.
+    fn publish_obs(&self);
 
     /// Utilization milestones (first conflict, steady-state samples).
     fn utilization_tracker(&self) -> &UtilizationTracker;

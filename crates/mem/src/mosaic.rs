@@ -7,25 +7,44 @@
 //! **associativity conflict** occur; Horizon LRU then evicts the
 //! least-recently-used candidate and raises the global horizon to that
 //! page's access time, ghosting every page a true global LRU would have
-//! evicted by now.
+//! evicted by now. Residency, swap, eviction accounting, quotas and
+//! faults are the shared [`PagingCore`].
 
-use crate::addr::{PageKey, Pfn};
+use crate::addr::{Asid, PageKey, Pfn};
 use crate::cpfn::{Cpfn, CpfnCodec};
 use crate::error::{MosaicError, MosaicResult};
-use crate::fault::{FaultInjector, FaultPlan};
-use crate::frame::{FrameEntry, FrameTable};
 use crate::invariants;
 use crate::layout::MemoryLayout;
 use crate::lru::FrameLru;
-use crate::manager::{AccessKind, AccessOutcome, MemoryManager};
-use crate::obs::MemObs;
+use crate::manager::MemoryManager;
+use crate::paging::{Injectable, PagingCore, Policy};
 use crate::policy::MosaicPolicy;
-use crate::quota::{QuotaStats, QuotaTable, TenantQuota};
-use crate::shadow::ConcurrentShadow;
 use crate::scanner::{AccessScanner, ScannerConfig};
-use crate::stats::{PagingStats, ResilienceStats, UtilizationTracker};
-use mosaic_hash::{FastHashBuilder, FastHashMap, FastHashSet, XxFamily};
+use crate::shadow::ConcurrentShadow;
+use mosaic_hash::XxFamily;
 use mosaic_iceberg::{CandidateSet, SlotRef, Yard};
+
+/// Mosaic's placement and victim choice: Figure 3 over each page's
+/// candidate slots, with Horizon LRU (or a §2.4 alternative) on conflict.
+#[derive(Debug, Clone)]
+pub struct IcebergHorizon {
+    codec: CpfnCodec,
+    family: XxFamily,
+    /// The Horizon LRU high-water mark of evicted pages' access times.
+    horizon: u64,
+    eviction: MosaicPolicy,
+    /// Global LRU over the frames of resident pages; present only under
+    /// `ReservedCapacity`.
+    global_lru: Option<FrameLru>,
+    /// Live-page cap (equals `num_frames` except under `ReservedCapacity`).
+    live_budget: usize,
+    /// When present, timestamps come from the §3.2 scanning daemon rather
+    /// than being exact.
+    scanner: Option<AccessScanner>,
+    /// Concurrent-allocator mirror of the residency map; `None` (the
+    /// default) keeps every path byte-identical to the shadow-less manager.
+    shadow: Option<ConcurrentShadow>,
+}
 
 /// The Mosaic memory system: constrained allocation with ghost-page
 /// swapping.
@@ -43,52 +62,7 @@ use mosaic_iceberg::{CandidateSet, SlotRef, Yard};
 /// // The page's position compresses to a CPFN.
 /// assert!(mm.cpfn_of(key).is_some());
 /// ```
-#[derive(Debug, Clone)]
-pub struct MosaicMemory {
-    codec: CpfnCodec,
-    family: XxFamily,
-    frames: FrameTable,
-    /// Residency map: page -> backing frame, sized for every frame when
-    /// the manager is built so it never rehashes mid-run.
-    resident: FastHashMap<PageKey, Pfn>,
-    /// Pages whose only valid copy is on the swap device.
-    swapped: FastHashSet<PageKey>,
-    /// The Horizon LRU high-water mark of evicted pages' access times.
-    horizon: u64,
-    policy: MosaicPolicy,
-    /// Global LRU over the frames of resident pages; present only under
-    /// `ReservedCapacity`.
-    global_lru: Option<FrameLru>,
-    /// Live-page cap (equals `num_frames` except under `ReservedCapacity`).
-    live_budget: usize,
-    /// When present, timestamps come from the §3.2 scanning daemon rather
-    /// than being exact.
-    scanner: Option<AccessScanner>,
-    /// Per-tenant working-set quotas; `None` keeps every path
-    /// byte-identical to the quota-less manager.
-    quotas: Option<QuotaTable>,
-    /// Concurrent-allocator mirror of `resident`; `None` (the default)
-    /// keeps every path byte-identical to the shadow-less manager.
-    shadow: Option<ConcurrentShadow>,
-    /// When present, injects deterministic faults into allocation, swap
-    /// I/O, and cached translations (robustness experiments).
-    fault: Option<FaultInjector>,
-    resilience: ResilienceStats,
-    stats: PagingStats,
-    /// Live and ghost resident hits, which [`PagingStats`] does not
-    /// count: published as `<prefix>.hits` / `<prefix>.ghost_hits`.
-    hits: u64,
-    ghost_hits: u64,
-    util: UtilizationTracker,
-    /// Exported metric handles (no-ops unless `set_obs` binds them).
-    obs: MemObs,
-    /// Timestamp of the in-flight access, for event records emitted from
-    /// helpers that do not receive `now` (swap I/O, the alloc gate).
-    obs_now: u64,
-    /// ASID of the in-flight access, so evictions deep in the allocator
-    /// can be blamed on the tenant that forced them.
-    obs_requester: u16,
-}
+pub type MosaicMemory = PagingCore<IcebergHorizon>;
 
 impl MosaicMemory {
     /// Creates a manager over `layout` with the paper's Horizon LRU
@@ -101,44 +75,18 @@ impl MosaicMemory {
     pub fn with_policy(layout: MemoryLayout, seed: u64, policy: MosaicPolicy) -> Self {
         let cfg = *layout.config();
         let num_frames = layout.num_frames();
-        let live_budget = policy.live_budget(num_frames);
-        Self {
+        let placement = IcebergHorizon {
             codec: CpfnCodec::new(cfg),
             family: XxFamily::new(cfg.hash_count(), seed),
-            frames: FrameTable::new(layout),
-            resident: FastHashMap::with_capacity_and_hasher(num_frames, FastHashBuilder),
-            swapped: FastHashSet::default(),
             horizon: 0,
-            policy,
+            eviction: policy,
             global_lru: matches!(policy, MosaicPolicy::ReservedCapacity { .. })
                 .then(|| FrameLru::new(num_frames)),
-            live_budget,
+            live_budget: policy.live_budget(num_frames),
             scanner: None,
-            quotas: None,
             shadow: None,
-            fault: None,
-            resilience: ResilienceStats::new(),
-            stats: PagingStats::new(),
-            hits: 0,
-            ghost_hits: 0,
-            util: UtilizationTracker::new(),
-            obs: MemObs::noop(),
-            obs_now: 0,
-            obs_requester: 0,
-        }
-    }
-
-    /// Attaches a deterministic fault injector executing `plan`, seeded by
-    /// `seed`. With [`FaultPlan::NONE`] this is behaviorally identical to
-    /// not attaching one.
-    pub fn with_fault_injector(mut self, plan: FaultPlan, seed: u64) -> Self {
-        self.fault = Some(FaultInjector::new(plan, seed));
-        self
-    }
-
-    /// The fault injector, if one is attached.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.fault.as_ref()
+        };
+        Self::from_parts(layout, placement)
     }
 
     /// Attaches a [`ConcurrentShadow`]: from now on every residency-map
@@ -149,19 +97,18 @@ impl MosaicMemory {
     /// Purely observational: allocation decisions are unchanged, so all
     /// outputs stay byte-identical with the shadow on or off.
     pub fn enable_concurrent_shadow(&mut self) {
-        let mut sh = ConcurrentShadow::new(self.layout().config(), self.family);
-        let mut seed: Vec<(PageKey, Pfn)> =
-            self.resident.iter().map(|(&k, &p)| (k, p)).collect();
+        let mut sh = ConcurrentShadow::new(self.layout().config(), self.policy.family);
+        let mut seed: Vec<(PageKey, Pfn)> = self.resident_pages().collect();
         seed.sort_unstable_by_key(|&(k, _)| (k.hash_key(), k.asid.0, k.vpn.0));
         for (key, pfn) in seed {
             sh.note_install(key, pfn);
         }
-        self.shadow = Some(sh);
+        self.policy.shadow = Some(sh);
     }
 
     /// The concurrent-allocator mirror, if enabled.
     pub fn concurrent_shadow(&self) -> Option<&ConcurrentShadow> {
-        self.shadow.as_ref()
+        self.policy.shadow.as_ref()
     }
 
     /// Creates a manager whose access timestamps are produced by the
@@ -169,7 +116,7 @@ impl MosaicMemory {
     /// being exact — the fidelity the Linux prototype actually has.
     pub fn with_scanner(layout: MemoryLayout, seed: u64, cfg: ScannerConfig) -> Self {
         let mut mm = Self::new(layout, seed);
-        mm.scanner = Some(AccessScanner::new(
+        mm.policy.scanner = Some(AccessScanner::new(
             mm.frames.num_frames(),
             cfg,
             seed ^ 0x5CAB,
@@ -179,43 +126,32 @@ impl MosaicMemory {
 
     /// The scanning daemon, if timestamps are scanner-driven.
     pub fn scanner(&self) -> Option<&AccessScanner> {
-        self.scanner.as_ref()
+        self.policy.scanner.as_ref()
     }
 
     /// The eviction policy in force.
     pub fn policy(&self) -> MosaicPolicy {
-        self.policy
-    }
-
-    /// The memory layout.
-    pub fn layout(&self) -> &MemoryLayout {
-        self.frames.layout()
+        self.policy.eviction
     }
 
     /// The CPFN codec for this geometry.
     pub fn codec(&self) -> &CpfnCodec {
-        &self.codec
+        &self.policy.codec
     }
 
     /// The current Horizon LRU horizon.
     pub fn horizon(&self) -> u64 {
-        self.horizon
+        self.policy.horizon
     }
 
     /// Number of resident ghost pages (diagnostics).
     pub fn ghost_count(&self) -> usize {
-        self.frames.ghost_count(self.horizon)
+        self.frames.ghost_count(self.policy.horizon)
     }
 
     /// The candidate set of a page.
     pub fn candidates(&self, key: PageKey) -> CandidateSet {
-        CandidateSet::compute(&self.family, self.layout().config(), key.hash_key())
-    }
-
-    /// Iterates over all resident pages and their frames (inspection; the
-    /// order is unspecified).
-    pub fn resident_pages(&self) -> impl Iterator<Item = (PageKey, Pfn)> + '_ {
-        self.resident.iter().map(|(&k, &p)| (k, p))
+        CandidateSet::compute(&self.policy.family, self.layout().config(), key.hash_key())
     }
 
     /// The CPFN encoding of `key`'s current frame, if resident.
@@ -226,50 +162,23 @@ impl MosaicMemory {
         let pfn = *self.resident.get(&key)?;
         let slot = self.layout().slot_of_pfn(pfn);
         let cands = self.candidates(key);
-        Some(self.codec.encode_slot(&cands, slot))
-    }
-
-    /// Performs one (simulated) swap-device transfer, absorbing injected
-    /// errors with bounded retries and exponential backoff. The backoff is
-    /// counted in abstract ticks rather than slept.
-    fn swap_io(&mut self, write: bool) -> MosaicResult<()> {
-        let Some(max) = self.fault.as_ref().map(|i| i.plan().max_io_retries) else {
-            return Ok(());
-        };
-        let mut retries = 0u32;
-        loop {
-            let failed = self.fault.as_mut().is_some_and(|i| i.io_should_fail());
-            if !failed {
-                return Ok(());
-            }
-            self.resilience.io_faults_injected += 1;
-            self.obs.record_fault_injected(self.obs_now, "io");
-            if retries >= max {
-                self.resilience.io_failures += 1;
-                self.obs
-                    .record_fault_unrecovered(self.obs_now, "io", "budget-exhausted");
-                return Err(MosaicError::SwapIoFailed { retries, write });
-            }
-            retries += 1;
-            self.resilience.io_retries += 1;
-            self.resilience.io_backoff_ticks += 1u64 << retries.min(16);
-            self.obs.record_fault_recovered(self.obs_now, "io", "retry");
-        }
+        Some(self.policy.codec.encode_slot(&cands, slot))
     }
 
     /// Whether every candidate slot of `cands` holds a live page — the
     /// associativity-conflict predicate of Figure 3.
     fn candidates_fully_live(&self, cands: &CandidateSet) -> bool {
         let cfg = *self.layout().config();
+        let horizon = self.policy.horizon;
         self.frames.front_free_slot(cands.front_bucket).is_none()
             && self
                 .frames
-                .oldest_ghost_slot(cands.front_bucket, Yard::Front, self.horizon)
+                .oldest_ghost_slot(cands.front_bucket, Yard::Front, horizon)
                 .is_none()
             && cands
                 .back_buckets
                 .iter()
-                .all(|&b| self.frames.back_live_count(b, self.horizon) >= cfg.back_slots())
+                .all(|&b| self.frames.back_live_count(b, horizon) >= cfg.back_slots())
     }
 
     /// Gate at the top of every allocation: absorbs injected transient
@@ -321,12 +230,13 @@ impl MosaicMemory {
         self.obs.record_fault_injected(self.obs_now, "toc");
         let cands = self.candidates(key);
         let slot = self.layout().slot_of_pfn(pfn);
-        let cpfn = self.codec.encode_slot(&cands, slot);
-        let bits = self.codec.bits();
+        let codec = &self.policy.codec;
+        let cpfn = codec.encode_slot(&cands, slot);
+        let bits = codec.bits();
         let Some(corrupt) = self.fault.as_mut().map(|i| Cpfn(i.flip_bit(cpfn.0, bits))) else {
             return;
         };
-        let detected = match self.codec.try_decode_slot(&cands, corrupt) {
+        let detected = match self.policy.codec.try_decode_slot(&cands, corrupt) {
             // Not a valid encoding, or the unmapped sentinel: obviously bad.
             Err(_) | Ok(None) => true,
             // Decodes, but to a slot that does not hold this page. (A flip
@@ -344,88 +254,17 @@ impl MosaicMemory {
         }
     }
 
-    /// Evicts the page in `pfn`, doing swap-I/O accounting, and returns the
-    /// now-free frame. A failed write-back leaves the page resident.
-    /// `quota_self` marks quota-forced evictions (self-evict/trim) for the
-    /// fault-attribution table; other calls are charged as capacity or
-    /// cross-tenant displacement by comparing victim against requester.
-    fn evict_frame(&mut self, pfn: Pfn, quota_self: bool) -> MosaicResult<Pfn> {
-        let needs_writeback = self
-            .frames
-            .entry(pfn)
-            .ok_or(MosaicError::internal("evicting an unoccupied frame"))?
-            .eviction_needs_writeback();
-        // The swap write happens (and may fail) before the frame is torn
-        // down, so an I/O error aborts the eviction with the page intact.
-        if needs_writeback {
-            self.swap_io(true)?;
-        }
-        let entry = self.frames.evict(pfn);
-        self.obs
-            .attrib_evicted(self.obs_requester, entry.key.asid.0, quota_self);
-        self.resident.remove(&entry.key);
-        if let Some(sh) = self.shadow.as_mut() {
-            sh.note_remove(entry.key);
-        }
-        if let Some(lru) = self.global_lru.as_mut() {
-            lru.remove(pfn);
-        }
-        if let Some(q) = self.quotas.as_mut() {
-            q.note_evict(entry.key);
-        }
-        if let Some(sc) = self.scanner.as_mut() {
-            sc.reset(pfn);
-        }
-        if entry.is_ghost(self.horizon) {
-            self.stats.ghost_evictions += 1;
-        } else {
-            self.stats.live_evictions += 1;
-        }
-        if entry.eviction_needs_writeback() {
-            self.stats.swapped_out += 1;
-            self.swapped.insert(entry.key);
-        } else {
-            self.stats.clean_drops += 1;
-            if entry.has_swap_copy {
-                // The swap copy is still the page's contents.
-                self.swapped.insert(entry.key);
-            }
-            // Otherwise the page was never written: it is all zeros and
-            // simply reverts to untouched (next access is a minor fault).
-        }
+    /// Evicts the page in `slot` and returns its now-empty frame.
+    fn evict_slot(&mut self, slot: SlotRef, quota_self: bool) -> MosaicResult<Pfn> {
+        let pfn = self.layout().pfn_of_slot(slot);
+        self.evict(pfn, quota_self)?;
         Ok(pfn)
     }
 
-    /// Forgets page `key` entirely: frees its frame (if resident) and
-    /// drops any swap copy, with **no** swap I/O and no eviction
-    /// accounting — the page's contents are dead, not displaced. Returns
-    /// whether a frame was actually freed. Process-exit reclaim and
-    /// shared-location teardown go through here.
-    pub fn release(&mut self, key: PageKey) -> bool {
-        self.swapped.remove(&key);
-        let Some(pfn) = self.resident.remove(&key) else {
-            return false;
-        };
-        if let Some(sh) = self.shadow.as_mut() {
-            sh.note_remove(key);
-        }
-        let entry = self.frames.evict(pfn);
-        debug_assert_eq!(entry.key, key);
-        if let Some(lru) = self.global_lru.as_mut() {
-            lru.remove(pfn);
-        }
-        if let Some(q) = self.quotas.as_mut() {
-            q.note_evict(key);
-        }
-        if let Some(sc) = self.scanner.as_mut() {
-            sc.reset(pfn);
-        }
-        true
-    }
-
     /// Runs the scanning daemon when its interval has elapsed.
+    #[inline]
     fn run_scanner_if_due(&mut self, now: u64) {
-        if let Some(sc) = self.scanner.as_mut() {
+        if let Some(sc) = self.policy.scanner.as_mut() {
             if sc.due(now) {
                 sc.scan(&mut self.frames, now);
             }
@@ -436,18 +275,18 @@ impl MosaicMemory {
     /// policy, evicting if necessary. Fails only on injected faults that
     /// outlast their retry budget; no state is mutated past the point of
     /// failure, so the same fault may simply be re-taken later.
-    fn allocate_frame(&mut self, key: PageKey, _now: u64) -> MosaicResult<Pfn> {
+    fn allocate_frame(&mut self, key: PageKey) -> MosaicResult<Pfn> {
         self.alloc_gate(key)?;
 
         // Prior-work policy: hold live pages below (1 - δ)p by evicting
         // the *global* LRU page at capacity, so candidate slots are
         // (w.h.p.) never all full.
-        if let Some(lru) = self.global_lru.as_ref() {
-            if self.frames.resident() >= self.live_budget {
+        if let Some(lru) = self.policy.global_lru.as_ref() {
+            if self.frames.resident() >= self.policy.live_budget {
                 let pfn = lru
                     .oldest()
                     .ok_or(MosaicError::internal("resident pages are LRU-tracked"))?;
-                self.evict_frame(pfn, false)?;
+                self.evict(pfn, false)?;
             }
         }
 
@@ -456,11 +295,7 @@ impl MosaicMemory {
         // A tenant at its working-set quota takes a separate path: make
         // room out of its own pages, or defer the admission — never
         // displace another tenant's live page.
-        if self
-            .quotas
-            .as_ref()
-            .is_some_and(|q| q.at_capacity(key.asid))
-        {
+        if self.at_quota(key.asid) {
             return self.allocate_at_quota(key, &cands);
         }
 
@@ -488,23 +323,19 @@ impl MosaicMemory {
         // candidate, bit-for-bit.
         let victim_slot = match self.quota_conflict_victim(&cands) {
             Some(slot) if slot != lru_slot => {
-                if let Some(q) = self.quotas.as_mut() {
-                    q.note_quota_eviction();
-                }
-                self.obs.quota_evictions.inc();
+                self.note_quota_steered();
                 slot
             }
             _ => lru_slot,
         };
-        let pfn = self.layout().pfn_of_slot(victim_slot);
-        let freed = self.evict_frame(pfn, false)?;
-        if self.policy.uses_ghosts() {
+        let freed = self.evict_slot(victim_slot, false)?;
+        if self.policy.eviction.uses_ghosts() {
             // Raise the horizon to the candidate-set LRU's access time —
             // regardless of which victim quota ordering picked. A global
             // LRU would have evicted everything at least that old by
             // now, so the ghost census stays a sound (conservative)
             // under-approximation; see DESIGN.md §12.
-            self.horizon = self.horizon.max(lru_ts);
+            self.policy.horizon = self.policy.horizon.max(lru_ts);
         }
         Ok(freed)
     }
@@ -515,38 +346,37 @@ impl MosaicMemory {
     /// every candidate slot is live (the conflict predicate).
     fn non_displacing_frame(&mut self, cands: &CandidateSet) -> MosaicResult<Option<Pfn>> {
         let cfg = *self.layout().config();
+        let horizon = self.policy.horizon;
 
         // 1. Free front-yard slot.
         if let Some(slot) = self.frames.front_free_slot(cands.front_bucket) {
             return Ok(Some(self.layout().pfn_of_slot(slot)));
         }
         // 2. Ghost in the front yard: actually evict it, reuse its slot.
-        if let Some(slot) =
-            self.frames
-                .oldest_ghost_slot(cands.front_bucket, Yard::Front, self.horizon)
+        if let Some(slot) = self
+            .frames
+            .oldest_ghost_slot(cands.front_bucket, Yard::Front, horizon)
         {
-            let pfn = self.layout().pfn_of_slot(slot);
-            return self.evict_frame(pfn, false).map(Some);
+            return self.evict_slot(slot, false).map(Some);
         }
         // 3. Power-of-d-choices over the backyard, ghosts not counted.
         let emptiest = cands
             .back_buckets
             .iter()
             .copied()
-            .min_by_key(|&b| self.frames.back_live_count(b, self.horizon))
+            .min_by_key(|&b| self.frames.back_live_count(b, horizon))
             .ok_or(MosaicError::internal("d_choices >= 1"))?;
-        if self.frames.back_live_count(emptiest, self.horizon) < cfg.back_slots() {
+        if self.frames.back_live_count(emptiest, horizon) < cfg.back_slots() {
             if let Some(slot) = self.frames.back_free_slot(emptiest) {
                 return Ok(Some(self.layout().pfn_of_slot(slot)));
             }
             let slot = self
                 .frames
-                .oldest_ghost_slot(emptiest, Yard::Back, self.horizon)
+                .oldest_ghost_slot(emptiest, Yard::Back, horizon)
                 .ok_or(MosaicError::internal(
                     "live count below capacity implies a free or ghost slot",
                 ))?;
-            let pfn = self.layout().pfn_of_slot(slot);
-            return self.evict_frame(pfn, false).map(Some);
+            return self.evict_slot(slot, false).map(Some);
         }
         Ok(None)
     }
@@ -561,12 +391,8 @@ impl MosaicMemory {
     fn allocate_at_quota(&mut self, key: PageKey, cands: &CandidateSet) -> MosaicResult<Pfn> {
         if let Some(slot) = self.own_candidate_victim(cands, key.asid) {
             let pfn = self.layout().pfn_of_slot(slot);
-            let freed = self.evict_frame(pfn, true)?;
-            if let Some(q) = self.quotas.as_mut() {
-                q.note_self_eviction();
-            }
-            self.obs.quota_self_evictions.inc();
-            return Ok(freed);
+            self.evict_own(pfn)?;
+            return Ok(pfn);
         }
         let has_own = self
             .quotas
@@ -577,39 +403,12 @@ impl MosaicMemory {
                 return Ok(pfn);
             }
         }
-        self.defer_quota(key)
-    }
-
-    /// Charges a deferred admission (backoff counted, not slept) and
-    /// returns the typed backpressure error. No state past the quota
-    /// table's streak counter is mutated, so the access can be retried.
-    fn defer_quota(&mut self, key: PageKey) -> MosaicResult<Pfn> {
-        let (resident, quota) = self
-            .quotas
-            .as_ref()
-            .map(|q| {
-                (
-                    q.resident(key.asid) as u64,
-                    q.quota(key.asid).map_or(0, |t| t.frames as u64),
-                )
-            })
-            .unwrap_or((0, 0));
-        let ticks = self
-            .quotas
-            .as_mut()
-            .map_or(0, |q| q.note_deferred(key.asid));
-        self.obs
-            .record_quota_deferred(self.obs_now, key.asid.0, ticks);
-        Err(MosaicError::QuotaExceeded {
-            asid: key.asid.0,
-            resident,
-            quota,
-        })
+        Err(self.defer_quota(key.asid))
     }
 
     /// The least-recently-used page *owned by `asid`* among the candidate
     /// slots, if any (self-eviction victim).
-    fn own_candidate_victim(&self, cands: &CandidateSet, asid: crate::addr::Asid) -> Option<SlotRef> {
+    fn own_candidate_victim(&self, cands: &CandidateSet, asid: Asid) -> Option<SlotRef> {
         let cfg = *self.layout().config();
         cands
             .slots(&cfg)
@@ -648,7 +447,7 @@ impl MosaicMemory {
     /// slot). A failed write-back under injected I/O faults stops the
     /// trim — the tenant stays transiently over quota and the next fault
     /// resumes trimming.
-    fn quota_trim(&mut self, asid: crate::addr::Asid) {
+    fn quota_trim(&mut self, asid: Asid) {
         loop {
             let victim = match self.quotas.as_ref() {
                 Some(q) if q.over_quota(asid) => q.own_lru_oldest(asid),
@@ -660,241 +459,98 @@ impl MosaicMemory {
                 // verify() census would flag the drift).
                 return;
             };
-            if self.evict_frame(pfn, true).is_err() {
+            if self.evict_own(pfn).is_err() {
                 return;
             }
-            if let Some(q) = self.quotas.as_mut() {
-                q.note_self_eviction();
-            }
-            self.obs.quota_self_evictions.inc();
         }
     }
 }
 
-impl MemoryManager for MosaicMemory {
-    fn try_access(
-        &mut self,
-        key: PageKey,
-        kind: AccessKind,
-        now: u64,
-    ) -> MosaicResult<AccessOutcome> {
-        self.stats.accesses += 1;
-        self.obs_now = now;
-        self.obs_requester = key.asid.0;
+impl Policy for IcebergHorizon {
+    #[inline]
+    fn horizon(&self) -> u64 {
+        self.horizon
+    }
 
-        if let Some(&pfn) = self.resident.get(&key) {
-            let was_ghost = self
-                .frames
-                .entry(pfn)
-                .ok_or(MosaicError::internal(
-                    "resident map points at unoccupied frame",
-                ))?
-                .is_ghost(self.horizon);
-            match self.scanner.as_mut() {
-                Some(sc) => {
-                    // Hardware sets the access bit; the daemon will
-                    // refresh the timestamp at its next scan.
-                    sc.mark(pfn);
-                    if kind.is_write() {
-                        self.frames.mark_dirty(pfn);
-                    }
+    #[inline]
+    fn hit(mm: &mut MosaicMemory, key: PageKey, pfn: Pfn, write: bool, now: u64) {
+        match mm.policy.scanner.as_mut() {
+            Some(sc) => {
+                // Hardware sets the access bit; the daemon will
+                // refresh the timestamp at its next scan.
+                sc.mark(pfn);
+                if write {
+                    mm.frames.mark_dirty(pfn);
                 }
-                None => self.frames.touch(pfn, now, kind.is_write()),
             }
-            if let Some(lru) = self.global_lru.as_mut() {
-                lru.touch(pfn, now);
-            }
-            if let Some(q) = self.quotas.as_mut() {
-                q.note_touch(key, now);
-            }
-            self.run_scanner_if_due(now);
-            if self.fault.is_some() {
-                self.maybe_corrupt_translation(key, pfn);
-            }
-            return Ok(if was_ghost {
-                self.ghost_hits += 1;
-                AccessOutcome::GhostHit
-            } else {
-                self.hits += 1;
-                AccessOutcome::Hit
-            });
+            None => mm.frames.touch(pfn, now, write),
         }
+        if let Some(lru) = mm.policy.global_lru.as_mut() {
+            lru.touch(pfn, now);
+        }
+        mm.run_scanner_if_due(now);
+        if mm.fault.is_some() {
+            mm.maybe_corrupt_translation(key, pfn);
+        }
+    }
 
-        let from_swap = self.swapped.contains(&key);
-        let pfn = self.allocate_frame(key, now)?;
-        if from_swap {
-            // The swap-in read; if it fails for good the page stays on the
-            // swap device and the freed frame stays free — consistent, and
-            // the access can be retried.
-            self.swap_io(false)?;
-            self.swapped.remove(&key);
-        }
-        let entry = FrameEntry {
-            key,
-            last_access: now,
-            dirty: kind.is_write(),
-            has_swap_copy: from_swap && !kind.is_write(),
-        };
-        self.frames.install(pfn, entry);
-        self.resident.insert(key, pfn);
-        if let Some(sh) = self.shadow.as_mut() {
+    #[inline]
+    fn place(mm: &mut MosaicMemory, key: PageKey) -> MosaicResult<Pfn> {
+        mm.allocate_frame(key)
+    }
+
+    #[inline]
+    fn installed(mm: &mut MosaicMemory, key: PageKey, pfn: Pfn, now: u64) {
+        let placement = &mut mm.policy;
+        if let Some(sh) = placement.shadow.as_mut() {
             sh.note_install(key, pfn);
         }
-        if let Some(q) = self.quotas.as_mut() {
-            q.note_install(key, now);
-        }
-        if let Some(sc) = self.scanner.as_mut() {
+        if let Some(sc) = placement.scanner.as_mut() {
             // Fault time is known to the OS exactly; history restarts.
             sc.reset(pfn);
             sc.mark(pfn);
         }
-        if let Some(lru) = self.global_lru.as_mut() {
+        if let Some(lru) = placement.global_lru.as_mut() {
             lru.touch(pfn, now);
         }
-        self.run_scanner_if_due(now);
-        let outcome = if from_swap {
-            self.stats.major_faults += 1;
-            self.stats.swapped_in += 1;
-            AccessOutcome::MajorFault
-        } else {
-            self.stats.minor_faults += 1;
-            self.obs.attrib_cold(key.asid.0);
-            AccessOutcome::MinorFault
-        };
+        mm.run_scanner_if_due(now);
+    }
+
+    #[inline]
+    fn faulted(mm: &mut MosaicMemory, key: PageKey) {
         // If a capped tenant took a non-displacing slot, rebalance by
         // evicting its own LRU pages back down to quota.
-        self.quota_trim(key.asid);
-        Ok(outcome)
+        mm.quota_trim(key.asid);
     }
 
-    fn set_obs(&mut self, obs: &mosaic_obs::ObsHandle, prefix: &str) {
-        self.obs = MemObs::register(obs, prefix);
-        self.obs
-            .mark_published(&self.stats, self.hits, self.ghost_hits);
-    }
-
-    fn publish_obs(&self) {
-        self.obs
-            .publish_counts(&self.stats, self.hits, self.ghost_hits);
-        self.obs.util.set(self.utilization());
-        self.obs.horizon.set(self.horizon as f64);
-        self.obs.ghosts.set(self.ghost_count() as f64);
-        if let Some(inj) = self.fault.as_ref() {
-            self.obs
-                .io_burst_remaining
-                .set(f64::from(inj.burst_remaining()));
-            self.obs
-                .retry_budget_spent
-                .set(self.resilience.retries() as f64);
-            self.obs
-                .io_backoff_ticks
-                .set(self.resilience.io_backoff_ticks as f64);
+    #[inline]
+    fn vacated(&mut self, pfn: Pfn, key: PageKey) {
+        if let Some(sh) = self.shadow.as_mut() {
+            sh.note_remove(key);
+        }
+        if let Some(lru) = self.global_lru.as_mut() {
+            lru.remove(pfn);
+        }
+        if let Some(sc) = self.scanner.as_mut() {
+            sc.reset(pfn);
         }
     }
 
-    fn resident_pfn(&self, key: PageKey) -> Option<Pfn> {
-        self.resident.get(&key).copied()
-    }
-
-    fn release_asid(&mut self, asid: crate::addr::Asid) -> u64 {
-        let mut keys: Vec<PageKey> = self
-            .resident
-            .keys()
-            .chain(self.swapped.iter())
-            .filter(|k| k.asid == asid)
-            .copied()
-            .collect();
-        // Iceberg placement depends only on table state, not release
-        // order, but a deterministic order keeps replays auditable. The
-        // hash key is injective today (asserted in PageKey::new); the
-        // (asid, vpn) tiebreak keeps the order total even if the packing
-        // ever stops being so, so racing frees can never reorder victims.
-        keys.sort_unstable_by_key(|k| (k.hash_key(), k.asid.0, k.vpn.0));
-        let mut freed = 0;
-        for key in keys {
-            if self.release(key) {
-                freed += 1;
-            }
+    fn verify(mm: &MosaicMemory) -> MosaicResult<()> {
+        invariants::check_ghost_census(&mm.frames, mm.policy.horizon)?;
+        if let Some(lru) = mm.policy.global_lru.as_ref() {
+            invariants::check_lru_tracks_resident(lru, &mm.resident)?;
+            invariants::check_lru_order(lru, &mm.frames, mm.resident.len())?;
         }
-        if let Some(q) = self.quotas.as_mut() {
-            q.remove_tenant(asid);
-        }
-        self.obs.attrib_shootdown(asid.0, freed);
-        freed
-    }
-
-    fn set_quota(&mut self, asid: crate::addr::Asid, quota: TenantQuota) {
-        let table = self.quotas.get_or_insert_with(QuotaTable::new);
-        table.set(asid, quota);
-        if table.resident(asid) == 0 {
-            // Seed the table from pages resident before the quota existed,
-            // in a deterministic (timestamp, key) order so replays agree.
-            let mut seed: Vec<(u64, PageKey)> = self
-                .resident
-                .iter()
-                .filter(|(k, _)| k.asid == asid)
-                .filter_map(|(&k, &pfn)| {
-                    self.frames.entry(pfn).map(|e| (e.last_access, k))
-                })
-                .collect();
-            seed.sort_unstable_by_key(|&(ts, k)| (ts, k.hash_key()));
-            if let Some(table) = self.quotas.as_mut() {
-                for (ts, k) in seed {
-                    table.note_install(k, ts);
-                }
-            }
-        }
-    }
-
-    fn quota_stats(&self) -> QuotaStats {
-        self.quotas.as_ref().map_or(QuotaStats::ZERO, |q| q.stats())
-    }
-
-    fn num_frames(&self) -> usize {
-        self.frames.num_frames()
-    }
-
-    fn resident_frames(&self) -> usize {
-        self.frames.resident()
-    }
-
-    fn stats(&self) -> &PagingStats {
-        &self.stats
-    }
-
-    fn utilization_tracker(&self) -> &UtilizationTracker {
-        &self.util
-    }
-
-    fn sample_utilization(&mut self) {
-        let u = self.utilization();
-        self.util.sample(u);
-    }
-
-    fn resilience(&self) -> &ResilienceStats {
-        &self.resilience
-    }
-
-    fn verify(&self) -> MosaicResult<()> {
-        invariants::check_frame_bijection(&self.frames, &self.resident)?;
-        invariants::check_swap_disjoint(&self.resident, &self.swapped)?;
-        invariants::check_ghost_census(&self.frames, self.horizon)?;
-        if let Some(lru) = self.global_lru.as_ref() {
-            invariants::check_lru_tracks_resident(lru, &self.resident)?;
-            invariants::check_lru_order(lru, &self.frames, self.resident.len())?;
-        }
-        if let Some(q) = self.quotas.as_ref() {
-            invariants::check_quota_accounting(q, &self.resident)?;
-        }
-        if let Some(sh) = self.shadow.as_ref() {
-            sh.verify_against(&self.resident)?;
+        if let Some(sh) = mm.policy.shadow.as_ref() {
+            sh.verify_against(&mm.resident)?;
         }
         // Placement: every resident page sits inside its candidate set,
         // so every CPFN stays decodable.
-        let cfg = *self.layout().config();
-        for (pfn, entry) in self.frames.iter_resident() {
-            let slot = self.layout().slot_of_pfn(pfn);
-            if self.candidates(entry.key).index_of_slot(&cfg, slot).is_none() {
+        let cfg = *mm.layout().config();
+        for (pfn, entry) in mm.frames.iter_resident() {
+            let slot = mm.layout().slot_of_pfn(pfn);
+            if mm.candidates(entry.key).index_of_slot(&cfg, slot).is_none() {
                 return Err(MosaicError::invariant(
                     "candidate-placement",
                     format!("{:?} at {pfn:?} is outside its candidate set", entry.key),
@@ -905,9 +561,12 @@ impl MemoryManager for MosaicMemory {
     }
 }
 
+impl Injectable for IcebergHorizon {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::{AccessKind, AccessOutcome};
     use crate::addr::{Asid, Vpn};
     use mosaic_iceberg::IcebergConfig;
 
@@ -1167,6 +826,7 @@ mod tests {
 #[cfg(test)]
 mod quota_tests {
     use super::*;
+    use crate::manager::{AccessKind, AccessOutcome};
     use crate::addr::{Asid, Vpn};
     use crate::quota::TenantQuota;
     use mosaic_iceberg::IcebergConfig;
@@ -1286,6 +946,7 @@ mod quota_tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
+    use crate::manager::AccessKind;
     use crate::addr::{Asid, Vpn};
     use mosaic_iceberg::IcebergConfig;
 
@@ -1405,6 +1066,7 @@ mod policy_tests {
 #[cfg(test)]
 mod scanner_mode_tests {
     use super::*;
+    use crate::manager::AccessKind;
     use crate::addr::{Asid, Vpn};
     use crate::scanner::ScannerConfig;
     use mosaic_iceberg::IcebergConfig;

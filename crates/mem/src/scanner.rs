@@ -97,11 +97,13 @@ impl AccessScanner {
     }
 
     /// Hardware sets the frame's access bit (called on every access).
+    #[inline]
     pub fn mark(&mut self, pfn: Pfn) {
         self.marked[pfn.0 as usize] = true;
     }
 
     /// Resets daemon state for a frame that changed owners.
+    #[inline]
     pub fn reset(&mut self, pfn: Pfn) {
         self.marked[pfn.0 as usize] = false;
         self.history[pfn.0 as usize] = 0;
@@ -113,6 +115,7 @@ impl AccessScanner {
     }
 
     /// Whether a scan is due at time `now`.
+    #[inline]
     pub fn due(&self, now: u64) -> bool {
         now >= self.last_scan + self.cfg.interval
     }

@@ -4,10 +4,12 @@
 
 use mosaic_mem::clock::ClockMemory;
 use mosaic_mem::lru::{FrameLru, LruIndex};
+use mosaic_mem::paging::Policy;
 use mosaic_mem::prelude::*;
+use mosaic_mem::PagingCore;
 use mosaic_obs::ObsHandle;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn drive(manager: &mut dyn MemoryManager, pattern: &[u64]) {
     let mut now = 0;
@@ -76,9 +78,109 @@ fn check_published(
     Ok(())
 }
 
+/// A two-tenant access: the second ASID or the first, a page, a store
+/// or a load.
+type TenantOp = (bool, u64, bool);
+
+fn tenant_access(&(second, vpn, write): &TenantOp) -> (PageKey, AccessKind) {
+    let key = PageKey::new(Asid::new(1 + u16::from(second)), Vpn::new(vpn));
+    let kind = if write {
+        AccessKind::Store
+    } else {
+        AccessKind::Load
+    };
+    (key, kind)
+}
+
+/// The resident pages of `asid` among `keys`, with their frames.
+fn resident_of(
+    m: &dyn MemoryManager,
+    keys: &BTreeSet<PageKey>,
+    asid: Asid,
+) -> BTreeMap<PageKey, Pfn> {
+    keys.iter()
+        .filter(|k| k.asid == asid)
+        .filter_map(|&k| m.resident_pfn(k).map(|pfn| (k, pfn)))
+        .collect()
+}
+
+/// Drives `ops` through a fault-injected manager. After every failed
+/// access the manager must verify, the page must not be resident, and
+/// whether it is on swap must not have changed.
+fn drive_through_faults<P: Policy>(
+    m: &mut PagingCore<P>,
+    ops: &[TenantOp],
+) -> Result<(), TestCaseError> {
+    for (i, op) in ops.iter().enumerate() {
+        let (key, kind) = tenant_access(op);
+        let was_swapped = m.is_swapped(key);
+        if let Err(e) = m.try_access(key, kind, i as u64 + 1) {
+            prop_assert!(e.is_transient(), "not a retryable error: {}", e);
+            if let Err(v) = m.verify() {
+                prop_assert!(false, "after `{}` at op {}: {}", e, i, v);
+            }
+            prop_assert!(
+                m.resident_pfn(key).is_none(),
+                "failed access mapped {} in",
+                key
+            );
+            prop_assert_eq!(
+                m.is_swapped(key),
+                was_swapped,
+                "failed access moved {} on or off swap",
+                key
+            );
+        }
+    }
+    if let Err(v) = m.verify() {
+        prop_assert!(false, "at the end: {}", v);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Exit reclaim, for all three managers, after two tenants have
+    /// interleaved past the size of memory: releasing one frees exactly
+    /// its resident frames, leaves every page of the other where it was,
+    /// does no swap I/O, drops the released tenant's swap copies (each
+    /// of its pages comes back zero-filled) and keeps every invariant.
+    #[test]
+    fn release_asid_frees_exactly_that_tenants_frames(
+        ops in prop::collection::vec((any::<bool>(), 0u64..400, any::<bool>()), 1..1500),
+        second in any::<bool>(),
+    ) {
+        let layout = MemoryLayout::new(IcebergConfig::paper_default(8)); // 512 frames
+        let mut mosaic = MosaicMemory::new(layout, 5);
+        let mut linux = LinuxMemory::new(layout);
+        let mut clock = ClockMemory::new(layout);
+        let (gone, kept) = if second { (Asid::new(2), Asid::new(1)) } else { (Asid::new(1), Asid::new(2)) };
+        for m in [&mut mosaic as &mut dyn MemoryManager, &mut linux, &mut clock] {
+            let mut touched = BTreeSet::new();
+            let mut now = 0;
+            for op in &ops {
+                let (key, kind) = tenant_access(op);
+                now += 1;
+                m.access(key, kind, now);
+                touched.insert(key);
+            }
+            let freed = resident_of(m, &touched, gone).len() as u64;
+            let kept_before = resident_of(m, &touched, kept);
+            let stats = *m.stats();
+            prop_assert_eq!(m.release_asid(gone), freed);
+            prop_assert!(resident_of(m, &touched, gone).is_empty());
+            prop_assert_eq!(resident_of(m, &touched, kept), kept_before);
+            prop_assert_eq!(*m.stats(), stats, "exit reclaim does no I/O and no eviction accounting");
+            if let Err(e) = m.verify() {
+                prop_assert!(false, "after release_asid: {}", e);
+            }
+            for &key in touched.iter().filter(|k| k.asid == gone) {
+                now += 1;
+                prop_assert_eq!(m.access(key, AccessKind::Load, now), AccessOutcome::MinorFault);
+            }
+        }
+    }
     /// Conservation laws hold for all three managers on arbitrary streams.
     #[test]
     fn managers_conserve(pattern in prop::collection::vec(0u64..1500, 1..3000)) {
@@ -380,5 +482,49 @@ proptest! {
         drive(&mut mosaic, &pattern);
         let ghosts = mosaic.ghost_count();
         prop_assert!(ghosts <= mosaic.resident_frames());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fault path leaves Mosaic and Linux consistent under injected
+    /// swap-I/O bursts and allocation failures, with and without a quota
+    /// on one tenant (so quota deferrals and quota-forced write-backs
+    /// fail too), and every injected fault is accounted as recovered or
+    /// unrecovered under each manager's prefix.
+    #[test]
+    fn failed_accesses_leave_managers_consistent(
+        ops in prop::collection::vec((any::<bool>(), 0u64..400, any::<bool>()), 1..1000),
+        io_ppm in 0u32..200_000,
+        burst in 0u32..6,
+        alloc_ppm in 0u32..400_000,
+        quota in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let layout = MemoryLayout::new(IcebergConfig::paper_default(8)); // 512 frames
+        let plan = FaultPlan::NONE
+            .with_io_failures(io_ppm, burst)
+            .with_alloc_failures(alloc_ppm);
+        let obs = ObsHandle::enabled();
+        let mut mosaic = MosaicMemory::new(layout, seed).with_fault_injector(plan, seed);
+        let mut linux = LinuxMemory::new(layout).with_fault_injector(plan, seed);
+        mosaic.set_obs(&obs, "mosaic");
+        linux.set_obs(&obs, "linux");
+        if quota {
+            let cap = TenantQuota { frames: 64, priority: 0 };
+            mosaic.set_quota(Asid::new(1), cap);
+            linux.set_quota(Asid::new(1), cap);
+        }
+        drive_through_faults(&mut mosaic, &ops)?;
+        drive_through_faults(&mut linux, &ops)?;
+        for prefix in ["mosaic", "linux"] {
+            let count = |name: &str| obs.counter_value(&format!("{prefix}.fault.{name}"));
+            prop_assert_eq!(
+                count("injected"),
+                count("recovered") + count("unrecovered"),
+                "{}: every injected fault is recovered or not", prefix
+            );
+        }
     }
 }
