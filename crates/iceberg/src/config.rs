@@ -34,14 +34,18 @@ pub const PAPER_FRONT_SLOTS: usize = 56;
 pub const PAPER_BACK_SLOTS: usize = 8;
 /// Paper-default number of backyard choices (§3.1).
 pub const PAPER_D_CHOICES: usize = 6;
+/// Most backyard choices a geometry may have: a
+/// [`CandidateSet`](crate::CandidateSet) holds its choices inline.
+pub const MAX_D_CHOICES: usize = 8;
 
 impl IcebergConfig {
     /// Creates a configuration with explicit geometry.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero, or if `d_choices > num_buckets`
-    /// (the power-of-d-choices needs `d` distinct buckets to choose among).
+    /// Panics if any dimension is zero, if `d_choices > num_buckets`
+    /// (the power-of-d-choices needs `d` distinct buckets to choose among),
+    /// or if `d_choices > MAX_D_CHOICES`.
     pub fn new(
         num_buckets: usize,
         front_slots: usize,
@@ -55,6 +59,10 @@ impl IcebergConfig {
         assert!(
             d_choices <= num_buckets,
             "d_choices ({d_choices}) cannot exceed num_buckets ({num_buckets})"
+        );
+        assert!(
+            d_choices <= MAX_D_CHOICES,
+            "d_choices ({d_choices}) cannot exceed {MAX_D_CHOICES}"
         );
         Self {
             num_buckets,
@@ -202,6 +210,12 @@ mod tests {
     #[should_panic(expected = "cannot exceed num_buckets")]
     fn too_many_choices_panics() {
         IcebergConfig::new(4, 56, 8, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot exceed 8")]
+    fn choices_beyond_inline_capacity_panic() {
+        IcebergConfig::new(16, 56, 8, MAX_D_CHOICES + 1);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! guaranteeing that the OS allocator and the (simulated) TLB hardware agree
 //! on every key's candidate set.
 
-use crate::config::IcebergConfig;
+use crate::config::{IcebergConfig, MAX_D_CHOICES};
 use mosaic_hash::HashFamily;
+use std::ops::Deref;
 
 /// Which yard a slot belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,14 +35,33 @@ pub struct SlotRef {
 /// The candidate buckets for one key: one front-yard bucket plus `d`
 /// backyard buckets (duplicates possible — the scheme is robust to hash
 /// collisions among the `d` choices, §2.5).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CandidateSet {
     /// The front-yard bucket (hash function 0).
     pub front_bucket: usize,
     /// The backyard buckets (hash functions `1..=d`), in choice order.
     /// `back_buckets[i]` corresponds to backyard-choice index `i` in the
     /// CPFN encoding.
-    pub back_buckets: Vec<usize>,
+    pub back_buckets: BackBuckets,
+}
+
+/// A candidate set's `d` backyard buckets, held inline so computing a
+/// candidate set allocates nothing; reads as a slice in choice order.
+/// Entries past `len` stay zero, so the derived comparisons and hash
+/// see only the choices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BackBuckets {
+    len: usize,
+    buckets: [usize; MAX_D_CHOICES],
+}
+
+impl Deref for BackBuckets {
+    type Target = [usize];
+
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        &self.buckets[..self.len]
+    }
 }
 
 impl CandidateSet {
@@ -59,9 +79,14 @@ impl CandidateSet {
         );
         let n = cfg.num_buckets();
         let front_bucket = family.hash_to(key, 0, n);
-        let back_buckets = (1..=cfg.d_choices())
-            .map(|i| family.hash_to(key, i, n))
-            .collect();
+        let d = cfg.d_choices();
+        let mut back_buckets = BackBuckets {
+            len: d,
+            buckets: [0; MAX_D_CHOICES],
+        };
+        for (i, b) in back_buckets.buckets[..d].iter_mut().enumerate() {
+            *b = family.hash_to(key, i + 1, n);
+        }
         Self {
             front_bucket,
             back_buckets,

@@ -9,6 +9,7 @@
 use crate::addr::{PageKey, Pfn};
 use crate::layout::MemoryLayout;
 use mosaic_iceberg::{CandidateSet, SlotRef, Yard};
+use std::hint::select_unpredictable;
 
 /// The page occupying a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +37,62 @@ impl FrameEntry {
     pub fn eviction_needs_writeback(&self) -> bool {
         self.dirty
     }
+}
+
+/// An order on pages for [`FrameTable::scan_yard`]. The search for the
+/// least page starts from `MAX`, a sentinel rather than a page.
+pub trait Rank: Ord + Copy {
+    /// The greatest rank.
+    const MAX: Self;
+}
+
+macro_rules! rank_max {
+    ($($t:ty => $max:expr),*) => { $(impl Rank for $t { const MAX: Self = $max; })* };
+}
+rank_max!(u64 => u64::MAX, (u8, u64) => (u8::MAX, u64::MAX),
+    ((u8, u8), u64) => ((u8::MAX, u8::MAX), u64::MAX));
+
+/// What one [`FrameTable::scan_yard`] pass finds in a bucket's yard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct YardScan<K> {
+    /// The first free frame.
+    pub free: Option<Pfn>,
+    /// The oldest ghost's access time and frame.
+    pub ghost: Option<(u64, Pfn)>,
+    /// Live (non-ghost) pages, the occupancy power-of-d-choices compares:
+    /// ghosts do not count (§2.4).
+    pub live: usize,
+    /// The page of least rank: its rank and frame. When no page ranks
+    /// below [`Rank::MAX`], that and the yard's first frame.
+    pub least: (K, Pfn),
+}
+
+/// Where Figure 3 puts a faulting page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// A free frame (steps 1 and 3).
+    Free(Pfn),
+    /// A ghost's frame, once the ghost is evicted (steps 2 and 3).
+    Ghost(Pfn),
+    /// Every candidate slot is live (step 4): the associativity conflict,
+    /// with the least-recently-used candidate page and its access time.
+    Conflict {
+        /// The frame of the candidate-set LRU page.
+        lru: Pfn,
+        /// That page's access time.
+        ts: u64,
+    },
+}
+
+/// `cands`' backyard buckets in choice order, each once: a repeated
+/// choice names the same frames again, later in canonical order, so it
+/// can never hold a first minimum or be the first emptiest choice.
+fn distinct_backyards(cands: &CandidateSet) -> impl Iterator<Item = usize> + '_ {
+    let back = &cands.back_buckets;
+    back.iter()
+        .enumerate()
+        .filter(|&(i, b)| !back[..i].contains(b))
+        .map(|(_, &b)| b)
 }
 
 /// Per-frame state for the whole of physical memory.
@@ -151,65 +208,114 @@ impl FrameTable {
         entry.has_swap_copy = false;
     }
 
-    /// First free front-yard slot of `bucket`, if any.
-    pub fn front_free_slot(&self, bucket: usize) -> Option<SlotRef> {
-        self.yard_free_slot(bucket, Yard::Front)
-    }
-
-    /// First free backyard slot of `bucket`, if any.
-    pub fn back_free_slot(&self, bucket: usize) -> Option<SlotRef> {
-        self.yard_free_slot(bucket, Yard::Back)
-    }
-
-    fn yard_slots(&self, bucket: usize, yard: Yard) -> impl Iterator<Item = SlotRef> {
-        let n = match yard {
-            Yard::Front => self.layout.config().front_slots(),
-            Yard::Back => self.layout.config().back_slots(),
+    /// One pass over `bucket`'s `yard`, read as the contiguous frames
+    /// that back it (frames are bucket-major): the first free frame, the
+    /// oldest ghost, the live count and the page of least `rank`. A page
+    /// accessed at the horizon is live, and each minimum is the first in
+    /// slot order. With `to_free` the pass ends at the first free frame,
+    /// and the other fields cover only the frames before it.
+    #[inline]
+    pub fn scan_yard<K: Rank>(
+        &self,
+        bucket: usize,
+        yard: Yard,
+        to_free: bool,
+        horizon: u64,
+        rank: impl Fn(&FrameEntry) -> K,
+    ) -> YardScan<K> {
+        let cfg = self.layout.config();
+        let base = bucket * cfg.slots_per_bucket();
+        let (start, len) = match yard {
+            Yard::Front => (base, cfg.front_slots()),
+            Yard::Back => (base + cfg.front_slots(), cfg.back_slots()),
         };
-        (0..n).map(move |slot| SlotRef { yard, bucket, slot })
+        // The minima start from sentinels rather than `Option`s, so each
+        // update compiles to conditional moves: which page is older, or a
+        // ghost, is a coin flip to the branch predictor. A ghost's access
+        // time is below the horizon, so below u64::MAX.
+        let (mut free, mut live) = (usize::MAX, 0);
+        let (mut ghost, mut ghost_at) = (u64::MAX, 0);
+        let (mut least, mut least_at) = (K::MAX, 0);
+        for (i, cell) in self.frames[start..start + len].iter().enumerate() {
+            let Some(e) = cell else {
+                free = free.min(i);
+                if to_free {
+                    break;
+                }
+                continue;
+            };
+            let is_ghost = e.is_ghost(horizon);
+            live += usize::from(!is_ghost);
+            let ts = select_unpredictable(is_ghost, e.last_access, u64::MAX);
+            if ts < ghost {
+                (ghost, ghost_at) = (ts, i);
+            }
+            let k = rank(e);
+            if k < least {
+                (least, least_at) = (k, i);
+            }
+        }
+        let pfn = |i: usize| Pfn((start + i) as u64);
+        YardScan {
+            free: (free != usize::MAX).then(|| pfn(free)),
+            ghost: (ghost != u64::MAX).then(|| (ghost, pfn(ghost_at))),
+            live,
+            least: (least, pfn(least_at)),
+        }
     }
 
-    fn yard_free_slot(&self, bucket: usize, yard: Yard) -> Option<SlotRef> {
-        self.yard_slots(bucket, yard)
-            .find(|&s| self.slot_entry(s).is_none())
+    /// The candidate page of least `rank` below [`Rank::MAX`], the first
+    /// in canonical (CPFN-encoding) order on a tie.
+    pub fn candidate_min<K: Rank>(
+        &self,
+        cands: &CandidateSet,
+        rank: impl Fn(&FrameEntry) -> K + Copy,
+    ) -> Option<(K, Pfn)> {
+        // `min_by_key` keeps the first of equal minima.
+        let least = std::iter::once((cands.front_bucket, Yard::Front))
+            .chain(distinct_backyards(cands).map(|b| (b, Yard::Back)))
+            .map(|(bucket, yard)| self.scan_yard(bucket, yard, false, 0, rank).least)
+            .min_by_key(|&(k, _)| k)?;
+        (least.0 < K::MAX).then_some(least)
     }
 
-    /// The ghost with the oldest access time in `bucket`'s given yard.
-    pub fn oldest_ghost_slot(&self, bucket: usize, yard: Yard, horizon: u64) -> Option<SlotRef> {
-        self.yard_slots(bucket, yard)
-            .filter_map(|s| {
-                self.slot_entry(s)
-                    .filter(|e| e.is_ghost(horizon))
-                    .map(|e| (e.last_access, s))
-            })
-            .min_by_key(|&(ts, _)| ts)
-            .map(|(_, s)| s)
-    }
-
-    /// Number of *live* (non-ghost) pages in `bucket`'s backyard.
-    ///
-    /// Ghosts "do not count towards a bucket's occupancy when choosing the
-    /// least-occupied bucket" (§2.4).
-    pub fn back_live_count(&self, bucket: usize, horizon: u64) -> usize {
-        self.yard_slots(bucket, Yard::Back)
-            .filter(|&s| {
-                self.slot_entry(s)
-                    .is_some_and(|e| !e.is_ghost(horizon))
-            })
-            .count()
-    }
-
-    /// The least-recently-used page over every slot of a candidate set,
-    /// ghost or live. Returns its slot and access time.
-    ///
-    /// This is the Horizon LRU conflict victim: the LRU page "from among
-    /// the buckets that can be used for the new allocation" (§2.4).
-    pub fn lru_candidate(&self, cands: &CandidateSet) -> Option<(SlotRef, u64)> {
-        cands
-            .slots(self.layout.config())
-            .filter_map(|s| self.slot_entry(s).map(|e| (e.last_access, s)))
-            .min_by_key(|&(ts, _)| ts)
-            .map(|(ts, s)| (s, ts))
+    /// Figure 3 for a page with candidate set `cands`, as a query: (1) a
+    /// free front-yard slot, else (2) the oldest front-yard ghost, else
+    /// (3) a free slot, or else the oldest ghost, of the emptiest backyard
+    /// — the first choice with the fewest live pages — else (4) a
+    /// conflict, naming the least-recently-used candidate page, the
+    /// Horizon LRU victim "from among the buckets that can be used for
+    /// the new allocation" (§2.4). Each distinct bucket is read once.
+    pub fn figure3(&self, cands: &CandidateSet, horizon: u64) -> Placement {
+        let by_age = |e: &FrameEntry| e.last_access;
+        // Step 1 takes a free front slot and reads no further.
+        let front = self.scan_yard(cands.front_bucket, Yard::Front, true, horizon, by_age);
+        if let Some(pfn) = front.free {
+            return Placement::Free(pfn);
+        }
+        if let Some((_, pfn)) = front.ghost {
+            return Placement::Ghost(pfn);
+        }
+        let mut emptiest: Option<YardScan<u64>> = None;
+        let mut lru = front.least;
+        for bucket in distinct_backyards(cands) {
+            let scan = self.scan_yard(bucket, Yard::Back, false, horizon, by_age);
+            if scan.least.0 < lru.0 {
+                lru = scan.least;
+            }
+            if emptiest.is_none_or(|e| scan.live < e.live) {
+                emptiest = Some(scan);
+            }
+        }
+        // The emptiest backyard has a free or ghost slot unless it, and
+        // so every candidate slot, is live. Every slot is then occupied,
+        // so `lru` is exact even if every page was accessed at u64::MAX.
+        let (ts, lru) = lru;
+        match emptiest.map_or((None, None), |e| (e.free, e.ghost)) {
+            (Some(pfn), _) => Placement::Free(pfn),
+            (None, Some((_, pfn))) => Placement::Ghost(pfn),
+            (None, None) => Placement::Conflict { lru, ts },
+        }
     }
 
     /// Iterates over occupied frames as `(pfn, entry)` pairs.
@@ -316,18 +422,26 @@ mod tests {
         assert!(e.dirty);
     }
 
+    fn by_age(e: &FrameEntry) -> u64 {
+        e.last_access
+    }
+
     #[test]
     fn free_slot_queries() {
         let mut t = table();
         // Fill front slots 0 and 1 of bucket 0.
         t.install(Pfn(0), entry(1, 0));
         t.install(Pfn(1), entry(2, 0));
-        let s = t.front_free_slot(0).unwrap();
-        assert_eq!(s.slot, 2);
-        assert_eq!(s.yard, Yard::Front);
+        assert_eq!(
+            t.scan_yard(0, Yard::Front, false, 0, by_age).free,
+            Some(Pfn(2))
+        );
         // Backyard of bucket 0 starts at frame 56.
         t.install(Pfn(56), entry(3, 0));
-        assert_eq!(t.back_free_slot(0).unwrap().slot, 1);
+        assert_eq!(
+            t.scan_yard(0, Yard::Back, false, 0, by_age).free,
+            Some(Pfn(57))
+        );
     }
 
     #[test]
@@ -336,10 +450,13 @@ mod tests {
         t.install(Pfn(0), entry(1, 10));
         t.install(Pfn(1), entry(2, 3));
         t.install(Pfn(2), entry(3, 7));
-        // Horizon 8: pages with access < 8 (3 and 7) are ghosts.
-        let g = t.oldest_ghost_slot(0, Yard::Front, 8).unwrap();
-        assert_eq!(g.slot, 1, "oldest ghost is access time 3");
-        assert_eq!(t.oldest_ghost_slot(0, Yard::Front, 2), None);
+        t.install(Pfn(3), entry(4, 3));
+        // Horizon 8: pages with access < 8 are ghosts; the first of the
+        // two oldest wins.
+        let scan = t.scan_yard(0, Yard::Front, false, 8, by_age);
+        assert_eq!(scan.ghost, Some((3, Pfn(1))), "oldest ghost: time 3");
+        assert_eq!(scan.least, (3, Pfn(1)));
+        assert_eq!(t.scan_yard(0, Yard::Front, false, 2, by_age).ghost, None);
     }
 
     #[test]
@@ -348,9 +465,11 @@ mod tests {
         // Bucket 1's backyard frames are 120..128.
         t.install(Pfn(120), entry(1, 2));
         t.install(Pfn(121), entry(2, 9));
-        assert_eq!(t.back_live_count(1, 5), 1);
-        assert_eq!(t.back_live_count(1, 0), 2);
-        assert_eq!(t.back_live_count(1, 100), 0);
+        let live = |horizon| t.scan_yard(1, Yard::Back, false, horizon, by_age).live;
+        assert_eq!(live(5), 1);
+        assert_eq!(live(0), 2);
+        assert_eq!(live(9), 1, "access at the horizon is live");
+        assert_eq!(live(100), 0);
     }
 
     #[test]
@@ -368,9 +487,7 @@ mod tests {
         let b = t.layout().pfn_of_slot(slots[60]);
         t.install(a, entry(1, 50));
         t.install(b, entry(2, 20));
-        let (victim, ts) = t.lru_candidate(&cands).unwrap();
-        assert_eq!(ts, 20);
-        assert_eq!(t.layout().pfn_of_slot(victim), b);
+        assert_eq!(t.candidate_min(&cands, by_age), Some((20, b)));
     }
 
     #[test]

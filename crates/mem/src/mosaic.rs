@@ -13,6 +13,7 @@
 use crate::addr::{Asid, PageKey, Pfn};
 use crate::cpfn::{Cpfn, CpfnCodec};
 use crate::error::{MosaicError, MosaicResult};
+use crate::frame::{FrameEntry, Placement};
 use crate::invariants;
 use crate::layout::MemoryLayout;
 use crate::lru::FrameLru;
@@ -22,7 +23,7 @@ use crate::policy::MosaicPolicy;
 use crate::scanner::{AccessScanner, ScannerConfig};
 use crate::shadow::ConcurrentShadow;
 use mosaic_hash::XxFamily;
-use mosaic_iceberg::{CandidateSet, SlotRef, Yard};
+use mosaic_iceberg::CandidateSet;
 
 /// Mosaic's placement and victim choice: Figure 3 over each page's
 /// candidate slots, with Horizon LRU (or a §2.4 alternative) on conflict.
@@ -165,22 +166,6 @@ impl MosaicMemory {
         Some(self.policy.codec.encode_slot(&cands, slot))
     }
 
-    /// Whether every candidate slot of `cands` holds a live page — the
-    /// associativity-conflict predicate of Figure 3.
-    fn candidates_fully_live(&self, cands: &CandidateSet) -> bool {
-        let cfg = *self.layout().config();
-        let horizon = self.policy.horizon;
-        self.frames.front_free_slot(cands.front_bucket).is_none()
-            && self
-                .frames
-                .oldest_ghost_slot(cands.front_bucket, Yard::Front, horizon)
-                .is_none()
-            && cands
-                .back_buckets
-                .iter()
-                .all(|&b| self.frames.back_live_count(b, horizon) >= cfg.back_slots())
-    }
-
     /// Gate at the top of every allocation: absorbs injected transient
     /// failures with bounded retries, classifying an exhausted budget as an
     /// associativity conflict when the page's candidate set is fully live.
@@ -200,8 +185,10 @@ impl MosaicMemory {
                 self.resilience.alloc_failures += 1;
                 self.obs
                     .record_fault_unrecovered(self.obs_now, "alloc", "budget-exhausted");
+                // Every candidate slot live: Figure 3's conflict predicate.
                 let cands = self.candidates(key);
-                return Err(if self.candidates_fully_live(&cands) {
+                let placement = self.frames.figure3(&cands, self.policy.horizon);
+                return Err(if matches!(placement, Placement::Conflict { .. }) {
                     MosaicError::AssociativityConflict {
                         mvpn: key.vpn.0,
                         load_pct: self.utilization() * 100.0,
@@ -254,13 +241,6 @@ impl MosaicMemory {
         }
     }
 
-    /// Evicts the page in `slot` and returns its now-empty frame.
-    fn evict_slot(&mut self, slot: SlotRef, quota_self: bool) -> MosaicResult<Pfn> {
-        let pfn = self.layout().pfn_of_slot(slot);
-        self.evict(pfn, quota_self)?;
-        Ok(pfn)
-    }
-
     /// Runs the scanning daemon when its interval has elapsed.
     #[inline]
     fn run_scanner_if_due(&mut self, now: u64) {
@@ -292,17 +272,37 @@ impl MosaicMemory {
 
         let cands = self.candidates(key);
 
-        // A tenant at its working-set quota takes a separate path: make
-        // room out of its own pages, or defer the admission — never
-        // displace another tenant's live page.
-        if self.at_quota(key.asid) {
-            return self.allocate_at_quota(key, &cands);
+        // A tenant at its working-set quota never displaces another
+        // tenant's live page: it evicts its own LRU candidate, or takes
+        // a free or ghost slot if it has a page the post-install trim can
+        // give back, or defers with counted backoff. Self-evictions never
+        // raise the horizon: the victim is chosen by ownership, not age,
+        // so ghosting from it would over-approximate what a global LRU
+        // would have evicted.
+        let at_quota = self.at_quota(key.asid);
+        if at_quota {
+            // Another tenant's page ranks after all of this tenant's.
+            let own = |e: &FrameEntry| (u8::from(e.key.asid != key.asid), e.last_access);
+            if let Some(((0, _), pfn)) = self.frames.candidate_min(&cands, own) {
+                self.evict_own(pfn)?;
+                return Ok(pfn);
+            }
+            let has_own = self
+                .quotas
+                .as_ref()
+                .is_some_and(|q| q.resident(key.asid) > 0);
+            if !has_own {
+                return Err(self.defer_quota(key.asid));
+            }
         }
 
-        // Steps 1–3 of Figure 3: the non-displacing placements.
-        if let Some(pfn) = self.non_displacing_frame(&cands)? {
-            return Ok(pfn);
-        }
+        // Steps 1–3 of Figure 3 take a free frame or a ghost's.
+        let (lru, lru_ts) = match self.frames.figure3(&cands, self.policy.horizon) {
+            Placement::Free(pfn) => return Ok(pfn),
+            Placement::Ghost(pfn) => return self.evict(pfn, false).map(|()| pfn),
+            Placement::Conflict { .. } if at_quota => return Err(self.defer_quota(key.asid)),
+            Placement::Conflict { lru, ts } => (lru, ts),
+        };
 
         // 4. Associativity conflict: every candidate slot is live. Fall
         // back to evicting the LRU candidate instead of aborting.
@@ -312,23 +312,19 @@ impl MosaicMemory {
             let load_pct = self.utilization() * 100.0;
             self.obs.record_first_conflict(self.obs_now, load_pct);
         }
-        let (lru_slot, lru_ts) = self
-            .frames
-            .lru_candidate(&cands)
-            .ok_or(MosaicError::internal(
-                "conflict implies every candidate slot is occupied",
-            ))?;
-        // Quota-aware victim choice: prefer over-quota owners, then low
-        // priority, then age. Without a quota table this *is* the LRU
-        // candidate, bit-for-bit.
-        let victim_slot = match self.quota_conflict_victim(&cands) {
-            Some(slot) if slot != lru_slot => {
-                self.note_quota_steered();
-                slot
-            }
-            _ => lru_slot,
-        };
-        let freed = self.evict_slot(victim_slot, false)?;
+        // Quota-aware victim choice: over-quota owners first, then
+        // ascending priority, then age, then slot order. Without a quota
+        // table this *is* the LRU candidate, bit-for-bit.
+        let steered = self.quotas.as_ref().and_then(|q| {
+            let rank = |e: &FrameEntry| (q.victim_class(e.key.asid), e.last_access);
+            let victim = self.frames.candidate_min(&cands, rank);
+            victim.filter(|&(_, pfn)| pfn != lru)
+        });
+        if steered.is_some() {
+            self.note_quota_steered();
+        }
+        let victim = steered.map_or(lru, |(_, pfn)| pfn);
+        self.evict(victim, false)?;
         if self.policy.eviction.uses_ghosts() {
             // Raise the horizon to the candidate-set LRU's access time —
             // regardless of which victim quota ordering picked. A global
@@ -337,109 +333,7 @@ impl MosaicMemory {
             // under-approximation; see DESIGN.md §12.
             self.policy.horizon = self.policy.horizon.max(lru_ts);
         }
-        Ok(freed)
-    }
-
-    /// Steps 1–3 of Figure 3: a frame obtainable without displacing any
-    /// live page — a free front slot, the oldest front-yard ghost, or a
-    /// free/ghost slot in the emptiest backyard bucket. `Ok(None)` means
-    /// every candidate slot is live (the conflict predicate).
-    fn non_displacing_frame(&mut self, cands: &CandidateSet) -> MosaicResult<Option<Pfn>> {
-        let cfg = *self.layout().config();
-        let horizon = self.policy.horizon;
-
-        // 1. Free front-yard slot.
-        if let Some(slot) = self.frames.front_free_slot(cands.front_bucket) {
-            return Ok(Some(self.layout().pfn_of_slot(slot)));
-        }
-        // 2. Ghost in the front yard: actually evict it, reuse its slot.
-        if let Some(slot) = self
-            .frames
-            .oldest_ghost_slot(cands.front_bucket, Yard::Front, horizon)
-        {
-            return self.evict_slot(slot, false).map(Some);
-        }
-        // 3. Power-of-d-choices over the backyard, ghosts not counted.
-        let emptiest = cands
-            .back_buckets
-            .iter()
-            .copied()
-            .min_by_key(|&b| self.frames.back_live_count(b, horizon))
-            .ok_or(MosaicError::internal("d_choices >= 1"))?;
-        if self.frames.back_live_count(emptiest, horizon) < cfg.back_slots() {
-            if let Some(slot) = self.frames.back_free_slot(emptiest) {
-                return Ok(Some(self.layout().pfn_of_slot(slot)));
-            }
-            let slot = self
-                .frames
-                .oldest_ghost_slot(emptiest, Yard::Back, horizon)
-                .ok_or(MosaicError::internal(
-                    "live count below capacity implies a free or ghost slot",
-                ))?;
-            return self.evict_slot(slot, false).map(Some);
-        }
-        Ok(None)
-    }
-
-    /// Allocation for a tenant at its cap: (1) self-evict its own LRU
-    /// page among the candidate slots; else (2) take a non-displacing
-    /// slot (the post-install trim loop restores the cap); else (3)
-    /// defer with [`MosaicError::QuotaExceeded`] and counted backoff.
-    /// Self-evictions never raise the horizon: the victim is chosen by
-    /// ownership, not age, so ghosting from it would over-approximate
-    /// what a global LRU would have evicted.
-    fn allocate_at_quota(&mut self, key: PageKey, cands: &CandidateSet) -> MosaicResult<Pfn> {
-        if let Some(slot) = self.own_candidate_victim(cands, key.asid) {
-            let pfn = self.layout().pfn_of_slot(slot);
-            self.evict_own(pfn)?;
-            return Ok(pfn);
-        }
-        let has_own = self
-            .quotas
-            .as_ref()
-            .is_some_and(|q| q.resident(key.asid) > 0);
-        if has_own {
-            if let Some(pfn) = self.non_displacing_frame(cands)? {
-                return Ok(pfn);
-            }
-        }
-        Err(self.defer_quota(key.asid))
-    }
-
-    /// The least-recently-used page *owned by `asid`* among the candidate
-    /// slots, if any (self-eviction victim).
-    fn own_candidate_victim(&self, cands: &CandidateSet, asid: Asid) -> Option<SlotRef> {
-        let cfg = *self.layout().config();
-        cands
-            .slots(&cfg)
-            .enumerate()
-            .filter_map(|(idx, s)| {
-                self.frames
-                    .slot_entry(s)
-                    .filter(|e| e.key.asid == asid)
-                    .map(|e| (e.last_access, idx, s))
-            })
-            .min_by_key(|&(ts, idx, _)| (ts, idx))
-            .map(|(_, _, s)| s)
-    }
-
-    /// The quota-preferred conflict victim over occupied candidate
-    /// slots: over-quota owners first, then ascending priority, then
-    /// oldest access, then slot order. `None` without a quota table.
-    fn quota_conflict_victim(&self, cands: &CandidateSet) -> Option<SlotRef> {
-        let q = self.quotas.as_ref()?;
-        let cfg = *self.layout().config();
-        cands
-            .slots(&cfg)
-            .enumerate()
-            .filter_map(|(idx, s)| {
-                self.frames.slot_entry(s).map(|e| {
-                    let (over, priority) = q.victim_class(e.key.asid);
-                    ((over, priority, e.last_access, idx), s)
-                })
-            })
-            .min_by_key(|&(rank, _)| rank)
-            .map(|(_, s)| s)
+        Ok(victim)
     }
 
     /// Evicts `asid`'s own global-LRU pages until it is back within its

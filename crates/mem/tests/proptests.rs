@@ -528,3 +528,187 @@ proptest! {
         }
     }
 }
+
+/// The per-slot frame-table queries Figure 3 once ran as separate scans,
+/// kept as the reference for [`FrameTable::scan_yard`] and
+/// [`FrameTable::figure3`].
+mod per_slot {
+    use mosaic_iceberg::{CandidateSet, SlotRef, Yard};
+    use mosaic_mem::frame::FrameTable;
+
+    fn yard_slots(t: &FrameTable, bucket: usize, yard: Yard) -> impl Iterator<Item = SlotRef> {
+        let n = match yard {
+            Yard::Front => t.layout().config().front_slots(),
+            Yard::Back => t.layout().config().back_slots(),
+        };
+        (0..n).map(move |slot| SlotRef { yard, bucket, slot })
+    }
+
+    pub fn free_slot(t: &FrameTable, bucket: usize, yard: Yard) -> Option<SlotRef> {
+        yard_slots(t, bucket, yard).find(|&s| t.slot_entry(s).is_none())
+    }
+
+    pub fn oldest_ghost_slot(
+        t: &FrameTable,
+        bucket: usize,
+        yard: Yard,
+        horizon: u64,
+    ) -> Option<SlotRef> {
+        yard_slots(t, bucket, yard)
+            .filter_map(|s| {
+                t.slot_entry(s)
+                    .filter(|e| e.is_ghost(horizon))
+                    .map(|e| (e.last_access, s))
+            })
+            .min_by_key(|&(ts, _)| ts)
+            .map(|(_, s)| s)
+    }
+
+    pub fn live_count(t: &FrameTable, bucket: usize, yard: Yard, horizon: u64) -> usize {
+        yard_slots(t, bucket, yard)
+            .filter(|&s| t.slot_entry(s).is_some_and(|e| !e.is_ghost(horizon)))
+            .count()
+    }
+
+    pub fn lru_candidate(t: &FrameTable, cands: &CandidateSet) -> Option<(SlotRef, u64)> {
+        cands
+            .slots(t.layout().config())
+            .filter_map(|s| t.slot_entry(s).map(|e| (e.last_access, s)))
+            .min_by_key(|&(ts, _)| ts)
+            .map(|(ts, s)| (s, ts))
+    }
+
+    /// The at-quota self-eviction victim: `asid`'s least-recently-used
+    /// candidate page.
+    pub fn own_lru(t: &FrameTable, cands: &CandidateSet, asid: u16) -> Option<(SlotRef, u64)> {
+        cands
+            .slots(t.layout().config())
+            .filter_map(|s| {
+                t.slot_entry(s)
+                    .filter(|e| e.key.asid.0 == asid)
+                    .map(|e| (e.last_access, s))
+            })
+            .min_by_key(|&(ts, _)| ts)
+            .map(|(ts, s)| (s, ts))
+    }
+
+    pub fn candidates_fully_live(t: &FrameTable, cands: &CandidateSet, horizon: u64) -> bool {
+        let back_slots = t.layout().config().back_slots();
+        free_slot(t, cands.front_bucket, Yard::Front).is_none()
+            && oldest_ghost_slot(t, cands.front_bucket, Yard::Front, horizon).is_none()
+            && cands
+                .back_buckets
+                .iter()
+                .all(|&b| live_count(t, b, Yard::Back, horizon) >= back_slots)
+    }
+
+    /// Steps 1–3: a free slot (`false`) or a ghost to evict (`true`).
+    pub fn non_displacing(
+        t: &FrameTable,
+        cands: &CandidateSet,
+        horizon: u64,
+    ) -> Option<(SlotRef, bool)> {
+        if let Some(slot) = free_slot(t, cands.front_bucket, Yard::Front) {
+            return Some((slot, false));
+        }
+        if let Some(slot) = oldest_ghost_slot(t, cands.front_bucket, Yard::Front, horizon) {
+            return Some((slot, true));
+        }
+        let emptiest = cands
+            .back_buckets
+            .iter()
+            .copied()
+            .min_by_key(|&b| live_count(t, b, Yard::Back, horizon))?;
+        if live_count(t, emptiest, Yard::Back, horizon) < t.layout().config().back_slots() {
+            if let Some(slot) = free_slot(t, emptiest, Yard::Back) {
+                return Some((slot, false));
+            }
+            return oldest_ghost_slot(t, emptiest, Yard::Back, horizon).map(|s| (s, true));
+        }
+        None
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One pass per bucket reproduces the per-slot scans: every yard's
+    /// free slot, oldest ghost and live count, Figure 3's step 1–3
+    /// choice, the fully-live predicate, the candidate-set LRU page and a
+    /// tenant's own LRU candidate —
+    /// on tables with free, live and ghost frames, equal timestamps and
+    /// pages accessed exactly at the horizon, and candidate sets whose
+    /// backyard choices repeat.
+    #[test]
+    fn yard_scan_matches_per_slot_reference(
+        buckets in 6usize..=9,
+        table_seed in any::<u64>(),
+        density in 0usize..3,
+        horizon in 0u64..6,
+        ghost_free in any::<bool>(),
+        seed in any::<u64>(),
+        page in any::<u32>(),
+    ) {
+        use mosaic_hash::{SplitMix64, XxFamily};
+        use mosaic_iceberg::{CandidateSet, Yard};
+        use mosaic_mem::frame::{FrameEntry, FrameTable, Placement};
+
+        let cfg = IcebergConfig::paper_default(buckets);
+        let layout = MemoryLayout::new(cfg);
+        let mut t = FrameTable::new(layout);
+        // Free frames per 64: none (fully occupied yards, the conflict
+        // case), rare, or common; timestamps from a range of six.
+        let free_per_64 = [0, 1, 16][density];
+        let mut rng = SplitMix64::new(table_seed);
+        for i in 0..layout.num_frames() {
+            let (coin, ts) = (rng.next_below(64), rng.next_below(6));
+            if coin >= free_per_64 {
+                let last_access = if ghost_free { horizon + ts } else { ts };
+                let key = PageKey::new(Asid::new(1 + (coin & 1) as u16), Vpn::new(i as u64));
+                let entry = FrameEntry { key, last_access, dirty: false, has_swap_copy: false };
+                t.install(Pfn::new(i as u64), entry);
+            }
+        }
+        let by_age = |e: &FrameEntry| e.last_access;
+        let pfn = |s| layout.pfn_of_slot(s);
+        for bucket in 0..buckets {
+            for yard in [Yard::Front, Yard::Back] {
+                let scan = t.scan_yard(bucket, yard, false, horizon, by_age);
+                let to_free = t.scan_yard(bucket, yard, true, horizon, by_age);
+                prop_assert_eq!(to_free.free, scan.free);
+                prop_assert_eq!(scan.free, per_slot::free_slot(&t, bucket, yard).map(pfn));
+                prop_assert_eq!(
+                    scan.ghost.map(|(_, p)| p),
+                    per_slot::oldest_ghost_slot(&t, bucket, yard, horizon).map(pfn)
+                );
+                prop_assert_eq!(scan.live, per_slot::live_count(&t, bucket, yard, horizon));
+            }
+        }
+
+        let family = XxFamily::new(cfg.hash_count(), seed);
+        let cands = CandidateSet::compute(&family, &cfg, u64::from(page));
+        let placement = t.figure3(&cands, horizon);
+        let lru = per_slot::lru_candidate(&t, &cands).map(|(s, ts)| (ts, pfn(s)));
+        prop_assert_eq!(t.candidate_min(&cands, by_age), lru);
+        let not_own = |e: &FrameEntry| (u8::from(e.key.asid != Asid::new(2)), e.last_access);
+        prop_assert_eq!(
+            t.candidate_min(&cands, not_own)
+                .filter(|&((other, _), _)| other == 0)
+                .map(|((_, ts), p)| (ts, p)),
+            per_slot::own_lru(&t, &cands, 2).map(|(s, ts)| (ts, pfn(s)))
+        );
+        prop_assert_eq!(
+            matches!(placement, Placement::Conflict { .. }),
+            per_slot::candidates_fully_live(&t, &cands, horizon)
+        );
+        let want = match per_slot::non_displacing(&t, &cands, horizon) {
+            Some((slot, false)) => Placement::Free(pfn(slot)),
+            Some((slot, true)) => Placement::Ghost(pfn(slot)),
+            None => {
+                let (ts, lru) = lru.expect("a fully live candidate set is occupied");
+                Placement::Conflict { lru, ts }
+            }
+        };
+        prop_assert_eq!(placement, want);
+    }
+}

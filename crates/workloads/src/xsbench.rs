@@ -12,6 +12,7 @@
 use crate::layout::{ArrayRegion, VirtualLayout};
 use crate::trace::{Access, Workload, WorkloadMeta};
 use mosaic_hash::SplitMix64;
+use std::hint::select_unpredictable;
 
 /// Bytes per energy-grid point: energy + 5 cross sections (XSBench's
 /// `NuclideGridPoint`: 6 doubles).
@@ -169,6 +170,9 @@ impl XsBench {
 
     /// Binary search for `energy` in nuclide `n`'s grid, emitting one load
     /// per probe; returns the bracketing lower index.
+    ///
+    /// The probe's outcome is a coin flip to the branch predictor, so
+    /// `lo`/`hi` move by selects rather than a branch on it.
     fn grid_search(&self, n: usize, energy: f64, sink: &mut dyn FnMut(Access)) -> u64 {
         let grid = &self.grids[n];
         let region = &self.grid_regions[n];
@@ -177,11 +181,9 @@ impl XsBench {
         while lo < hi {
             let mid = (lo + hi) / 2;
             sink(Access::load(region.at(mid as u64)));
-            if grid[mid] < energy {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+            let below = grid[mid] < energy;
+            lo = select_unpredictable(below, mid + 1, lo);
+            hi = select_unpredictable(below, hi, mid);
         }
         (lo.saturating_sub(1)) as u64
     }
@@ -329,6 +331,63 @@ mod tests {
             },
             0,
         );
+    }
+}
+
+#[cfg(test)]
+mod search_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook branchy lower-bound search, emitting the same loads.
+    fn branchy(xs: &XsBench, energy: f64, sink: &mut dyn FnMut(Access)) -> u64 {
+        let grid = &xs.grids[0];
+        let (mut lo, mut hi) = (0usize, grid.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            sink(Access::load(xs.grid_regions[0].at(mid as u64)));
+            if grid[mid] < energy {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo.saturating_sub(1)) as u64
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On sorted grids with repeated energies, probed below, above,
+        /// between and at grid values, `grid_search` emits the branchy
+        /// search's probe sequence and returns its index.
+        #[test]
+        fn branch_free_search_matches_branchy(
+            mut points in prop::collection::vec(0u8..16, 2..300),
+            probes in prop::collection::vec(0u8..40, 1..24),
+        ) {
+            points.sort_unstable();
+            let mut xs = XsBench::new(
+                XsBenchConfig {
+                    n_nuclides: 1,
+                    n_gridpoints: points.len() as u64,
+                    n_lookups: 1,
+                    n_materials: 1,
+                    max_nuclides_per_material: 1,
+                },
+                0,
+            );
+            xs.grids[0] = points.iter().map(|&p| f64::from(p)).collect();
+            for p in probes {
+                // -1.0 to 18.5 in halves: grid values are 0 to 15.
+                let energy = f64::from(p) / 2.0 - 1.0;
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let idx = xs.grid_search(0, energy, &mut |a| got.push(a));
+                let expect = branchy(&xs, energy, &mut |a| want.push(a));
+                prop_assert_eq!(idx, expect);
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }
 

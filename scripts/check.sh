@@ -205,6 +205,9 @@ cmp "$OBS_TMP/con1.txt" "$OBS_TMP/con8.txt"
 echo "==> seeded-interleaving stress gate (concurrent table vs serial oracle)"
 cargo test -q --offline -p mosaic-iceberg --test concurrent_oracle
 
+echo "==> Figure 3 oracle (MosaicMemory vs a naive Figure 3 / Horizon LRU model)"
+cargo test -q --offline -p mosaic-mem --test figure3_oracle
+
 echo "==> hostile-tenant determinism gate (thrasher + faults, --jobs 1 vs 8)"
 ISO_FLAGS=(--tenants 16 --buckets 16 --steps 60000 --churn 10000 --loads 90,105
            --hostile thrasher --quota-frac 125 --priority-spread 2 --fault-ppm 200)
