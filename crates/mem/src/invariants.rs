@@ -11,7 +11,7 @@
 use crate::addr::{PageKey, Pfn};
 use crate::error::{MosaicError, MosaicResult};
 use crate::frame::FrameTable;
-use crate::lru::FrameLru;
+use crate::lru::{FrameLru, ListId};
 use crate::quota::QuotaTable;
 use mosaic_hash::{FastHashMap, FastHashSet};
 
@@ -96,18 +96,18 @@ pub(crate) fn check_ghost_census(frames: &FrameTable, horizon: u64) -> MosaicRes
     Ok(())
 }
 
-/// Invariant: a manager's global LRU tracks exactly the resident pages,
-/// each under the frame that holds it.
+/// Invariant: a manager's global LRU (the first list of `lru`) tracks
+/// exactly the resident pages, each under the frame that holds it.
 pub(crate) fn check_lru_tracks_resident(
     lru: &FrameLru,
     resident: &FastHashMap<PageKey, Pfn>,
 ) -> MosaicResult<()> {
-    if lru.len() != resident.len() {
+    let tracked = lru.len(ListId::FIRST);
+    if tracked != resident.len() {
         return Err(MosaicError::invariant(
             "lru-coverage",
             format!(
-                "LRU tracks {} pages, {} are resident",
-                lru.len(),
+                "LRU tracks {tracked} pages, {} are resident",
                 resident.len()
             ),
         ));
@@ -121,22 +121,24 @@ pub(crate) fn check_lru_tracks_resident(
     Ok(())
 }
 
-/// Invariant: a manager's global LRU is one well-formed list. Walking it
-/// from the oldest end, every `prev` link mirrors the `next` link that
-/// led there, timestamps never decrease, every linked frame is occupied,
-/// and the walk visits exactly as many frames as are resident.
+/// Invariant: `list` of `lru` is one well-formed list. Walking it from
+/// the oldest end, every `prev` link mirrors the `next` link that led
+/// there, timestamps never decrease, every linked frame is occupied, and
+/// the walk visits exactly `resident` frames, the list's length.
 pub(crate) fn check_lru_order(
     lru: &FrameLru,
+    list: ListId,
     frames: &FrameTable,
     resident: usize,
 ) -> MosaicResult<()> {
     let fail = |detail: String| Err(MosaicError::invariant("lru-order", detail));
     let links = &lru.links;
-    let sentinel = links.len() - 1;
+    let num_frames = lru.num_frames();
+    let sentinel = lru.sentinel(list) as usize;
     let (mut prev, mut at) = (sentinel, links[sentinel].next as usize);
     let mut walked = 0usize;
     while at != sentinel {
-        if at > sentinel {
+        if at >= num_frames {
             return fail(format!("link after node {prev} leaves the frame range"));
         }
         let link = links[at];
@@ -153,7 +155,7 @@ pub(crate) fn check_lru_order(
             return fail(format!("frame {at} is linked but unoccupied"));
         }
         walked += 1;
-        if walked > sentinel {
+        if walked > num_frames {
             return fail("the list does not return to its head".to_string());
         }
         (prev, at) = (at, link.next as usize);
@@ -164,39 +166,46 @@ pub(crate) fn check_lru_order(
             links[sentinel].prev
         ));
     }
-    if walked != resident || walked != lru.len() {
+    if walked != resident || walked != lru.len(list) {
         return fail(format!(
             "{walked} linked frames vs {resident} resident, length {}",
-            lru.len()
+            lru.len(list)
         ));
     }
     Ok(())
 }
 
-/// Invariant: for every ASID with a quota set, the quota table's resident
-/// count equals a direct recount of the residency map, and every one of
-/// that ASID's resident pages is tracked in its per-tenant LRU (so
-/// self-eviction always has the true LRU victim available).
+/// Invariant: every resident page of a quota'd tenant is linked in its
+/// owner's list. For every ASID with a quota set, the table's resident
+/// count equals a direct recount of the residency map, and walking the
+/// tenant's own list visits exactly that many frames, each holding one
+/// of its pages (so self-eviction always has the true LRU victim
+/// available).
 pub(crate) fn check_quota_accounting(
     table: &QuotaTable,
+    frames: &FrameTable,
     resident: &FastHashMap<PageKey, Pfn>,
 ) -> MosaicResult<()> {
+    let fail = |detail: String| Err(MosaicError::invariant("quota-census", detail));
     for asid in table.quota_asids() {
         let actual = resident.keys().filter(|k| k.asid == asid).count();
         let tracked = table.resident(asid);
         if actual != tracked {
-            return Err(MosaicError::invariant(
-                "quota-census",
-                format!("{asid:?}: table counts {tracked} resident, recount says {actual}"),
+            return fail(format!(
+                "{asid:?}: table counts {tracked} resident, recount says {actual}"
             ));
         }
-        if let Some(key) = resident
-            .keys()
-            .find(|k| k.asid == asid && !table.tracks(k))
-        {
-            return Err(MosaicError::invariant(
-                "quota-census",
-                format!("resident {key:?} missing from its tenant's own-LRU index"),
+        // One frame past the count is enough to report a corrupt walk.
+        let mut linked = 0usize;
+        for (pfn, _) in table.own_lru(asid).take(actual + 1) {
+            if frames.entry(pfn).is_none_or(|e| e.key.asid != asid) {
+                return fail(format!("{pfn:?} in {asid:?}'s list holds no page of it"));
+            }
+            linked += 1;
+        }
+        if linked != actual {
+            return fail(format!(
+                "{asid:?}: own list links {linked} frames, recount says {actual}"
             ));
         }
     }
@@ -343,15 +352,15 @@ mod tests {
         let mut resident = FastHashMap::default();
         resident.insert(key(1), Pfn(0));
         resident.insert(key(2), Pfn(1));
-        let mut lru = FrameLru::new(8);
-        lru.touch(Pfn(0), 1);
-        lru.touch(Pfn(1), 2);
+        let mut lru = FrameLru::new(8, 1);
+        lru.touch(ListId::FIRST, Pfn(0), 1);
+        lru.touch(ListId::FIRST, Pfn(1), 2);
         assert!(check_lru_tracks_resident(&lru, &resident).is_ok());
         // Length mismatch.
-        lru.touch(Pfn(5), 3);
+        lru.touch(ListId::FIRST, Pfn(5), 3);
         assert!(check_lru_tracks_resident(&lru, &resident).is_err());
         // Same length, but a resident page's frame is untracked.
-        lru.remove(Pfn(1));
+        lru.remove(ListId::FIRST, Pfn(1));
         let err = check_lru_tracks_resident(&lru, &resident).unwrap_err();
         assert!(matches!(
             err,
@@ -365,25 +374,28 @@ mod tests {
     #[test]
     fn lru_order_accepts_a_well_formed_list() {
         let mut frames = small_table();
-        let mut lru = FrameLru::new(frames.num_frames());
+        let mut lru = FrameLru::new(frames.num_frames(), 1);
         for n in [4u64, 0, 7, 2] {
             install(&mut frames, n);
-            lru.touch(Pfn(n), n);
+            lru.touch(ListId::FIRST, Pfn(n), n);
         }
-        lru.touch(Pfn(0), 9);
-        assert!(check_lru_order(&lru, &frames, 4).is_ok());
+        lru.touch(ListId::FIRST, Pfn(0), 9);
+        assert!(check_lru_order(&lru, ListId::FIRST, &frames, 4).is_ok());
         // The count must also match the residency map.
-        assert!(check_lru_order(&lru, &frames, 5).is_err());
+        assert!(check_lru_order(&lru, ListId::FIRST, &frames, 5).is_err());
     }
 
     #[test]
     fn lru_order_reports_corrupted_links_by_name() {
         let mut frames = small_table();
-        let mut lru = FrameLru::new(frames.num_frames());
+        let mut lru = FrameLru::new(frames.num_frames(), 1);
         for n in 0..4u64 {
             install(&mut frames, n);
-            lru.touch(Pfn(n), 10 + n);
+            lru.touch(ListId::FIRST, Pfn(n), 10 + n);
         }
+        let order = |lru: &FrameLru, frames: &FrameTable| {
+            check_lru_order(lru, ListId::FIRST, frames, 4)
+        };
         let is_lru_order = |r: MosaicResult<()>| {
             matches!(
                 r,
@@ -396,37 +408,44 @@ mod tests {
         // Timestamps out of order: frame 2 stamped older than frame 1.
         let mut stale = lru.clone();
         stale.links[2].ts = 0;
-        assert!(is_lru_order(check_lru_order(&stale, &frames, 4)));
+        assert!(is_lru_order(order(&stale, &frames)));
         // Asymmetric links: frame 2's back-link skips frame 1.
         let mut skewed = lru.clone();
         skewed.links[2].prev = 0;
-        assert!(is_lru_order(check_lru_order(&skewed, &frames, 4)));
+        assert!(is_lru_order(order(&skewed, &frames)));
         // A linked frame whose page is gone.
         let mut emptied = frames.clone();
         emptied.evict(Pfn(3));
-        assert!(is_lru_order(check_lru_order(&lru, &emptied, 4)));
+        assert!(is_lru_order(order(&lru, &emptied)));
         // A cycle that never returns to the head terminates and reports.
         let mut cyclic = lru.clone();
         cyclic.links[3].next = 2;
-        assert!(is_lru_order(check_lru_order(&cyclic, &frames, 4)));
+        assert!(is_lru_order(order(&cyclic, &frames)));
     }
 
     #[test]
     fn quota_census_counts_and_coverage() {
         use crate::quota::TenantQuota;
-        let mut table = QuotaTable::new();
+        let mut frames = small_table();
+        let mut table = QuotaTable::new(frames.num_frames());
         table.set(Asid(1), TenantQuota { frames: 4, priority: 0 });
         let mut resident = FastHashMap::default();
-        resident.insert(key(1), Pfn(0));
-        table.note_install(key(1), 1);
-        assert!(check_quota_accounting(&table, &resident).is_ok());
+        install(&mut frames, 1);
+        resident.insert(key(1), Pfn(1));
+        table.note_install(key(1), Pfn(1), 1);
+        assert!(check_quota_accounting(&table, &frames, &resident).is_ok());
         // A resident page the table never saw: count + coverage both break.
-        resident.insert(key(2), Pfn(1));
-        assert!(check_quota_accounting(&table, &resident).is_err());
+        install(&mut frames, 2);
+        resident.insert(key(2), Pfn(2));
+        assert!(check_quota_accounting(&table, &frames, &resident).is_err());
         // Quota-less ASIDs are not audited.
+        frames.evict(Pfn(2));
         resident.remove(&key(2));
-        resident.insert(PageKey::new(Asid(9), Vpn(0)), Pfn(2));
-        assert!(check_quota_accounting(&table, &resident).is_ok());
+        resident.insert(PageKey::new(Asid(9), Vpn(0)), Pfn(3));
+        assert!(check_quota_accounting(&table, &frames, &resident).is_ok());
+        // The tenant's list links a frame that holds no page of it.
+        frames.evict(Pfn(1));
+        assert!(check_quota_accounting(&table, &frames, &resident).is_err());
     }
 
     #[test]

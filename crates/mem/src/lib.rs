@@ -17,10 +17,10 @@
 //! * [`cpfn`] — bit-exact CPFN encode/decode per §3.1;
 //! * [`frame`] — the frame table (per-frame residency, access times, dirty
 //!   bits) with ghost-aware occupancy queries;
-//! * [`lru`] — [`FrameLru`](lru::FrameLru), the exact LRU the managers
-//!   keep as an intrusive list over frame numbers (O(1) per hit), and
-//!   [`LruIndex`](lru::LruIndex), an ordered map over sparse keys for the
-//!   per-tenant quota LRUs and the page-walk cache;
+//! * [`lru`] — [`FrameLru`](lru::FrameLru), the one exact-LRU structure
+//!   the managers keep: intrusive lists over frame numbers (O(1) per
+//!   hit), one global list for reclaim and one per tenant for quotas;
+//! * [`quota`] — per-tenant working-set quotas and their accounting;
 //! * [`manager`] — the [`MemoryManager`] trait the
 //!   simulator drives;
 //! * [`paging`] — [`PagingCore`], the one implementation of that trait:

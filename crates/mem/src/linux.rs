@@ -18,7 +18,7 @@ use crate::error::{MosaicError, MosaicResult};
 use crate::frame::FrameTable;
 use crate::invariants;
 use crate::layout::MemoryLayout;
-use crate::lru::FrameLru;
+use crate::lru::{FrameLru, ListId};
 use crate::paging::{Injectable, PagingCore, Policy};
 
 /// Default low watermark: reclaim begins when free frames fall below
@@ -142,7 +142,7 @@ impl LinuxMemory {
     }
 
     fn with_free_list(layout: MemoryLayout, free: FreeList) -> Self {
-        let lru = FrameLru::new(layout.num_frames());
+        let lru = FrameLru::new(layout.num_frames(), 1);
         Self::from_parts(layout, WatermarkLru { free, lru })
     }
 
@@ -164,9 +164,9 @@ impl LinuxMemory {
     fn reclaim_victim(&self) -> Option<Pfn> {
         let lru = &self.policy.lru;
         match self.quotas.as_ref() {
-            None => lru.oldest(),
+            None => lru.oldest(ListId::FIRST),
             Some(q) => lru
-                .iter_oldest()
+                .iter_oldest(ListId::FIRST)
                 .take(QUOTA_SCAN_WINDOW)
                 .enumerate()
                 .min_by_key(|&(idx, (pfn, _))| {
@@ -181,7 +181,7 @@ impl LinuxMemory {
         let victim = self
             .reclaim_victim()
             .ok_or(MosaicError::internal("reclaim with no resident pages"))?;
-        if self.quotas.is_some() && self.policy.lru.oldest() != Some(victim) {
+        if self.quotas.is_some() && self.policy.lru.oldest(ListId::FIRST) != Some(victim) {
             self.note_quota_steered();
         }
         self.evict(victim, false)
@@ -193,16 +193,9 @@ impl LinuxMemory {
     /// backpressure and counted backoff.
     fn enforce_quota(&mut self, asid: Asid) -> MosaicResult<()> {
         while self.at_quota(asid) {
-            let Some(victim) = self.quotas.as_ref().and_then(|q| q.own_lru_oldest(asid)) else {
+            let Some(pfn) = self.quotas.as_ref().and_then(|q| q.own_lru_oldest(asid)) else {
                 return Err(self.defer_quota(asid));
             };
-            let pfn = self
-                .resident
-                .get(&victim)
-                .copied()
-                .ok_or(MosaicError::internal(
-                    "quota LRU tracks only resident pages",
-                ))?;
             self.evict_own(pfn)?;
         }
         Ok(())
@@ -217,7 +210,7 @@ impl LinuxMemory {
         if !self.policy.free.reclaim_due() {
             return Ok(());
         }
-        while self.policy.free.below_high() && !self.policy.lru.is_empty() {
+        while self.policy.free.below_high() && !self.policy.lru.is_empty(ListId::FIRST) {
             if let Err(e) = self.evict_lru_page() {
                 // Batched reclaim is opportunistic; only a fully-exhausted
                 // free list makes the failure fatal for this access.
@@ -235,7 +228,7 @@ impl Policy for WatermarkLru {
     #[inline]
     fn hit(mm: &mut LinuxMemory, _key: PageKey, pfn: Pfn, write: bool, now: u64) {
         mm.frames.touch(pfn, now, write);
-        mm.policy.lru.touch(pfn, now);
+        mm.policy.lru.touch(ListId::FIRST, pfn, now);
     }
 
     #[inline]
@@ -252,18 +245,18 @@ impl Policy for WatermarkLru {
 
     #[inline]
     fn installed(mm: &mut LinuxMemory, _key: PageKey, pfn: Pfn, now: u64) {
-        mm.policy.lru.touch(pfn, now);
+        mm.policy.lru.touch(ListId::FIRST, pfn, now);
     }
 
     #[inline]
     fn vacated(&mut self, pfn: Pfn, _key: PageKey) {
-        self.lru.remove(pfn);
+        self.lru.remove(ListId::FIRST, pfn);
         self.free.push(pfn);
     }
 
     fn verify(mm: &LinuxMemory) -> MosaicResult<()> {
         invariants::check_lru_tracks_resident(&mm.policy.lru, &mm.resident)?;
-        invariants::check_lru_order(&mm.policy.lru, &mm.frames, mm.resident.len())?;
+        invariants::check_lru_order(&mm.policy.lru, ListId::FIRST, &mm.frames, mm.resident.len())?;
         mm.policy.free.verify(&mm.frames)
     }
 }

@@ -1,127 +1,32 @@
-//! Exact least-recently-used indexes.
+//! Exact least-recently-used lists over frame numbers.
 //!
-//! Two structures, one order: entries sorted by the timestamp of their
+//! A [`FrameLru`] keeps one or more lists over the frames
+//! `0..num_frames`. Each list is ordered by the timestamp of its frames'
 //! most recent touch, ties broken by touch order (the earlier touch is
 //! older), so the order is total even when the caller reuses or rewinds
-//! timestamps.
+//! timestamps. A frame is in at most one list at a time.
 //!
-//! * [`FrameLru`] keys entries by dense frame number. It is an intrusive
-//!   doubly-linked list in one `Vec` indexed by [`Pfn`], allocated once
-//!   when a manager is built; the page in a frame is the frame table's
-//!   business, not the list's. A touch unlinks the frame and re-links it
-//!   after the newest entry whose timestamp is not later than its own, so
-//!   with a monotone clock (every manager's) each operation is O(1). Both
-//!   memory managers' global LRUs use it: the Linux baseline's exact-LRU
-//!   reclaim and Mosaic's `ReservedCapacity` policy.
-//! * [`LruIndex`] keys entries by any hashable key with `O(log n)`
-//!   updates (a `BTreeMap` ordered by age plus a back-pointer map). It
-//!   serves the sparse, per-tenant quota LRUs and the page-walk cache,
-//!   whose keys are not dense.
+//! The lists are intrusive doubly-linked lists threaded through one `Vec`
+//! indexed by [`Pfn`], allocated once when a manager is built, plus one
+//! sentinel node per list; the page in a frame is the frame table's
+//! business, not the list's. A touch unlinks the frame and re-links it
+//! after the newest entry of its list whose timestamp is not later than
+//! its own, so with a monotone clock (every manager's) each operation is
+//! O(1). Its users:
+//!
+//! * the Linux baseline's exact-LRU reclaim and Mosaic's
+//!   `ReservedCapacity` policy, one global list each ([`ListId::FIRST`]);
+//! * the [`QuotaTable`](crate::quota::QuotaTable), a `FrameLru` of its
+//!   own with one list per tenant (every resident frame has exactly one
+//!   owner), for self-eviction.
 //!
 //! (Real Linux approximates LRU with active/inactive lists; the paper's
 //! own baseline measurements are against stock Linux reclaim, and exact
 //! LRU is the canonical idealisation — see DESIGN.md.)
 
 use crate::addr::Pfn;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
 
-/// An LRU index: a set of keys ordered by the timestamp of their most
-/// recent [`touch`](LruIndex::touch).
-///
-/// Ties on the timestamp are broken by touch order (earlier touch is
-/// considered older), so the structure is total-ordered even if the caller
-/// reuses timestamps.
-///
-/// # Example
-///
-/// ```
-/// use mosaic_mem::lru::LruIndex;
-///
-/// let mut lru = LruIndex::new();
-/// lru.touch("a", 1);
-/// lru.touch("b", 2);
-/// lru.touch("a", 3); // "a" is now the most recent
-/// assert_eq!(lru.pop_oldest(), Some(("b", 2)));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LruIndex<K> {
-    /// `(timestamp, tiebreak) -> key`, ordered oldest first.
-    by_age: BTreeMap<(u64, u64), K>,
-    /// `key -> (timestamp, tiebreak)` back-pointers.
-    position: HashMap<K, (u64, u64)>,
-    /// Monotonic tiebreaker for equal timestamps.
-    counter: u64,
-}
-
-impl<K: Copy + Eq + Hash> LruIndex<K> {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        Self {
-            by_age: BTreeMap::new(),
-            position: HashMap::new(),
-            counter: 0,
-        }
-    }
-
-    /// Number of keys tracked.
-    pub fn len(&self) -> usize {
-        self.by_age.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_age.is_empty()
-    }
-
-    /// Records an access to `key` at time `now`, inserting it if absent.
-    pub fn touch(&mut self, key: K, now: u64) {
-        if let Some(old) = self.position.remove(&key) {
-            self.by_age.remove(&old);
-        }
-        let pos = (now, self.counter);
-        self.counter += 1;
-        self.by_age.insert(pos, key);
-        self.position.insert(key, pos);
-    }
-
-    /// Removes `key`, returning its last-touch timestamp if present.
-    pub fn remove(&mut self, key: &K) -> Option<u64> {
-        let pos = self.position.remove(key)?;
-        self.by_age.remove(&pos);
-        Some(pos.0)
-    }
-
-    /// Removes and returns the least-recently-touched key and its timestamp.
-    pub fn pop_oldest(&mut self) -> Option<(K, u64)> {
-        let (&pos, &key) = self.by_age.iter().next()?;
-        self.by_age.remove(&pos);
-        self.position.remove(&key);
-        Some((key, pos.0))
-    }
-
-    /// The least-recently-touched key without removing it.
-    pub fn peek_oldest(&self) -> Option<(K, u64)> {
-        self.by_age.iter().next().map(|(&(ts, _), &k)| (k, ts))
-    }
-
-    /// Iterates keys oldest-first without removing them.
-    pub fn iter_oldest(&self) -> impl Iterator<Item = (K, u64)> + '_ {
-        self.by_age.iter().map(|(&(ts, _), &k)| (k, ts))
-    }
-
-    /// Whether the index contains `key`.
-    pub fn contains(&self, key: &K) -> bool {
-        self.position.contains_key(key)
-    }
-
-    /// The last-touch timestamp of `key`, if tracked.
-    pub fn timestamp(&self, key: &K) -> Option<u64> {
-        self.position.get(key).map(|&(ts, _)| ts)
-    }
-}
-
-/// The `prev`/`next` value of a frame that is not in the list.
+/// The `prev`/`next` value of a frame that is in no list.
 const UNLINKED: u32 = u32::MAX;
 
 /// One node of a [`FrameLru`]: the neighbour toward the oldest end
@@ -134,96 +39,138 @@ pub(crate) struct Link {
     pub(crate) ts: u64,
 }
 
-/// An exact LRU over the frames `0..num_frames`, in [`LruIndex`]'s order.
-/// See the [module docs](self).
+/// One of a [`FrameLru`]'s lists, numbered from 0 in creation order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ListId(pub u32);
+
+impl ListId {
+    /// The first list: the only one of a single-list [`FrameLru`].
+    pub const FIRST: ListId = ListId(0);
+}
+
+/// Exact LRU lists over the frames `0..num_frames`. See the
+/// [module docs](self).
 ///
 /// # Example
 ///
 /// ```
-/// use mosaic_mem::lru::FrameLru;
+/// use mosaic_mem::lru::{FrameLru, ListId};
 /// use mosaic_mem::Pfn;
 ///
-/// let mut lru = FrameLru::new(4);
-/// lru.touch(Pfn(0), 1);
-/// lru.touch(Pfn(1), 2);
-/// lru.touch(Pfn(0), 3); // frame 0 is now the most recent
-/// assert_eq!(lru.oldest(), Some(Pfn(1)));
+/// let mut lru = FrameLru::new(4, 1);
+/// let list = ListId::FIRST;
+/// lru.touch(list, Pfn(0), 1);
+/// lru.touch(list, Pfn(1), 2);
+/// lru.touch(list, Pfn(0), 3); // frame 0 is now the most recent
+/// assert_eq!(lru.oldest(list), Some(Pfn(1)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrameLru {
-    /// `links[pfn]` for every frame, then a sentinel whose `next` is the
-    /// oldest frame and whose `prev` is the newest (itself when empty).
+    /// `links[pfn]` for every frame, then one sentinel per list whose
+    /// `next` is the list's oldest frame and whose `prev` is its newest
+    /// (the sentinel itself when the list is empty).
     pub(crate) links: Vec<Link>,
-    len: usize,
+    /// Frames linked in each list.
+    lens: Vec<usize>,
+    num_frames: u32,
 }
 
 impl FrameLru {
-    /// Creates an empty list over `num_frames` frames.
+    /// Creates `lists` empty lists over `num_frames` frames.
     ///
     /// # Panics
     ///
     /// Panics if `num_frames` does not fit a 32-bit link.
-    pub fn new(num_frames: usize) -> Self {
-        let sentinel = u32::try_from(num_frames)
+    pub fn new(num_frames: usize, lists: usize) -> Self {
+        let num_frames = u32::try_from(num_frames)
+            .ok()
+            .filter(|&n| n != UNLINKED)
+            .expect("frame count fits a 32-bit link");
+        let unlinked = Link {
+            prev: UNLINKED,
+            next: UNLINKED,
+            ts: 0,
+        };
+        let mut lru = Self {
+            links: vec![unlinked; num_frames as usize],
+            lens: Vec::new(),
+            num_frames,
+        };
+        for _ in 0..lists {
+            lru.add_list();
+        }
+        lru
+    }
+
+    /// Adds an empty list and returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new sentinel does not fit a 32-bit link.
+    pub(crate) fn add_list(&mut self) -> ListId {
+        let sentinel = u32::try_from(self.links.len())
             .ok()
             .filter(|&s| s != UNLINKED)
-            .expect("frame count fits a 32-bit link");
-        let mut links = vec![
-            Link {
-                prev: UNLINKED,
-                next: UNLINKED,
-                ts: 0,
-            };
-            num_frames + 1
-        ];
-        links[num_frames] = Link {
+            .expect("list count fits a 32-bit link");
+        self.links.push(Link {
             prev: sentinel,
             next: sentinel,
             ts: 0,
-        };
-        Self { links, len: 0 }
+        });
+        self.lens.push(0);
+        ListId(sentinel - self.num_frames)
     }
 
-    fn sentinel(&self) -> u32 {
-        (self.links.len() - 1) as u32
-    }
-
-    /// Number of frames in the list.
+    /// The sentinel node of `list`.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.len
+    pub(crate) fn sentinel(&self, list: ListId) -> u32 {
+        self.num_frames + list.0
     }
 
-    /// Whether the list is empty.
+    /// Number of frames the lists range over.
+    pub(crate) fn num_frames(&self) -> usize {
+        self.num_frames as usize
+    }
+
+    /// Number of frames in `list`.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    pub fn len(&self, list: ListId) -> usize {
+        self.lens[list.0 as usize]
     }
 
-    /// Whether `pfn` is in the list.
+    /// Whether `list` is empty.
+    #[inline]
+    pub fn is_empty(&self, list: ListId) -> bool {
+        self.len(list) == 0
+    }
+
+    /// Whether `pfn` is in any list.
+    #[inline]
     pub fn contains(&self, pfn: Pfn) -> bool {
         self.links[pfn.0 as usize].next != UNLINKED
     }
 
     /// Records an access to the page in `pfn` at time `now`, linking the
-    /// frame if absent. It goes after every frame touched at or before
-    /// `now`, which is O(1) when `now` is the newest timestamp.
+    /// frame into `list` if it is in no list. It goes after every frame
+    /// of `list` touched at or before `now`, which is O(1) when `now` is
+    /// the list's newest timestamp. A linked frame must already be in
+    /// `list`.
     ///
     /// # Panics
     ///
-    /// Panics if `pfn` is outside the list's frame range.
+    /// Panics if `pfn` is outside the lists' frame range.
     #[inline]
-    pub fn touch(&mut self, pfn: Pfn, now: u64) {
-        let sentinel = self.sentinel();
+    pub fn touch(&mut self, list: ListId, pfn: Pfn, now: u64) {
         assert!(
-            pfn.0 < u64::from(sentinel),
+            pfn.0 < u64::from(self.num_frames),
             "touch of {pfn} outside the LRU"
         );
+        let sentinel = self.sentinel(list);
         let node = pfn.0 as u32;
         if self.contains(pfn) {
             self.unlink(node);
         } else {
-            self.len += 1;
+            self.lens[list.0 as usize] += 1;
         }
         let mut after = self.links[sentinel as usize].prev;
         while after != sentinel && self.links[after as usize].ts > now {
@@ -239,15 +186,16 @@ impl FrameLru {
         self.links[next as usize].prev = node;
     }
 
-    /// Removes `pfn`, returning its last-touch timestamp if present.
+    /// Removes `pfn` from `list`, the list it is in, returning its
+    /// last-touch timestamp if it was linked.
     #[inline]
-    pub fn remove(&mut self, pfn: Pfn) -> Option<u64> {
+    pub fn remove(&mut self, list: ListId, pfn: Pfn) -> Option<u64> {
         if !self.contains(pfn) {
             return None;
         }
         let node = pfn.0 as u32;
         self.unlink(node);
-        self.len -= 1;
+        self.lens[list.0 as usize] -= 1;
         let link = &mut self.links[node as usize];
         link.prev = UNLINKED;
         link.next = UNLINKED;
@@ -260,17 +208,18 @@ impl FrameLru {
         self.links[next as usize].prev = prev;
     }
 
-    /// The least-recently-touched frame.
+    /// The least-recently-touched frame of `list`.
     #[inline]
-    pub fn oldest(&self) -> Option<Pfn> {
-        let head = self.links[self.sentinel() as usize].next;
-        (head != self.sentinel()).then_some(Pfn(u64::from(head)))
+    pub fn oldest(&self, list: ListId) -> Option<Pfn> {
+        let sentinel = self.sentinel(list);
+        let head = self.links[sentinel as usize].next;
+        (head != sentinel).then_some(Pfn(u64::from(head)))
     }
 
-    /// Iterates frames and their timestamps oldest-first (the bounded
-    /// victim scan quota-aware reclaim uses).
-    pub fn iter_oldest(&self) -> impl Iterator<Item = (Pfn, u64)> + '_ {
-        let sentinel = self.sentinel();
+    /// Iterates the frames of `list` and their timestamps oldest-first
+    /// (the bounded victim scan quota-aware reclaim uses).
+    pub fn iter_oldest(&self, list: ListId) -> impl Iterator<Item = (Pfn, u64)> + '_ {
+        let sentinel = self.sentinel(list);
         let mut at = self.links[sentinel as usize].next;
         std::iter::from_fn(move || {
             if at == sentinel {
@@ -288,109 +237,122 @@ impl FrameLru {
 mod tests {
     use super::*;
 
+    const L: ListId = ListId::FIRST;
+
+    /// Empties `list` oldest-first, as `(frame, timestamp)` pairs.
+    fn drain(lru: &mut FrameLru, list: ListId) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        while let Some(pfn) = lru.oldest(list) {
+            out.push((pfn.0, lru.remove(list, pfn).expect("linked")));
+        }
+        out
+    }
+
     #[test]
     fn frame_lru_orders_by_timestamp_then_touch() {
-        let mut lru = FrameLru::new(8);
-        lru.touch(Pfn(3), 5);
-        lru.touch(Pfn(1), 5);
-        lru.touch(Pfn(2), 4); // an older timestamp goes ahead of both
-        lru.touch(Pfn(3), 5); // a re-touch at an equal time goes last
-        let order: Vec<(Pfn, u64)> = lru.iter_oldest().collect();
+        let mut lru = FrameLru::new(8, 1);
+        lru.touch(L, Pfn(3), 5);
+        lru.touch(L, Pfn(1), 5);
+        lru.touch(L, Pfn(2), 4); // an older timestamp goes ahead of both
+        lru.touch(L, Pfn(3), 5); // a re-touch at an equal time goes last
+        let order: Vec<(Pfn, u64)> = lru.iter_oldest(L).collect();
         assert_eq!(order, vec![(Pfn(2), 4), (Pfn(1), 5), (Pfn(3), 5)]);
-        assert_eq!(lru.len(), 3);
-        assert_eq!(lru.remove(Pfn(1)), Some(5));
-        assert_eq!(lru.remove(Pfn(1)), None);
+        assert_eq!(lru.len(L), 3);
+        assert_eq!(lru.remove(L, Pfn(1)), Some(5));
+        assert_eq!(lru.remove(L, Pfn(1)), None);
         assert!(!lru.contains(Pfn(1)));
-        assert_eq!(lru.oldest(), Some(Pfn(2)));
-        lru.remove(Pfn(2));
-        lru.remove(Pfn(3));
-        assert!(lru.is_empty());
-        assert_eq!(lru.oldest(), None);
+        assert_eq!(lru.oldest(L), Some(Pfn(2)));
+        lru.remove(L, Pfn(2));
+        lru.remove(L, Pfn(3));
+        assert!(lru.is_empty(L));
+        assert_eq!(lru.oldest(L), None);
     }
 
     #[test]
     #[should_panic(expected = "outside the LRU")]
     fn frame_lru_rejects_out_of_range_frames() {
-        FrameLru::new(4).touch(Pfn(4), 1);
+        FrameLru::new(4, 1).touch(L, Pfn(4), 1);
     }
 
     #[test]
     fn pop_order_is_lru() {
-        let mut lru = LruIndex::new();
-        lru.touch(10u32, 5);
-        lru.touch(20, 3);
-        lru.touch(30, 7);
-        assert_eq!(lru.pop_oldest(), Some((20, 3)));
-        assert_eq!(lru.pop_oldest(), Some((10, 5)));
-        assert_eq!(lru.pop_oldest(), Some((30, 7)));
-        assert_eq!(lru.pop_oldest(), None);
+        let mut lru = FrameLru::new(32, 1);
+        lru.touch(L, Pfn(10), 5);
+        lru.touch(L, Pfn(20), 3);
+        lru.touch(L, Pfn(30), 7);
+        assert_eq!(drain(&mut lru, L), vec![(20, 3), (10, 5), (30, 7)]);
+        assert_eq!(lru.oldest(L), None);
     }
 
     #[test]
     fn touch_moves_to_back() {
-        let mut lru = LruIndex::new();
-        lru.touch(1u8, 1);
-        lru.touch(2, 2);
-        lru.touch(1, 3);
-        assert_eq!(lru.peek_oldest(), Some((2, 2)));
-        assert_eq!(lru.len(), 2);
+        let mut lru = FrameLru::new(4, 1);
+        lru.touch(L, Pfn(1), 1);
+        lru.touch(L, Pfn(2), 2);
+        lru.touch(L, Pfn(1), 3);
+        assert_eq!(lru.oldest(L), Some(Pfn(2)));
+        assert_eq!(lru.len(L), 2);
     }
 
     #[test]
     fn equal_timestamps_break_by_touch_order() {
-        let mut lru = LruIndex::new();
-        lru.touch('a', 1);
-        lru.touch('b', 1);
-        lru.touch('c', 1);
-        assert_eq!(lru.pop_oldest().unwrap().0, 'a');
-        assert_eq!(lru.pop_oldest().unwrap().0, 'b');
-        assert_eq!(lru.pop_oldest().unwrap().0, 'c');
+        // Three lists over one link array, each ordered on its own.
+        let mut lru = FrameLru::new(9, 3);
+        for list in 0..3u32 {
+            for n in [2, 0, 1] {
+                lru.touch(ListId(list), Pfn(u64::from(3 * list + n)), 1);
+            }
+        }
+        assert_eq!(drain(&mut lru, ListId(2)), vec![(8, 1), (6, 1), (7, 1)]);
+        assert_eq!(drain(&mut lru, ListId(0)), vec![(2, 1), (0, 1), (1, 1)]);
+        assert_eq!(drain(&mut lru, ListId(1)), vec![(5, 1), (3, 1), (4, 1)]);
     }
 
     #[test]
     fn remove_detaches_key() {
-        let mut lru = LruIndex::new();
-        lru.touch(1u64, 1);
-        lru.touch(2, 2);
-        assert_eq!(lru.remove(&1), Some(1));
-        assert_eq!(lru.remove(&1), None);
-        assert!(!lru.contains(&1));
-        assert_eq!(lru.pop_oldest(), Some((2, 2)));
+        let mut lru = FrameLru::new(4, 2);
+        lru.touch(ListId(0), Pfn(1), 1);
+        lru.touch(ListId(1), Pfn(2), 2);
+        assert_eq!(lru.remove(ListId(0), Pfn(1)), Some(1));
+        assert_eq!(lru.remove(ListId(0), Pfn(1)), None);
+        assert!(!lru.contains(Pfn(1)));
+        assert!(lru.is_empty(ListId(0)));
+        assert_eq!(drain(&mut lru, ListId(1)), vec![(2, 2)]);
     }
 
     #[test]
     fn iter_oldest_is_nondestructive_and_ordered() {
-        let mut lru = LruIndex::new();
-        lru.touch(3u32, 30);
-        lru.touch(1, 10);
-        lru.touch(2, 20);
-        let order: Vec<(u32, u64)> = lru.iter_oldest().collect();
-        assert_eq!(order, vec![(1, 10), (2, 20), (3, 30)]);
-        assert_eq!(lru.len(), 3, "iteration must not consume");
+        let mut lru = FrameLru::new(4, 1);
+        let list = lru.add_list();
+        assert_eq!(list, ListId(1));
+        lru.touch(list, Pfn(3), 30);
+        lru.touch(list, Pfn(1), 10);
+        lru.touch(list, Pfn(2), 20);
+        let order: Vec<(Pfn, u64)> = lru.iter_oldest(list).collect();
+        assert_eq!(order, vec![(Pfn(1), 10), (Pfn(2), 20), (Pfn(3), 30)]);
+        assert_eq!(lru.len(list), 3, "iteration must not consume");
+        assert!(lru.is_empty(L));
     }
 
     #[test]
     fn timestamp_query() {
-        let mut lru = LruIndex::new();
-        lru.touch(9u16, 42);
-        assert_eq!(lru.timestamp(&9), Some(42));
-        assert_eq!(lru.timestamp(&8), None);
+        let mut lru = FrameLru::new(16, 1);
+        lru.touch(L, Pfn(9), 42);
+        let ts = lru.iter_oldest(L).find(|&(p, _)| p == Pfn(9));
+        assert_eq!(ts, Some((Pfn(9), 42)));
+        assert_eq!(lru.remove(L, Pfn(8)), None);
+        assert_eq!(lru.remove(L, Pfn(9)), Some(42));
     }
 
     #[test]
     fn large_population_pops_sorted() {
-        let mut lru = LruIndex::new();
+        let mut lru = FrameLru::new(1000, 1);
         // Insert with pseudo-shuffled timestamps.
         for i in 0..1000u64 {
-            lru.touch(i, (i * 2_654_435_761) % 10_000);
+            lru.touch(L, Pfn(i), (i * 2_654_435_761) % 10_000);
         }
-        let mut last = 0;
-        let mut n = 0;
-        while let Some((_, ts)) = lru.pop_oldest() {
-            assert!(ts >= last, "out of order");
-            last = ts;
-            n += 1;
-        }
-        assert_eq!(n, 1000);
+        let drained = drain(&mut lru, L);
+        assert_eq!(drained.len(), 1000);
+        assert!(drained.windows(2).all(|w| w[0].1 <= w[1].1), "out of order");
     }
 }

@@ -16,7 +16,7 @@ use crate::error::{MosaicError, MosaicResult};
 use crate::frame::{FrameEntry, Placement};
 use crate::invariants;
 use crate::layout::MemoryLayout;
-use crate::lru::FrameLru;
+use crate::lru::{FrameLru, ListId};
 use crate::manager::MemoryManager;
 use crate::paging::{Injectable, PagingCore, Policy};
 use crate::policy::MosaicPolicy;
@@ -82,7 +82,7 @@ impl MosaicMemory {
             horizon: 0,
             eviction: policy,
             global_lru: matches!(policy, MosaicPolicy::ReservedCapacity { .. })
-                .then(|| FrameLru::new(num_frames)),
+                .then(|| FrameLru::new(num_frames, 1)),
             live_budget: policy.live_budget(num_frames),
             scanner: None,
             shadow: None,
@@ -264,7 +264,7 @@ impl MosaicMemory {
         if let Some(lru) = self.policy.global_lru.as_ref() {
             if self.frames.resident() >= self.policy.live_budget {
                 let pfn = lru
-                    .oldest()
+                    .oldest(ListId::FIRST)
                     .ok_or(MosaicError::internal("resident pages are LRU-tracked"))?;
                 self.evict(pfn, false)?;
             }
@@ -342,17 +342,12 @@ impl MosaicMemory {
     /// trim — the tenant stays transiently over quota and the next fault
     /// resumes trimming.
     fn quota_trim(&mut self, asid: Asid) {
-        loop {
-            let victim = match self.quotas.as_ref() {
-                Some(q) if q.over_quota(asid) => q.own_lru_oldest(asid),
-                _ => return,
-            };
-            let Some(vkey) = victim else { return };
-            let Some(pfn) = self.resident.get(&vkey).copied() else {
-                // Tracked-but-not-resident would spin forever; bail (the
-                // verify() census would flag the drift).
-                return;
-            };
+        while let Some(pfn) = self
+            .quotas
+            .as_ref()
+            .filter(|q| q.over_quota(asid))
+            .and_then(|q| q.own_lru_oldest(asid))
+        {
             if self.evict_own(pfn).is_err() {
                 return;
             }
@@ -380,7 +375,7 @@ impl Policy for IcebergHorizon {
             None => mm.frames.touch(pfn, now, write),
         }
         if let Some(lru) = mm.policy.global_lru.as_mut() {
-            lru.touch(pfn, now);
+            lru.touch(ListId::FIRST, pfn, now);
         }
         mm.run_scanner_if_due(now);
         if mm.fault.is_some() {
@@ -405,7 +400,7 @@ impl Policy for IcebergHorizon {
             sc.mark(pfn);
         }
         if let Some(lru) = placement.global_lru.as_mut() {
-            lru.touch(pfn, now);
+            lru.touch(ListId::FIRST, pfn, now);
         }
         mm.run_scanner_if_due(now);
     }
@@ -423,7 +418,7 @@ impl Policy for IcebergHorizon {
             sh.note_remove(key);
         }
         if let Some(lru) = self.global_lru.as_mut() {
-            lru.remove(pfn);
+            lru.remove(ListId::FIRST, pfn);
         }
         if let Some(sc) = self.scanner.as_mut() {
             sc.reset(pfn);
@@ -434,7 +429,7 @@ impl Policy for IcebergHorizon {
         invariants::check_ghost_census(&mm.frames, mm.policy.horizon)?;
         if let Some(lru) = mm.policy.global_lru.as_ref() {
             invariants::check_lru_tracks_resident(lru, &mm.resident)?;
-            invariants::check_lru_order(lru, &mm.frames, mm.resident.len())?;
+            invariants::check_lru_order(lru, ListId::FIRST, &mm.frames, mm.resident.len())?;
         }
         if let Some(sh) = mm.policy.shadow.as_ref() {
             sh.verify_against(&mm.resident)?;

@@ -177,7 +177,7 @@ impl<P: Policy> PagingCore<P> {
     fn vacate(&mut self, pfn: Pfn, key: PageKey) {
         self.resident.remove(&key);
         if let Some(q) = self.quotas.as_mut() {
-            q.note_evict(key);
+            q.note_evict(key, pfn);
         }
         self.policy.vacated(pfn, key);
     }
@@ -335,7 +335,7 @@ impl<P: Policy> MemoryManager for PagingCore<P> {
                 .is_ghost(self.policy.horizon());
             P::hit(self, key, pfn, kind.is_write(), now);
             if let Some(q) = self.quotas.as_mut() {
-                q.note_touch(key, now);
+                q.note_touch(key, pfn, now);
             }
             return Ok(if was_ghost {
                 self.ghost_hits += 1;
@@ -369,7 +369,7 @@ impl<P: Policy> MemoryManager for PagingCore<P> {
         );
         self.resident.insert(key, pfn);
         if let Some(q) = self.quotas.as_mut() {
-            q.note_install(key, now);
+            q.note_install(key, pfn, now);
         }
         P::installed(self, key, pfn, now);
         let outcome = if from_swap {
@@ -417,24 +417,19 @@ impl<P: Policy> MemoryManager for PagingCore<P> {
     }
 
     fn set_quota(&mut self, asid: Asid, quota: TenantQuota) {
-        let table = self.quotas.get_or_insert_with(QuotaTable::new);
+        let num_frames = self.frames.num_frames();
+        let table = self
+            .quotas
+            .get_or_insert_with(|| QuotaTable::new(num_frames));
         table.set(asid, quota);
-        if table.resident(asid) == 0 {
-            // Seed the table from pages resident before the quota existed,
-            // in a deterministic (timestamp, key) order so replays agree.
-            let mut seed: Vec<(u64, PageKey)> = self
-                .resident
+        // Link the tenant's pages resident before the table existed.
+        let frames = &self.frames;
+        table.seed(
+            self.resident
                 .iter()
                 .filter(|(k, _)| k.asid == asid)
-                .filter_map(|(&k, &pfn)| self.frames.entry(pfn).map(|e| (e.last_access, k)))
-                .collect();
-            seed.sort_unstable_by_key(|&(ts, k)| (ts, k.hash_key()));
-            if let Some(table) = self.quotas.as_mut() {
-                for (ts, k) in seed {
-                    table.note_install(k, ts);
-                }
-            }
-        }
+                .filter_map(|(&k, &pfn)| frames.entry(pfn).map(|e| (k, pfn, e.last_access))),
+        );
     }
 
     fn quota_stats(&self) -> QuotaStats {
@@ -461,7 +456,7 @@ impl<P: Policy> MemoryManager for PagingCore<P> {
         invariants::check_frame_bijection(&self.frames, &self.resident)?;
         invariants::check_swap_disjoint(&self.resident, &self.swapped)?;
         if let Some(q) = self.quotas.as_ref() {
-            invariants::check_quota_accounting(q, &self.resident)?;
+            invariants::check_quota_accounting(q, &self.frames, &self.resident)?;
         }
         P::verify(self)
     }

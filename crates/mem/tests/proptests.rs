@@ -1,9 +1,12 @@
 //! Property tests for the memory managers: conservation laws that must
 //! hold for every manager under every access pattern, and model-based
-//! checks of the LRU indexes.
+//! checks of the frame LRU lists against the reference [`LruIndex`].
 
+mod lru_index;
+
+use lru_index::LruIndex;
 use mosaic_mem::clock::ClockMemory;
-use mosaic_mem::lru::{FrameLru, LruIndex};
+use mosaic_mem::lru::{FrameLru, ListId};
 use mosaic_mem::paging::Policy;
 use mosaic_mem::prelude::*;
 use mosaic_mem::PagingCore;
@@ -330,24 +333,25 @@ proptest! {
         frames in 1usize..=64,
         ops in prop::collection::vec((0usize..64, -3i64..=3, 0u8..4), 1..400)
     ) {
-        let mut lru = FrameLru::new(frames);
+        let mut lru = FrameLru::new(frames, 1);
+        let list = ListId::FIRST;
         let mut reference: LruIndex<u64> = LruIndex::new();
         let mut now = 100i64;
         for (frame, step, action) in ops {
             let pfn = Pfn::new((frame % frames) as u64);
             now = (now + step).max(0);
             if action == 0 {
-                prop_assert_eq!(lru.remove(pfn), reference.remove(&pfn.0));
+                prop_assert_eq!(lru.remove(list, pfn), reference.remove(&pfn.0));
             } else {
-                lru.touch(pfn, now as u64);
+                lru.touch(list, pfn, now as u64);
                 reference.touch(pfn.0, now as u64);
             }
-            prop_assert_eq!(lru.len(), reference.len());
+            prop_assert_eq!(lru.len(list), reference.len());
             prop_assert_eq!(
-                lru.oldest().map(|p| p.0),
+                lru.oldest(list).map(|p| p.0),
                 reference.peek_oldest().map(|(k, _)| k)
             );
-            let order: Vec<(u64, u64)> = lru.iter_oldest().map(|(p, t)| (p.0, t)).collect();
+            let order: Vec<(u64, u64)> = lru.iter_oldest(list).map(|(p, t)| (p.0, t)).collect();
             let expect: Vec<(u64, u64)> = reference.iter_oldest().collect();
             prop_assert_eq!(order, expect);
         }
@@ -482,6 +486,166 @@ proptest! {
         drive(&mut mosaic, &pattern);
         let ghosts = mosaic.ghost_count();
         prop_assert!(ghosts <= mosaic.resident_frames());
+    }
+}
+
+/// A page the quota-list model holds in one frame: its key, its last
+/// access and whether the table has linked it.
+#[derive(Clone, Copy)]
+struct ModelPage {
+    key: PageKey,
+    last: u64,
+    tracked: bool,
+}
+
+/// Checks every tenant's list in `table` against its reference LRU and
+/// every frame's linked state against the model.
+fn check_quota_lists(
+    table: &QuotaTable,
+    reference: &[LruIndex<u64>],
+    frames: &[Option<ModelPage>],
+) -> Result<(), TestCaseError> {
+    for (t, lru) in reference.iter().enumerate() {
+        let asid = Asid::new(t as u16 + 1);
+        prop_assert_eq!(table.resident(asid), lru.len());
+        prop_assert_eq!(lru.is_empty(), table.own_lru_oldest(asid).is_none());
+        prop_assert_eq!(
+            table.own_lru_oldest(asid).map(|p| p.0),
+            lru.peek_oldest().map(|(pfn, _)| pfn)
+        );
+        let order: Vec<(u64, u64)> = table.own_lru(asid).map(|(p, ts)| (p.0, ts)).collect();
+        let expect: Vec<(u64, u64)> = lru.iter_oldest().collect();
+        prop_assert_eq!(order, expect, "{:?}'s list", asid);
+    }
+    for (f, page) in frames.iter().enumerate() {
+        let pfn = Pfn::new(f as u64);
+        let tracked = page.is_some_and(|p| p.tracked);
+        prop_assert_eq!(table.tracks(pfn), tracked, "{:?}", pfn);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The quota table's per-tenant lists, threaded through one frame
+    /// link array, keep each tenant's pages in exactly the reference
+    /// LRU's order — oldest timestamp first, ties by touch order — under
+    /// a clock that stands still or rewinds, across interleaved
+    /// installs, hits, evictions, tenant exits and late quota seeding
+    /// over four ASIDs. Untracked installs stand for pages resident
+    /// before the table existed; a seed links exactly those of its
+    /// tenant, oldest first, ties by key hash.
+    #[test]
+    fn quota_lists_match_lru_index(
+        ops in prop::collection::vec((0u8..7, 0u16..4, 0usize..40, -1i64..=2), 1..300),
+    ) {
+        const FRAMES: usize = 40;
+        let mut table = QuotaTable::new(FRAMES);
+        let mut reference: Vec<LruIndex<u64>> = (0..4).map(|_| LruIndex::new()).collect();
+        let mut frames: Vec<Option<ModelPage>> = vec![None; FRAMES];
+        let mut now = 10i64;
+        for (op, tenant, frame, step) in ops {
+            now = (now + step).max(0);
+            let ts = now as u64;
+            let asid = Asid::new(tenant + 1);
+            let pfn = Pfn::new(frame as u64);
+            let lru = &mut reference[usize::from(tenant)];
+            match (op, frames[frame]) {
+                // Install, tracked or (op 1) from before the table.
+                (0 | 1, None) => {
+                    let key = PageKey::new(asid, Vpn::new(frame as u64));
+                    let tracked = op == 0;
+                    if tracked {
+                        table.note_install(key, pfn, ts);
+                        lru.touch(pfn.0, ts);
+                    }
+                    frames[frame] = Some(ModelPage { key, last: ts, tracked });
+                }
+                (2 | 3, Some(page)) => {
+                    table.note_touch(page.key, pfn, ts);
+                    let owner = &mut reference[usize::from(page.key.asid.0 - 1)];
+                    if page.tracked {
+                        owner.touch(pfn.0, ts);
+                    }
+                    frames[frame] = Some(ModelPage { last: ts, ..page });
+                }
+                (4, Some(page)) => {
+                    table.note_evict(page.key, pfn);
+                    reference[usize::from(page.key.asid.0 - 1)].remove(&pfn.0);
+                    frames[frame] = None;
+                }
+                // Exit bookkeeping: the tenant's pages stay resident but
+                // untracked, as if installed before the table existed.
+                (5, _) => {
+                    table.remove_tenant(asid);
+                    *lru = LruIndex::new();
+                    for page in frames.iter_mut().flatten().filter(|p| p.key.asid == asid) {
+                        page.tracked = false;
+                    }
+                }
+                // A late quota: seed the tenant's resident pages, given in
+                // frame order.
+                (6, _) => {
+                    table.set(asid, TenantQuota { frames: 6, priority: 0 });
+                    let pages: Vec<(PageKey, Pfn, u64)> = frames
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(f, p)| p.map(|p| (p, f)))
+                        .filter(|(p, _)| p.key.asid == asid)
+                        .map(|(p, f)| (p.key, Pfn::new(f as u64), p.last))
+                        .collect();
+                    table.seed(pages);
+                    let mut fresh: Vec<(u64, u64, usize)> = frames
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(f, p)| p.map(|p| (p, f)))
+                        .filter(|(p, _)| p.key.asid == asid && !p.tracked)
+                        .map(|(p, f)| (p.last, p.key.hash_key(), f))
+                        .collect();
+                    fresh.sort_unstable();
+                    for (last, _, f) in fresh {
+                        lru.touch(f as u64, last);
+                        if let Some(p) = frames[f].as_mut() {
+                            p.tracked = true;
+                        }
+                    }
+                    prop_assert_eq!(table.at_capacity(asid), lru.len() >= 6);
+                }
+                _ => {}
+            }
+            check_quota_lists(&table, &reference, &frames)?;
+        }
+    }
+}
+
+/// A quota set after another tenant's quota created the table counts
+/// every resident page of its tenant, including those installed before
+/// the table existed, on both enforcing managers.
+#[test]
+fn late_quota_counts_pages_from_before_the_table() {
+    let layout = MemoryLayout::new(IcebergConfig::paper_default(8)); // 512 frames
+    let mut mosaic = MosaicMemory::new(layout, 5);
+    let mut linux = LinuxMemory::new(layout);
+    for m in [&mut mosaic as &mut dyn MemoryManager, &mut linux] {
+        let page = |vpn| PageKey::new(Asid::new(1), Vpn::new(vpn));
+        let mut now = 0;
+        for vpn in 0..20 {
+            now += 1;
+            m.access(page(vpn), AccessKind::Store, now);
+        }
+        m.set_quota(Asid::new(2), TenantQuota { frames: 8, priority: 0 });
+        now += 1;
+        m.access(page(20), AccessKind::Store, now);
+        m.set_quota(Asid::new(1), TenantQuota { frames: 16, priority: 0 });
+        m.verify().expect("the late quota counts all 21 pages");
+        // The cap binds on the tenant's next fault: it is already past it.
+        now += 1;
+        m.access(page(21), AccessKind::Store, now);
+        let resident = (0..22).filter(|&v| m.resident_pfn(page(v)).is_some());
+        assert_eq!(resident.count(), 16);
+        assert_eq!(m.quota_stats().self_evictions, 6);
+        m.verify().expect("structural invariants hold");
     }
 }
 

@@ -9,8 +9,7 @@
 //! quantifies walk-memory-access savings for either page-table flavour.
 
 use crate::pagetable::RadixTable;
-use mosaic_mem::lru::LruIndex;
-use std::collections::HashMap;
+use crate::tlb::{Associativity, SetAssocCache, TlbConfig};
 
 /// A translation cache over upper page-table levels.
 ///
@@ -32,11 +31,9 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct WalkCache {
-    /// Cached upper-level nodes: `(level, prefix)` → present.
-    entries: HashMap<(u32, u64), ()>,
-    lru: LruIndex<(u32, u64)>,
-    capacity: usize,
-    tick: u64,
+    /// Cached upper-level nodes, `(level, prefix)` tags in one fully
+    /// associative LRU set.
+    entries: SetAssocCache<(u32, u64), ()>,
     hits: u64,
     misses: u64,
     obs_hits: mosaic_obs::Counter,
@@ -53,10 +50,7 @@ impl WalkCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         Self {
-            entries: HashMap::new(),
-            lru: LruIndex::new(),
-            capacity,
-            tick: 0,
+            entries: SetAssocCache::new(TlbConfig::new(capacity, Associativity::Full)),
             hits: 0,
             misses: 0,
             obs_hits: mosaic_obs::Counter::noop(),
@@ -101,19 +95,12 @@ impl WalkCache {
         index >> below
     }
 
+    /// Marks `key` most recently used, caching it (and evicting the
+    /// least recently used entry when full) if absent.
     fn touch(&mut self, key: (u32, u64)) {
-        self.tick += 1;
-        if self.entries.contains_key(&key) {
-            self.lru.touch(key, self.tick);
-            return;
+        if self.entries.lookup(0, key).is_none() {
+            self.entries.insert(0, key, ());
         }
-        if self.entries.len() == self.capacity {
-            if let Some((victim, _)) = self.lru.pop_oldest() {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(key, ());
-        self.lru.touch(key, self.tick);
     }
 
     /// Walks `table` for `index` through the cache, returning the value
@@ -131,9 +118,7 @@ impl WalkCache {
         let mut start = 0;
         for level in (0..levels.saturating_sub(1)).rev() {
             let key = (level, Self::prefix(table.index_bits(), bits, index, level));
-            self.tick += 1;
-            if self.entries.contains_key(&key) {
-                self.lru.touch(key, self.tick);
+            if self.entries.lookup(0, key).is_some() {
                 self.hits += 1;
                 self.obs_hits.inc();
                 start = level + 1;

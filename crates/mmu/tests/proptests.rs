@@ -1,11 +1,12 @@
-//! Model-based property tests for the MMU structures: the TLB cache
-//! against a reference LRU, the radix table against a `HashMap`, and the
-//! shared 3C classification pass against naive per-instance classifiers.
+//! Model-based property tests for the MMU structures: the TLB cache and
+//! the page-walk cache against reference LRUs, the radix table against a
+//! `HashMap`, and the shared 3C classification pass against naive
+//! per-instance classifiers.
 
 use mosaic_hash::SplitMix64;
 use mosaic_mem::{Asid, Cpfn, Pfn, Vpn};
 use mosaic_mmu::tlb::{Associativity, ClassPass, MissClassifier, SetAssocCache, TlbConfig};
-use mosaic_mmu::{Arity, MosaicLookup, MosaicTlb, RadixTable, Toc, VanillaTlb};
+use mosaic_mmu::{Arity, MosaicLookup, MosaicTlb, RadixTable, Toc, VanillaTlb, WalkCache};
 use mosaic_obs::AttribCategory;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -391,6 +392,74 @@ proptest! {
                     mosaics.iter_mut().for_each(MosaicTlb::flush);
                 }
             }
+        }
+    }
+}
+
+/// An index of a `levels`-level table with `bits` index bits per level,
+/// one digit per level from the root down (digits past `levels` unused).
+fn index_from_digits((a, b, c, d): (u64, u64, u64, u64), levels: u32, bits: u32) -> u64 {
+    [a, b, c, d][..levels as usize]
+        .iter()
+        .fold(0, |index, &digit| index << bits | digit)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `WalkCache::walk` issues exactly the fetches, and counts exactly
+    /// the hits and misses, of a naive most-recent-last `Vec` LRU over
+    /// the same `(level, index prefix)` keys, at every capacity from 1 to
+    /// 32 (both the scanned and the hash-indexed fully associative set),
+    /// on the 4-level vanilla and 3-level mosaic table shapes, for mapped
+    /// and unmapped indices alike.
+    #[test]
+    fn walk_cache_matches_naive_lru(
+        capacity in 1usize..=32,
+        mosaic_shape in any::<bool>(),
+        mapped in prop::collection::vec((0u64..4, 0u64..4, 0u64..4, 0u64..8), 1..24),
+        walks in prop::collection::vec((0u64..4, 0u64..4, 0u64..4, 0u64..8), 1..200),
+    ) {
+        let (index_bits, bits) = if mosaic_shape { (30, 10) } else { (36, 9) };
+        let mut table: RadixTable<u64> = RadixTable::new(index_bits, bits);
+        let levels = table.levels();
+        for digits in mapped {
+            let index = index_from_digits(digits, levels, bits);
+            table.insert(index, index);
+        }
+        let mut wc = WalkCache::new(capacity);
+        let mut model: Vec<(u32, u64)> = Vec::new();
+        let touch = |model: &mut Vec<(u32, u64)>, key: (u32, u64)| {
+            if let Some(at) = model.iter().position(|&k| k == key) {
+                model.remove(at);
+            } else if model.len() == capacity {
+                model.remove(0);
+            }
+            model.push(key);
+        };
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for digits in walks {
+            let index = index_from_digits(digits, levels, bits);
+            let key = |level: u32| (level, index >> ((levels - 1 - level) * bits));
+            let mut start = 0;
+            for level in (0..levels - 1).rev() {
+                if model.contains(&key(level)) {
+                    touch(&mut model, key(level));
+                    hits += 1;
+                    start = level + 1;
+                    break;
+                }
+                misses += 1;
+            }
+            let raw = table.walk(index);
+            for level in 0..raw.levels_touched.min(levels - 1) {
+                touch(&mut model, key(level));
+            }
+            let (value, fetches) = wc.walk(&table, index);
+            prop_assert_eq!(value, raw.value);
+            prop_assert_eq!(fetches, raw.levels_touched - start, "index {:#x}", index);
+            prop_assert_eq!((wc.hits(), wc.misses()), (hits, misses));
+            prop_assert_eq!(wc.len(), model.len());
         }
     }
 }

@@ -7,7 +7,8 @@
 # repository itself is left untouched), builds it offline with its own
 # target dir, builds the working tree, then runs both builds on
 # scripts/check.sh's flag sets for every binary that drives a memory
-# manager, each with --obs-out, and `cmp`s stdout and the JSONL stream.
+# manager, and on walkcost (the page-walk cache's only binary), each
+# with --obs-out, and `cmp`s stdout and the JSONL stream.
 # Exits 1 naming the first run that differs, 2 on a usage error.
 # Uncommitted changes in the working tree are part of the comparison.
 set -euo pipefail
@@ -52,6 +53,7 @@ RUNS=(
   "ablation --buckets 48 --jobs 2 --obs-interval 50000"
   "fig6 gups --scale 0 --jobs 2"
   "fig6 all --scale 0 --attrib --obs-interval 5000 --jobs 2"
+  "walkcost --jobs 2"
 )
 
 n=0
